@@ -16,7 +16,7 @@ import numpy as np
 
 from .jacobi_blocks import band_spectra
 from .sphere_basis import BandParams, HarmonicCoeffs, mean_value
-from .transform import TransformPlan, analyze, synthesize
+from .transform import TransformPlan, _apply_blocks, analyze
 
 __all__ = [
     "Interval",
@@ -160,11 +160,17 @@ def filter_coeffs(
     to round-off.
     """
     d = analyze(plan, coeffs)
-    mask = window.mask(plan.eigenvalue_vector())
-    kept_d = np.where(mask, d.values, 0.0)
-    removed_d = np.where(mask, 0.0, d.values)
-    kept = synthesize(plan, type(d)(plan.params, kept_d))
-    removed = synthesize(plan, type(d)(plan.params, removed_d))
+    inside = window.mask(plan.eigenvalue_vector())
+    parts = []
+    # one synthesis per part, in place: a two-column pass needs a gather
+    # buffer twice the size of a coefficient vector, whose reuse fragments
+    # the heap of a long-running process by more than the pass saves
+    for where in (inside, ~inside):
+        part = np.zeros((1, plan.params.dimension), dtype=complex)
+        np.copyto(part[0], d.values, where=where)
+        _apply_blocks(plan, part, transpose=False, out=part)
+        parts.append(HarmonicCoeffs._adopt(plan.params, part[0]))
+    kept, removed = parts
     return kept, removed
 
 

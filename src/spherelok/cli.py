@@ -39,6 +39,7 @@ from .transform import (
     TransformPlan,
     analyze,
     analyze_fast,
+    dense_op_count,
     load_plan,
     save_plan,
     synthesize,
@@ -58,8 +59,10 @@ _WINDOW_HELP = (
 def time_call(fn, min_time: float = 1e-3, repeats: int = 3) -> float:
     """Best average seconds per call over several timed batches.
 
-    Batch length adapts until a batch lasts at least ``min_time``; the
-    minimum over ``repeats`` batches discards scheduler noise.
+    Batch length adapts until a batch lasts at least ``min_time``.  Batches
+    then repeat at least ``repeats`` times and until 0.2 s has been timed in
+    all; the minimum discards scheduler noise, whose phases last up to a few
+    hundred milliseconds on a shared host.
     """
     fn()  # warm up
     n_iter = 1
@@ -71,13 +74,15 @@ def time_call(fn, min_time: float = 1e-3, repeats: int = 3) -> float:
         if dt >= min_time:
             break
         n_iter *= 4
-    best = dt / n_iter
-    for _ in range(repeats - 1):
+    best, spent, batches = dt / n_iter, dt, 1
+    while batches < repeats or spent < 0.2:
         t0 = time.perf_counter()
         for _ in range(n_iter):
             fn()
         dt = time.perf_counter() - t0
         best = min(best, dt / n_iter)
+        spent += dt
+        batches += 1
     return best
 
 
@@ -90,38 +95,25 @@ def bench_dense_band(n: int, m: int, rng=None) -> tuple[float, int]:
     """Seconds per dense analysis of the full band, on a built plan.
 
     The band's plan is built before timing starts, so its eigensolves are
-    excluded.  Each distinct |k| is then timed once on the multiply that
-    :func:`analyze` runs, ``plan.blocks[k].vectors.T @ c``, and counted with
-    its multiplicity, since blocks +k and -k share the same matrix.
+    excluded.  The timed call is :func:`analyze` itself: one real matrix
+    product per |k| on the stacked real and imaginary parts of blocks +k
+    and -k.  The operation count is the closed form sum_k (2 N_k - 1) N_k.
     """
     rng = rng or np.random.default_rng(0)
     plan = TransformPlan.build(n, m, validate=False)
-    total = 0.0
-    ops = 0
-    for k in range(n + 1):
-        v = plan.blocks[k].vectors
-        size = v.shape[0]
-        c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        mult = 1 if k == 0 else 2
-        total += mult * time_call(lambda: v.T @ c)
-        ops += mult * (2 * size - 1) * size
-    return total, ops
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    return time_call(lambda: analyze(plan, c)), dense_op_count(n, m)
 
 
 def bench_fast_band(n: int, m: int, ndct: str = "auto", rng=None) -> float:
-    """Seconds per fast analysis of the full band (precompute excluded)."""
+    """Seconds per fast analysis of the full band (precompute excluded).
+
+    The untimed warm-up call of :func:`time_call` builds the fast tables.
+    """
     rng = rng or np.random.default_rng(0)
     plan = TransformPlan.build(n, m, mode="fast", ndct=ndct, validate=False)
-    from .transform import _fast_block_apply
-
-    total = 0.0
-    for k in range(n + 1):
-        c = rng.standard_normal(plan.params.block_size(k))
-        c = c + 1j * rng.standard_normal(len(c))
-        plan._fast_block(k)  # force precompute outside the timer
-        mult = 1 if k == 0 else 2
-        total += mult * time_call(lambda: _fast_block_apply(plan, k, c))
-    return total
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    return time_call(lambda: analyze_fast(plan, c))
 
 
 def bench_fast_block(size: int, rng=None) -> float:

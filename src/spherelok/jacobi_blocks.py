@@ -22,6 +22,7 @@ __all__ = [
     "JacobiBlock",
     "EigenBlock",
     "build_block",
+    "check_eigenpairs",
     "eigendecompose",
     "band_eigenblocks",
     "band_spectra",
@@ -124,28 +125,41 @@ def _eigh_block(block: JacobiBlock, vectors: bool):
     return vals, None
 
 
+def check_eigenpairs(block: JacobiBlock, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Raise NumericError unless (vals, vecs) are sorted eigenpairs of block.
+
+    The eigenvalues must be strictly decreasing, with every gap above
+    1e-13, and lie inside (-1, 1); the residual max |J V - V diag(vals)|,
+    one tridiagonal matvec per column, must stay within 1e-12 * size.  The
+    comparisons are written so that NaN fails them.  Orthogonality of V is
+    the caller's O(N^3) check.
+    """
+    if block.size > 1:
+        gap = (vals[:-1] - vals[1:]).min()
+        if not gap > _MIN_EIGENVALUE_GAP:
+            raise NumericError(
+                f"eigenvalue gap {gap:.3e} not above {_MIN_EIGENVALUE_GAP}: "
+                "not strictly decreasing"
+            )
+    if not np.abs(vals).max() < 1.0:
+        raise NumericError("eigenvalues escaped the open interval (-1, 1)")
+    resid = vecs * -vals
+    if block.size > 1:
+        off = block.offdiag[:, None]
+        resid[:-1] += off * vecs[1:]
+        resid[1:] += off * vecs[:-1]
+    worst = max(resid.max(), -resid.min())
+    if not worst <= 1e-12 * block.size:
+        raise NumericError(f"eigenpair residual {worst:.3e} too large")
+
+
 def eigendecompose(block: JacobiBlock, k: int | None = None) -> EigenBlock:
     """Full spectrum and orthonormal eigenvectors, sorted by decreasing eigenvalue."""
     vals, vecs = _eigh_block(block, vectors=True)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
-    if block.size > 1:
-        gaps = vals[:-1] - vals[1:]
-        if gaps.min() <= _MIN_EIGENVALUE_GAP:
-            raise NumericError(
-                f"eigenvalue gap {gaps.min():.3e} below {_MIN_EIGENVALUE_GAP}; "
-                "tridiagonal solver failure"
-            )
-        if np.abs(vals).max() >= 1.0:
-            raise NumericError("eigenvalues escaped the open interval (-1, 1)")
-        # residual check ||J v - x v||_inf, tridiagonal matvec per column
-        jv = np.zeros_like(vecs)
-        jv[:-1] += block.offdiag[:, None] * vecs[1:]
-        jv[1:] += block.offdiag[:, None] * vecs[:-1]
-        resid = np.abs(jv - vecs * vals[None, :]).max()
-        if resid > 1e-12 * block.size:
-            raise NumericError(f"eigenpair residual {resid:.3e} too large")
+    check_eigenpairs(block, vals, vecs)
     # sign convention: first component positive (it cannot vanish for an
     # irreducible tridiagonal matrix; the fallback is purely defensive)
     lead = vecs[0].copy()

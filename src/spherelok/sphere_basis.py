@@ -8,6 +8,7 @@ That layout is also the contract for the text file format written here.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -96,6 +97,15 @@ class _Coeffs:
             values = values.copy()
         values.setflags(write=False)
         self.values = values
+
+    @classmethod
+    def _adopt(cls, params: BandParams, values: np.ndarray):
+        """Wrap a new contiguous complex array that no caller keeps, without a copy."""
+        obj = cls.__new__(cls)
+        obj.params = params
+        values.setflags(write=False)
+        obj.values = values
+        return obj
 
     def block(self, k: int) -> np.ndarray:
         return self.values[self.params.block_slice(k)]
@@ -270,20 +280,33 @@ def eval_basis_function(
     return complex(out[0]) if scalar else out.reshape(np.broadcast(theta, phi).shape)
 
 
+@lru_cache(maxsize=8)
+def _layout_offdiag(n: int, m: int) -> np.ndarray:
+    """Jacobi off-diagonals laid end to end in the canonical layout.
+
+    Entry j couples coefficients j and j + 1; it is zero where a block ends.
+    Each |k| is built once and shared by blocks +k and -k.
+    """
+    params = BandParams(n, m)
+    off = np.zeros(params.dimension - 1)
+    for alpha in range(n + 1):
+        b = build_block(n, m, alpha).offdiag
+        for k in (alpha, -alpha) if alpha else (0,):
+            start = params.block_slice(k).start
+            off[start : start + len(b)] = b
+    off.setflags(write=False)
+    return off
+
+
 def mean_value(coeffs: HarmonicCoeffs) -> float:
     """Localization score in (-1, 1): +1 means north-pole concentration.
 
-    Computed block-wise as the tridiagonal quadratic form, O(dimension) total.
+    The tridiagonal quadratic form 2 Re sum conj(c_j) b_j c_{j+1} over the
+    whole layout, O(dimension); the off-diagonals are cached per (n, m).
     """
-    p = coeffs.params
-    total = 0.0
-    for k in range(p.n + 1):
-        off = build_block(p.n, p.m, k).offdiag
-        for kk in ((k, -k) if k else (0,)):
-            c = coeffs.block(kk)
-            if len(c) > 1:
-                total += 2.0 * float(np.real(np.sum(np.conj(c[:-1]) * off * c[1:])))
-    return total
+    c = coeffs.values
+    off = _layout_offdiag(coeffs.params.n, coeffs.params.m)
+    return 2.0 * float(np.real(np.vdot(c[:-1], off * c[1:])))
 
 
 def mean_value_quadrature(coeffs: HarmonicCoeffs, grid: SphereGrid | None = None) -> float:
@@ -349,8 +372,19 @@ def save_coeffs(path, coeffs: _Coeffs) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _entry_lines(lines: list[str]):
+    """(line number, line) of every non-blank line after the header."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            yield lineno, line
+
+
 def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
-    """Parse a coefficient file, rejecting out-of-order or missing entries."""
+    """Parse a coefficient file, rejecting out-of-order, missing or non-finite entries.
+
+    The entry count is checked against the header's dimension before any
+    entry is parsed, so the work is bounded by the size of the file.
+    """
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines:
@@ -362,14 +396,16 @@ def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
     if m > n:
         raise FormatError(f"{path}: line 1: need m <= n")
     params = BandParams(n=n, m=m)
-    expected = list(_entry_labels(params, kind))
-    values = np.zeros(params.dimension, dtype=complex)
-    pos = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if pos >= len(expected):
-            raise FormatError(f"{path}: line {lineno}: extra entry beyond dimension")
+    dim = params.dimension
+    count = sum(1 for _ in _entry_lines(lines))
+    if count < dim:
+        raise FormatError(f"{path}: missing entries; got {count} of {dim}")
+    if count > dim:
+        lineno, _ = next(itertools.islice(_entry_lines(lines), dim, None))
+        raise FormatError(f"{path}: line {lineno}: extra entry beyond dimension")
+    values = np.empty(dim, dtype=complex)
+    labels = _entry_labels(params, kind)
+    for pos, (lineno, line) in enumerate(_entry_lines(lines)):
         parts = line.split()
         if len(parts) != 4:
             raise FormatError(f"{path}: line {lineno}: expected 'k idx re im'")
@@ -378,14 +414,17 @@ def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
             re_v, im_v = float(parts[2]), float(parts[3])
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from None
-        if (k, idx) != expected[pos]:
+        expected = next(labels)
+        if (k, idx) != expected:
             raise FormatError(
                 f"{path}: line {lineno}: entry ({k}, {idx}) out of order; "
-                f"expected {expected[pos]}"
+                f"expected {expected}"
             )
         values[pos] = complex(re_v, im_v)
-        pos += 1
-    if pos != len(expected):
-        raise FormatError(f"{path}: missing entries; got {pos} of {len(expected)}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        pos = int(np.argmin(finite))
+        lineno, _ = next(itertools.islice(_entry_lines(lines), pos, None))
+        raise FormatError(f"{path}: line {lineno}: non-finite value")
     cls = HarmonicCoeffs if kind == "harmonic" else LocalizedCoeffs
     return cls(params, values)

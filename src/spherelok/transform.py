@@ -1,6 +1,8 @@
 """Transforms between harmonic and localized coefficients.
 
-The dense path multiplies each block by its orthogonal eigenvector matrix.
+The dense path multiplies each block by its orthogonal eigenvector matrix:
+one real matrix product per |k| (:func:`_apply_blocks`) serves analysis,
+synthesis, filtering and the tail bounds.
 The fast path factors that product into a Chebyshev change of basis (applied
 by a divide-and-conquer cascade), a nonequispaced cosine evaluation at the
 eigenvalue angles, and a diagonal scaling.  Blocks that are truncated, small,
@@ -11,13 +13,15 @@ multiply inside the fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _fastcheb as fc
 from .errors import FormatError, NumericError
-from .jacobi_blocks import EigenBlock, band_eigenblocks
+from .jacobi_blocks import EigenBlock, band_eigenblocks, build_block, check_eigenpairs
 from .sphere_basis import BandParams, HarmonicCoeffs, LocalizedCoeffs
 from .ultraspherical import UltrasphericalFamily, chebyshev_connection
 
@@ -69,6 +73,38 @@ def _growth_at_one(alpha: int, degree: int) -> float:
     return top
 
 
+def _validate_blocks(
+    params: BandParams, blocks: dict[int, EigenBlock], tol: float, eigenpairs: bool = True
+) -> None:
+    """Check every block against its Jacobi matrix rebuilt from (n, m).
+
+    Runs :func:`check_eigenpairs` (order, range, O(N^2) residual) unless
+    ``eigenpairs`` is False, and the O(N^3) orthogonality check
+    max |V^T V - I| <= tol.  A block -k that shares its arrays with block +k
+    is checked once.
+    """
+    for alpha in range(params.n + 1):
+        jacobi = build_block(params.n, params.m, alpha) if eigenpairs else None
+        for k in (alpha, -alpha) if alpha else (0,):
+            eb = blocks[k]
+            if k < 0 and eb.vectors is blocks[alpha].vectors and (
+                eb.eigenvalues is blocks[alpha].eigenvalues
+            ):
+                continue
+            if eigenpairs:
+                try:
+                    check_eigenpairs(jacobi, eb.eigenvalues, eb.vectors)
+                except NumericError as exc:
+                    raise NumericError(f"block k={k}: {exc}") from None
+            gram = eb.vectors.T @ eb.vectors
+            gram.flat[:: eb.size + 1] -= 1.0
+            resid = max(gram.max(), -gram.min())
+            if not resid <= tol:
+                raise NumericError(
+                    f"block k={k}: orthogonality residual {resid:.3e} exceeds {tol:g}"
+                )
+
+
 @dataclass(frozen=True)
 class _FastBlock:
     eligible: bool
@@ -103,17 +139,9 @@ class TransformPlan:
         self._fast: dict[int, _FastBlock] = {}
         self._conn: dict[int, np.ndarray] = {}
         self._eigs: np.ndarray | None = None
+        self._stacks: tuple[np.ndarray | None, ...] | None = None
         if validate:
-            self._check_orthogonality(1e-12)
-
-    def _check_orthogonality(self, tol: float) -> None:
-        for k in range(self.params.n + 1):
-            v = self.blocks[k].vectors
-            resid = np.abs(v.T @ v - np.eye(v.shape[0])).max()
-            if resid > tol:
-                raise NumericError(
-                    f"eigenvector block k={k} orthogonality residual {resid:.3e}"
-                )
+            _validate_blocks(params, blocks, 1e-12)
 
     @classmethod
     def build(
@@ -125,8 +153,10 @@ class TransformPlan:
         validate: bool = True,
     ) -> "TransformPlan":
         params = BandParams(n=n, m=m)
-        blocks = band_eigenblocks(n, m)
-        return cls(params, blocks, mode=mode, ndct=ndct, validate=validate)
+        plan = cls(params, band_eigenblocks(n, m), mode=mode, ndct=ndct, validate=False)
+        if validate:  # eigendecompose has checked every eigenpair already
+            _validate_blocks(params, plan.blocks, 1e-12, eigenpairs=False)
+        return plan
 
     def eigenblock(self, k: int) -> EigenBlock:
         return self.blocks[k]
@@ -139,6 +169,27 @@ class TransformPlan:
             eigs.setflags(write=False)
             self._eigs = eigs
         return self._eigs
+
+    def _small_stacks(self) -> tuple[np.ndarray | None, ...]:
+        """Zero-padded copies of the small blocks, one stack per size class.
+
+        They hold blocks of at most 32 rows, about 150 kB per plan.  A class
+        that holds a -k block with arrays of its own gets None instead.
+        """
+        if self._stacks is None:
+            stacks = []
+            for group, _, width in _paired_layout(self.params.n, self.params.m).classes:
+                if any(self.blocks[-a].vectors is not self.blocks[a].vectors for a in group):
+                    stacks.append(None)
+                    continue
+                stack = np.zeros((len(group), width, width))
+                for i, alpha in enumerate(group):
+                    v = self.blocks[alpha].vectors
+                    stack[i, : len(v), : len(v)] = v
+                stack.setflags(write=False)
+                stacks.append(stack)
+            self._stacks = tuple(stacks)
+        return self._stacks
 
     # -- fast-path plumbing ------------------------------------------------
 
@@ -188,34 +239,134 @@ def _check_match(plan: TransformPlan, coeffs) -> None:
         )
 
 
+class _Layout(NamedTuple):
+    """The +-k-paired layout of a band, the dense kernel's working order.
+
+    Row r holds entry j of block +alpha next to entry j of block -alpha:
+    ``index[r]`` gives their two positions in the canonical layout (the same
+    position twice for alpha = 0), and ``inverse`` maps each canonical
+    position p to a slot 2 r + s with ``index[r, s] == p``.  ``rows[alpha]``
+    is the range of rows of order alpha.  Blocks longer than the largest
+    batch size come first; the others follow in ``classes`` of
+    (orders, first row, width), each block padded with ``pad`` rows to the
+    longest block of its class.
+    """
+
+    index: np.ndarray
+    inverse: np.ndarray
+    rows: tuple[slice, ...]
+    classes: tuple[tuple[tuple[int, ...], int, int], ...]
+    pad: np.ndarray
+
+
+_BATCH_SIZES = (8, 16, 32)  # size classes of the blocks that share one product
+
+
+@lru_cache(maxsize=16)
+def _paired_layout(n: int, m: int) -> _Layout:
+    params = BandParams(n, m)
+    size = [params.block_size(alpha) for alpha in range(n + 1)]
+    groups = [[a for a in range(n + 1) if size[a] > _BATCH_SIZES[-1]]]
+    lower = 0
+    for upper in _BATCH_SIZES:
+        groups.append([a for a in range(n + 1) if lower < size[a] <= upper])
+        lower = upper
+    first, classes, pad, start = {}, [], [], 0
+    for g, group in enumerate(groups):
+        width = max((size[a] for a in group), default=0)
+        if g and group:
+            classes.append((tuple(group), start, width))
+        for alpha in group:
+            first[alpha] = start
+            stop = start + (width if g else size[alpha])
+            pad.extend(range(start + size[alpha], stop))
+            start = stop
+    index = np.zeros((start, 2), dtype=np.intp)  # padding rows read position 0
+    inverse = np.empty(params.dimension, dtype=np.intp)
+    rows = tuple(slice(first[a], first[a] + size[a]) for a in range(n + 1))
+    for alpha, r in enumerate(rows):
+        for s, k in enumerate((alpha, -alpha)):
+            block = params.block_slice(k)
+            index[r, s] = np.arange(block.start, block.stop)
+            inverse[block] = 2 * np.arange(r.start, r.stop) + s
+    # index and inverse stay writable: np.take copies a read-only index array
+    return _Layout(index, inverse, rows, tuple(classes), np.array(pad, dtype=np.intp))
+
+
+def _apply_blocks(
+    plan: TransformPlan,
+    x: np.ndarray,
+    transpose: bool,
+    alphas=None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Multiply every block of a batch of B vectors by V^T (``transpose``) or V.
+
+    ``x`` is a complex ``(B, dimension)`` array, one vector in the canonical
+    layout per row.  One gather into the paired layout puts blocks +k and
+    -k, which share V, side by side, and the result is read through its
+    float64 view: each |k| costs one real matrix product on 4B columns (real
+    and imaginary parts of both blocks), with no complex copy of V.  Blocks
+    of at most 32 rows go through one batched product per size class on the
+    plan's padded stacks, since a separate call per block costs more than
+    its arithmetic.  A -k block with arrays of its own (an older cache) gets
+    its own product.  One gather through the inverse permutation writes the
+    result to ``out`` (a new array if None; it may be ``x`` itself).
+    ``alphas`` restricts the work to those |k|; the entries of the other
+    blocks are left unset.
+    """
+    p = plan.params
+    layout = _paired_layout(p.n, p.m)
+    x = np.asarray(x, dtype=complex)
+    batch = x.shape[0]
+    gathered = np.take(x.T, layout.index, axis=0)
+    gathered[layout.pad] = 0.0
+    pair = gathered.view(float).reshape(len(gathered), 4 * batch)
+    todo = set(range(p.n + 1) if alphas is None else alphas)
+    for (group, start, width), stack in zip(layout.classes, plan._small_stacks()):
+        if stack is None or not todo.issuperset(group):
+            continue
+        rows = slice(start, start + len(group) * width)
+        shape = (len(group), width, pair.shape[1])
+        a = stack.transpose(0, 2, 1) if transpose else stack
+        pair[rows] = np.matmul(a, pair[rows].reshape(shape)).reshape(-1, shape[2])
+        todo.difference_update(group)
+    half = 2 * batch
+    for alpha in todo:  # each product overwrites its own input rows
+        r = layout.rows[alpha]
+        v, w = plan.blocks[alpha].vectors, plan.blocks[-alpha].vectors
+        if v is w:  # np.dot: less per-call overhead than np.matmul
+            pair[r] = np.dot(v.T if transpose else v, pair[r])
+        else:
+            pair[r, :half] = (v.T if transpose else v) @ pair[r, :half]
+            pair[r, half:] = (w.T if transpose else w) @ pair[r, half:]
+    slots = gathered.reshape(2 * len(gathered), batch).T
+    # mode="clip" skips the bounds check that would buffer ``out``
+    return np.take(slots, layout.inverse, axis=1, out=out, mode="clip")
+
+
 def analyze(
     plan: TransformPlan, coeffs: HarmonicCoeffs, counter: OpCounter | None = None
 ) -> LocalizedCoeffs:
     """Change of basis into localized coefficients, block-orthogonal multiply."""
     _check_match(plan, coeffs)
-    out = np.empty(plan.params.dimension, dtype=complex)
-    for k in plan.params.orders():
-        v = plan.blocks[k].vectors
-        out[plan.params.block_slice(k)] = v.T @ coeffs.block(k)
-        if counter is not None:
-            counter.add_matvec(v.shape[0])
-    return LocalizedCoeffs(plan.params, out)
+    out = _apply_blocks(plan, coeffs.values[None], transpose=True)
+    if counter is not None:
+        for k in plan.params.orders():
+            counter.add_matvec(plan.params.block_size(k))
+    return LocalizedCoeffs._adopt(plan.params, out[0])
 
 
 def synthesize(plan: TransformPlan, coeffs: LocalizedCoeffs) -> HarmonicCoeffs:
     """Inverse of :func:`analyze` (exact orthogonal inverse per block)."""
     _check_match(plan, coeffs)
-    out = np.empty(plan.params.dimension, dtype=complex)
-    for k in plan.params.orders():
-        v = plan.blocks[k].vectors
-        out[plan.params.block_slice(k)] = v @ coeffs.block(k)
-    return HarmonicCoeffs(plan.params, out)
+    out = _apply_blocks(plan, coeffs.values[None], transpose=False)
+    return HarmonicCoeffs._adopt(plan.params, out[0])
 
 
 def _fast_block_apply(plan: TransformPlan, k: int, c_k: np.ndarray) -> np.ndarray:
+    """Factored pipeline for one block that :meth:`fast_eligible` admits."""
     fb = plan._fast_block(k)
-    if not fb.eligible:
-        return plan.blocks[k].vectors.T @ c_k
     size = len(c_k)
     if plan.ndct == "direct":
         cheb = plan._connection(abs(k), size) @ c_k
@@ -233,15 +384,19 @@ def analyze_fast(plan: TransformPlan, coeffs: HarmonicCoeffs) -> LocalizedCoeffs
     """Fast-path analysis; agrees with :func:`analyze` to 1e-8.
 
     Requires a plan built with ``mode="fast"``.  Truncated orders (|k| <= m)
-    and blocks outside the pipeline's stability range use the dense multiply.
+    and blocks outside the pipeline's stability range use the dense kernel.
     """
     if plan.mode != "fast":
         raise ValueError("analyze_fast requires a plan built with mode='fast'")
     _check_match(plan, coeffs)
-    out = np.empty(plan.params.dimension, dtype=complex)
-    for k in plan.params.orders():
-        out[plan.params.block_slice(k)] = _fast_block_apply(plan, k, coeffs.block(k))
-    return LocalizedCoeffs(plan.params, out)
+    fast, dense = [], []
+    for alpha in range(plan.params.n + 1):
+        (fast if plan._fast_block(alpha).eligible else dense).append(alpha)
+    out = _apply_blocks(plan, coeffs.values[None], transpose=True, alphas=dense)[0]
+    for alpha in fast:  # eligible orders have alpha > m >= 0
+        for k in (alpha, -alpha):
+            out[plan.params.block_slice(k)] = _fast_block_apply(plan, k, coeffs.block(k))
+    return LocalizedCoeffs._adopt(plan.params, out)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +415,16 @@ def save_plan(path, plan: TransformPlan) -> None:
             eb.vectors.astype("<f8").tofile(fh)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def load_plan(path, mode: str = "dense", ndct: str = "auto") -> TransformPlan:
-    """Load a plan cache, verifying layout and per-block orthogonality."""
+    """Load a plan cache, verifying layout and every block's eigendata.
+
+    A block -k whose record is bit-identical to block +k's shares its
+    arrays, so it is stored and validated once.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(_PLAN_MAGIC))
@@ -289,17 +452,20 @@ def load_plan(path, mode: str = "dense", ndct: str = "auto") -> TransformPlan:
             vecs = np.fromfile(fh, dtype="<f8", count=size * size)
             if len(vals) != size or len(vecs) != size * size:
                 raise FormatError(f"{path}: truncated eigendata at block k={k}")
-            vals = vals.astype(float)
-            vecs = vecs.astype(float).reshape(size, size)
-            resid = np.abs(vecs.T @ vecs - np.eye(size)).max()
-            if resid > 1e-10:
-                raise NumericError(
-                    f"{path}: block k={k} orthogonality residual {resid:.3e} "
-                    "exceeds 1e-10"
-                )
+            vals = vals.astype(float, copy=False)
+            vecs = vecs.astype(float, copy=False).reshape(size, size)
+            if k < 0 and _same_bits(vals, blocks[-k].eigenvalues) and _same_bits(
+                vecs, blocks[-k].vectors
+            ):
+                blocks[k] = blocks[-k].with_order(k)
+                continue
             vals.setflags(write=False)
             vecs.setflags(write=False)
             blocks[k] = EigenBlock(k=k, eigenvalues=vals, vectors=vecs)
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after last block")
+    try:
+        _validate_blocks(params, blocks, 1e-10)
+    except NumericError as exc:
+        raise NumericError(f"{path}: {exc}") from None
     return TransformPlan(params, blocks, mode=mode, ndct=ndct, validate=False)

@@ -148,6 +148,16 @@ def test_corrupt_coeff_file_is_format_error(tmp_path, plan_file):
     assert rc == 3
 
 
+def test_non_finite_coefficients_are_format_error(tmp_path, plan_file, rng):
+    cpath = tmp_path / "c.coeff"
+    save_coeffs(cpath, HarmonicCoeffs.random_unit(sl.BandParams(12, 3), rng))
+    lines = cpath.read_text().splitlines()
+    lines[1] = "12 12 nan inf"
+    cpath.write_text("\n".join(lines) + "\n")
+    rc = main(["analyze", "--plan", str(plan_file), "--in", str(cpath), "--out", str(tmp_path / "o.coeff")])
+    assert rc == 3
+
+
 def test_corrupt_plan_is_numeric_error(tmp_path, plan_file, rng):
     data = bytearray(plan_file.read_bytes())
     data[-1] ^= 0xFF  # flip a byte inside the last eigenvector block

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spherelok.errors import FormatError
+from spherelok.jacobi_blocks import build_block
 from spherelok.sphere_basis import (
     BandParams,
     HarmonicCoeffs,
@@ -145,6 +147,29 @@ def test_mean_value_in_open_interval(rng):
         eps = mean_value(c)
         assert -1.0 < eps < 1.0
         assert mean_value_quadrature(c) == pytest.approx(eps, abs=1e-12)
+
+
+def _mean_value_per_block(coeffs):
+    """Reference: the tridiagonal quadratic form summed block by block."""
+    p = coeffs.params
+    total = 0.0
+    for k in range(p.n + 1):
+        off = build_block(p.n, p.m, k).offdiag
+        for kk in (k, -k) if k else (0,):
+            c = coeffs.block(kk)
+            if len(c) > 1:
+                total += 2.0 * float(np.real(np.sum(np.conj(c[:-1]) * off * c[1:])))
+    return total
+
+
+@pytest.mark.parametrize("n,m", [(8, 0), (16, 5), (12, 12)])
+def test_mean_value_matches_block_loop_and_quadrature(rng, n, m):
+    p = BandParams(n, m)
+    for _ in range(5):
+        c = HarmonicCoeffs.random_unit(p, rng)
+        eps = mean_value(c)
+        assert eps == pytest.approx(_mean_value_per_block(c), abs=1e-12)
+        assert eps == pytest.approx(mean_value_quadrature(c), abs=1e-12)
 
 
 def test_embed_block_unitary(rng):
@@ -308,3 +333,33 @@ def test_coeff_values_are_immutable(rng):
     c = HarmonicCoeffs.random_unit(BandParams(4, 0), rng)
     with pytest.raises(ValueError):
         c.values[0] = 1.0
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_loader_rejects_non_finite_values(tmp_path, rng, bad):
+    p = BandParams(3, 1)
+    path = tmp_path / "c.coeff"
+    save_coeffs(path, HarmonicCoeffs.random_unit(p, rng))
+    lines = path.read_text().splitlines()
+    k, idx, re_v, _ = lines[5].split()
+    lines[5] = f"{k} {idx} {re_v} {bad}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as err:
+        load_coeffs(path)
+    assert "line 6" in str(err.value) and "non-finite" in str(err.value)
+
+
+def test_loader_work_is_bounded_by_file_not_header(tmp_path):
+    # a one-line file declaring n=2000 (4 million entries) fails at once,
+    # without building the header's entry labels or value array
+    path = tmp_path / "huge.coeff"
+    path.write_text("SPHERELOK-COEFF v1 kind=harmonic n=2000 m=0\n0 0 1 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            load_coeffs(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "missing entries; got 1 of 4004001" in str(err.value)
+    assert peak < 1_000_000

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spherelok as sl
+from spherelok.cli import main
 from spherelok.errors import FormatError, NumericError
-from spherelok.sphere_basis import HarmonicCoeffs, LocalizedCoeffs, embed_block
+from spherelok.sphere_basis import HarmonicCoeffs, LocalizedCoeffs, embed_block, save_coeffs
 from spherelok.transform import (
     OpCounter,
     TransformPlan,
+    _apply_blocks,
     analyze,
     analyze_fast,
     dense_op_count,
@@ -95,7 +99,7 @@ def test_operation_count_matches_closed_formula(plan_cache, rng, n, m):
     assert counter.ops == direct == dense_op_count(n, m)
 
 
-@pytest.mark.parametrize("n,m", [(64, 0), (64, 1), (64, 32), (128, 1), (128, 64)])
+@pytest.mark.parametrize("n,m", [(64, 0), (64, 1), (64, 32), (128, 0), (128, 1), (128, 64)])
 def test_fast_matches_dense(plan_cache, rng, n, m):
     plan = plan_cache(n, m, mode="fast")
     for _ in range(3):
@@ -199,3 +203,157 @@ def test_plan_is_reusable(plan_cache, rng):
     first = analyze(plan, c).values
     second = analyze(plan, c).values
     assert np.array_equal(first, second)
+
+
+def _flip_mirror_columns(plan):
+    """Blocks whose -k eigenvectors have every other column negated.
+
+    Still sorted, orthonormal eigenpairs, but -k no longer shares arrays
+    with +k, as in a cache whose mirror records differ.
+    """
+    blocks = {}
+    for k, eb in plan.blocks.items():
+        if k < 0:
+            signs = np.where(np.arange(eb.size) % 2, -1.0, 1.0)
+            eb = sl.EigenBlock(k=k, eigenvalues=eb.eigenvalues, vectors=eb.vectors * signs)
+        blocks[k] = eb
+    return blocks
+
+
+@st.composite
+def _bands(draw):
+    n = draw(st.integers(0, 40))
+    return n, draw(st.integers(0, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    band=_bands(),
+    batch=st.sampled_from([1, 2]),
+    transpose=st.booleans(),
+    mirrored=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_blocks_matches_per_block_reference(plan_cache, band, batch, transpose, mirrored, seed):
+    plan = plan_cache(*band)
+    if mirrored:
+        plan = TransformPlan(plan.params, _flip_mirror_columns(plan))
+    rng = np.random.default_rng(seed)
+    shape = (batch, plan.params.dimension)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = np.empty_like(x)
+    for k in plan.params.orders():
+        v = plan.blocks[k].vectors
+        a = v.T if transpose else v
+        rows = plan.params.block_slice(k)
+        ref[:, rows] = (a @ x[:, rows].real.T + 1j * (a @ x[:, rows].imag.T)).T
+    got = _apply_blocks(plan, x, transpose)
+    assert np.abs(got - ref).max() <= 1e-14 * np.linalg.norm(x)
+    _apply_blocks(plan, x, transpose, out=x)  # in place, as filter_coeffs runs it
+    assert np.array_equal(x, got)
+
+
+def test_apply_blocks_restricted_orders(plan_cache, rng):
+    plan = plan_cache(40, 3)
+    x = rng.standard_normal((1, plan.params.dimension)) + 0j
+    full = _apply_blocks(plan, x, True)
+    part = _apply_blocks(plan, x, True, alphas=[0, 5, 39])
+    for k in (0, 5, -5, 39, -39):
+        rows = plan.params.block_slice(k)
+        assert np.array_equal(part[:, rows], full[:, rows])
+
+
+def test_apply_blocks_keeps_non_finite_inside_its_block(plan_cache):
+    # small blocks share one padded product; a bad entry must not leak
+    plan = plan_cache(40, 0)
+    x = np.zeros((1, plan.params.dimension), dtype=complex)
+    x[0, plan.params.block_slice(36).start] = np.inf
+    with np.errstate(invalid="ignore"):
+        out = _apply_blocks(plan, x, True)[0]
+    outside = np.ones(plan.params.dimension, dtype=bool)
+    outside[plan.params.block_slice(36)] = False
+    assert not np.any(out[outside])
+
+
+def test_analyze_matches_complex_block_multiply(plan_cache, rng):
+    plan = plan_cache(48, 3)
+    for _ in range(3):
+        c = HarmonicCoeffs.random_unit(plan.params, rng)
+        ref = np.concatenate(
+            [plan.blocks[k].vectors.T @ c.block(k) for k in plan.params.orders()]
+        )
+        assert np.linalg.norm(analyze(plan, c).values - ref) <= 1e-15 * np.linalg.norm(ref)
+        back = np.concatenate(
+            [plan.blocks[k].vectors @ ref[plan.params.block_slice(k)] for k in plan.params.orders()]
+        )
+        got = synthesize(plan, LocalizedCoeffs(plan.params, ref)).values
+        assert np.linalg.norm(got - back) <= 1e-15 * np.linalg.norm(back)
+
+
+def test_loaded_plan_shares_identical_mirror_blocks(tmp_path, plan_cache):
+    plan = plan_cache(12, 4)
+    path = tmp_path / "plan.bin"
+    save_plan(path, plan)
+    loaded = load_plan(path)
+    for k in range(1, 13):
+        assert loaded.blocks[-k].vectors is loaded.blocks[k].vectors
+        assert loaded.blocks[-k].eigenvalues is loaded.blocks[k].eigenvalues
+        assert loaded.blocks[-k].k == -k
+
+
+def test_plan_loader_accepts_differing_mirror_records(tmp_path, plan_cache, rng):
+    plan = plan_cache(12, 4)
+    blocks = _flip_mirror_columns(plan)
+    path = tmp_path / "plan.bin"
+    save_plan(path, TransformPlan(plan.params, blocks, validate=False))
+    loaded = load_plan(path)
+    assert loaded.blocks[-5].vectors is not loaded.blocks[5].vectors
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    ref = np.concatenate([blocks[k].vectors.T @ c.block(k) for k in plan.params.orders()])
+    assert np.abs(analyze(loaded, c).values - ref).max() < 1e-14
+
+
+def test_plan_loader_validates_differing_mirror_record(tmp_path, plan_cache):
+    plan = plan_cache(12, 4)
+    blocks = dict(plan.blocks)
+    eb = blocks[-5]
+    blocks[-5] = sl.EigenBlock(k=-5, eigenvalues=eb.eigenvalues, vectors=eb.vectors * 1.001)
+    path = tmp_path / "plan.bin"
+    save_plan(path, TransformPlan(plan.params, blocks, validate=False))
+    with pytest.raises(NumericError, match="k=-5"):
+        load_plan(path)
+
+
+def _with_eigenvalue(plan, k, i, value):
+    blocks = dict(plan.blocks)
+    vals = blocks[k].eigenvalues.copy()
+    vals[i] = value
+    blocks[k] = sl.EigenBlock(k=k, eigenvalues=vals, vectors=blocks[k].vectors)
+    return blocks
+
+
+def test_plan_loader_rejects_edited_eigenvalue(tmp_path, plan_cache, rng):
+    # block k=8 of (12, 4) has five eigenvalues; the middle one is 0
+    plan = plan_cache(12, 4)
+    assert abs(plan.blocks[8].eigenvalues[2]) < 1e-15
+    blocks = _with_eigenvalue(plan, 8, 2, -0.5)
+    path = tmp_path / "plan.bin"
+    save_plan(path, TransformPlan(plan.params, blocks, validate=False))
+    with pytest.raises(NumericError, match="k=8"):
+        load_plan(path)
+    with pytest.raises(NumericError, match="k=8"):
+        TransformPlan(plan.params, blocks)
+    cpath = tmp_path / "c.coeff"
+    save_coeffs(cpath, HarmonicCoeffs.random_unit(plan.params, rng))
+    rc = main(["analyze", "--plan", str(path), "--in", str(cpath), "--out", str(tmp_path / "o.coeff")])
+    assert rc == 4  # numeric-contract violation
+
+
+@pytest.mark.parametrize(
+    "i,value,message",
+    [(0, np.nan, "gap"), (4, np.nan, "gap"), (0, 1.0, "open interval"), (1, 0.9, "gap")],
+)
+def test_plan_validation_rejects_bad_eigenvalues(plan_cache, i, value, message):
+    plan = plan_cache(12, 4)
+    with pytest.raises(NumericError, match=message):
+        TransformPlan(plan.params, _with_eigenvalue(plan, 8, i, value))
