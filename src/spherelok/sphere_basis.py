@@ -373,7 +373,10 @@ def save_coeffs(path, coeffs: _Coeffs) -> None:
 
 
 def _entry_lines(lines: list[str]):
-    """(line number, line) of every non-blank line after the header."""
+    """(line number, line) of every non-blank line after the header.
+
+    Used to name the line of an error; the parse loop inlines it.
+    """
     for lineno, line in enumerate(lines[1:], start=2):
         if line.strip():
             yield lineno, line
@@ -397,7 +400,7 @@ def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
         raise FormatError(f"{path}: line 1: need m <= n")
     params = BandParams(n=n, m=m)
     dim = params.dimension
-    count = sum(1 for _ in _entry_lines(lines))
+    count = sum(map(bool, map(str.strip, lines[1:])))
     if count < dim:
         raise FormatError(f"{path}: missing entries; got {count} of {dim}")
     if count > dim:
@@ -405,7 +408,10 @@ def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
         raise FormatError(f"{path}: line {lineno}: extra entry beyond dimension")
     values = np.empty(dim, dtype=complex)
     labels = _entry_labels(params, kind)
-    for pos, (lineno, line) in enumerate(_entry_lines(lines)):
+    pos = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
         parts = line.split()
         if len(parts) != 4:
             raise FormatError(f"{path}: line {lineno}: expected 'k idx re im'")
@@ -421,10 +427,11 @@ def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
                 f"expected {expected}"
             )
         values[pos] = complex(re_v, im_v)
+        pos += 1
     finite = np.isfinite(values)
     if not finite.all():
         pos = int(np.argmin(finite))
         lineno, _ = next(itertools.islice(_entry_lines(lines), pos, None))
         raise FormatError(f"{path}: line {lineno}: non-finite value")
     cls = HarmonicCoeffs if kind == "harmonic" else LocalizedCoeffs
-    return cls(params, values)
+    return cls._adopt(params, values)

@@ -234,7 +234,9 @@ def _bands(draw):
     mirrored=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_apply_blocks_matches_per_block_reference(plan_cache, band, batch, transpose, mirrored, seed):
+def test_apply_blocks_matches_per_block_reference(
+    plan_cache, band, batch, transpose, mirrored, seed
+):
     plan = plan_cache(*band)
     if mirrored:
         plan = TransformPlan(plan.params, _flip_mirror_columns(plan))
