@@ -162,9 +162,10 @@ def filter_coeffs(
     d = analyze(plan, coeffs)
     inside = window.mask(plan.eigenvalue_vector())
     parts = []
-    # one synthesis per part, in place: a two-column pass needs a gather
-    # buffer twice the size of a coefficient vector, whose reuse fragments
-    # the heap of a long-running process by more than the pass saves
+    # one synthesis per part, each in place: a two-column pass frees a gather
+    # buffer twice the size of a coefficient vector on every call, which
+    # raises glibc's mmap threshold and lets the heap of a long-running
+    # process fragment by several MB
     for where in (inside, ~inside):
         part = np.zeros((1, plan.params.dimension), dtype=complex)
         np.copyto(part[0], d.values, where=where)
