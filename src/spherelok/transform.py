@@ -173,8 +173,10 @@ class TransformPlan:
     def _small_stacks(self) -> tuple[np.ndarray | None, ...]:
         """Zero-padded copies of the small blocks, one stack per size class.
 
-        They hold blocks of at most 32 rows, about 150 kB per plan.  A class
-        that holds a -k block with arrays of its own gets None instead.
+        They hold the blocks of at most 64 rows: about 1.2 MB at m = 0, and
+        about as much again as the plan's own vectors when n - m < 64, where
+        every block is that small.  A class that holds a -k block with arrays
+        of its own gets None instead.
         """
         if self._stacks is None:
             stacks = []
@@ -259,7 +261,7 @@ class _Layout(NamedTuple):
     pad: np.ndarray
 
 
-_BATCH_SIZES = (8, 16, 32)  # size classes of the blocks that share one product
+_BATCH_SIZES = (8, 16, 32, 64)  # size classes of the blocks that share one product
 
 
 @lru_cache(maxsize=16)
@@ -307,7 +309,7 @@ def _apply_blocks(
     -k, which share V, side by side, and the result is read through its
     float64 view: each |k| costs one real matrix product on 4B columns (real
     and imaginary parts of both blocks), with no complex copy of V.  Blocks
-    of at most 32 rows go through one batched product per size class on the
+    of at most 64 rows go through one batched product per size class on the
     plan's padded stacks, since a separate call per block costs more than
     its arithmetic.  A -k block with arrays of its own (an older cache) gets
     its own product.  One gather through the inverse permutation writes the

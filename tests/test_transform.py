@@ -222,7 +222,9 @@ def _flip_mirror_columns(plan):
 
 @st.composite
 def _bands(draw):
-    n = draw(st.integers(0, 40))
+    # up to n = 80 so both the batched classes (at most 64 rows) and the
+    # one-product-per-block path run
+    n = draw(st.integers(0, 80))
     return n, draw(st.integers(0, n))
 
 
@@ -256,13 +258,15 @@ def test_apply_blocks_matches_per_block_reference(
 
 
 def test_apply_blocks_restricted_orders(plan_cache, rng):
-    plan = plan_cache(40, 3)
+    # a class of small blocks that is only partly requested goes block by
+    # block, so it agrees with the batched product to rounding
+    plan = plan_cache(80, 3)
     x = rng.standard_normal((1, plan.params.dimension)) + 0j
     full = _apply_blocks(plan, x, True)
-    part = _apply_blocks(plan, x, True, alphas=[0, 5, 39])
-    for k in (0, 5, -5, 39, -39):
+    part = _apply_blocks(plan, x, True, alphas=[0, 5, 70])
+    for k in (0, 5, -5, 70, -70):
         rows = plan.params.block_slice(k)
-        assert np.array_equal(part[:, rows], full[:, rows])
+        assert np.abs(part[:, rows] - full[:, rows]).max() <= 1e-14 * np.linalg.norm(x)
 
 
 def test_apply_blocks_keeps_non_finite_inside_its_block(plan_cache):
@@ -278,7 +282,7 @@ def test_apply_blocks_keeps_non_finite_inside_its_block(plan_cache):
 
 
 def test_analyze_matches_complex_block_multiply(plan_cache, rng):
-    plan = plan_cache(48, 3)
+    plan = plan_cache(80, 3)
     for _ in range(3):
         c = HarmonicCoeffs.random_unit(plan.params, rng)
         ref = np.concatenate(
