@@ -13,7 +13,6 @@ multiply inside the fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -139,7 +138,7 @@ class TransformPlan:
         self._fast: dict[int, _FastBlock] = {}
         self._conn: dict[int, np.ndarray] = {}
         self._eigs: np.ndarray | None = None
-        self._stacks: tuple[np.ndarray | None, ...] | None = None
+        self._dense: tuple[_Layout, tuple[np.ndarray | None, ...]] | None = None
         if validate:
             _validate_blocks(params, blocks, 1e-12)
 
@@ -170,17 +169,18 @@ class TransformPlan:
             self._eigs = eigs
         return self._eigs
 
-    def _small_stacks(self) -> tuple[np.ndarray | None, ...]:
-        """Zero-padded copies of the small blocks, one stack per size class.
+    def _dense_tables(self) -> tuple[_Layout, tuple[np.ndarray | None, ...]]:
+        """The paired layout and the small-block stacks, built on first use.
 
-        They hold the blocks of at most 64 rows: about 1.2 MB at m = 0, and
-        about as much again as the plan's own vectors when n - m < 64, where
-        every block is that small.  A class that holds a -k block with arrays
-        of its own gets None instead.
+        One zero-padded stack per size class holds the blocks of at most 64
+        rows: about 1.2 MB at m = 0, and about as much again as the plan's
+        own vectors when n - m < 64, where every block is that small.  A
+        class that holds a -k block with arrays of its own gets None.
         """
-        if self._stacks is None:
+        if self._dense is None:
+            layout = _paired_layout(self.params)
             stacks = []
-            for group, _, width in _paired_layout(self.params.n, self.params.m).classes:
+            for group, _, width in layout.classes:
                 if any(self.blocks[-a].vectors is not self.blocks[a].vectors for a in group):
                     stacks.append(None)
                     continue
@@ -190,8 +190,8 @@ class TransformPlan:
                     stack[i, : len(v), : len(v)] = v
                 stack.setflags(write=False)
                 stacks.append(stack)
-            self._stacks = tuple(stacks)
-        return self._stacks
+            self._dense = (layout, tuple(stacks))
+        return self._dense
 
     # -- fast-path plumbing ------------------------------------------------
 
@@ -264,9 +264,8 @@ class _Layout(NamedTuple):
 _BATCH_SIZES = (8, 16, 32, 64)  # size classes of the blocks that share one product
 
 
-@lru_cache(maxsize=16)
-def _paired_layout(n: int, m: int) -> _Layout:
-    params = BandParams(n, m)
+def _paired_layout(params: BandParams) -> _Layout:
+    n = params.n
     size = [params.block_size(alpha) for alpha in range(n + 1)]
     groups = [[a for a in range(n + 1) if size[a] > _BATCH_SIZES[-1]]]
     lower = 0
@@ -318,14 +317,14 @@ def _apply_blocks(
     blocks are left unset.
     """
     p = plan.params
-    layout = _paired_layout(p.n, p.m)
+    layout, stacks = plan._dense_tables()
     x = np.asarray(x, dtype=complex)
     batch = x.shape[0]
     gathered = np.take(x.T, layout.index, axis=0)
     gathered[layout.pad] = 0.0
     pair = gathered.view(float).reshape(len(gathered), 4 * batch)
     todo = set(range(p.n + 1) if alphas is None else alphas)
-    for (group, start, width), stack in zip(layout.classes, plan._small_stacks()):
+    for (group, start, width), stack in zip(layout.classes, stacks):
         if stack is None or not todo.issuperset(group):
             continue
         rows = slice(start, start + len(group) * width)
