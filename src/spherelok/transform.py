@@ -138,7 +138,7 @@ class TransformPlan:
         self._fast: dict[int, _FastBlock] = {}
         self._conn: dict[int, np.ndarray] = {}
         self._eigs: np.ndarray | None = None
-        self._dense: tuple[_Layout, tuple[np.ndarray | None, ...]] | None = None
+        self._paired: _Layout | None = None
         if validate:
             _validate_blocks(params, blocks, 1e-12)
 
@@ -169,29 +169,11 @@ class TransformPlan:
             self._eigs = eigs
         return self._eigs
 
-    def _dense_tables(self) -> tuple[_Layout, tuple[np.ndarray | None, ...]]:
-        """The paired layout and the small-block stacks, built on first use.
-
-        One zero-padded stack per size class holds the blocks of at most 64
-        rows: about 1.2 MB at m = 0, and about as much again as the plan's
-        own vectors when n - m < 64, where every block is that small.  A
-        class that holds a -k block with arrays of its own gets None.
-        """
-        if self._dense is None:
-            layout = _paired_layout(self.params)
-            stacks = []
-            for group, _, width in layout.classes:
-                if any(self.blocks[-a].vectors is not self.blocks[a].vectors for a in group):
-                    stacks.append(None)
-                    continue
-                stack = np.zeros((len(group), width, width))
-                for i, alpha in enumerate(group):
-                    v = self.blocks[alpha].vectors
-                    stack[i, : len(v), : len(v)] = v
-                stack.setflags(write=False)
-                stacks.append(stack)
-            self._dense = (layout, tuple(stacks))
-        return self._dense
+    def _layout(self) -> _Layout:
+        """The +-k-paired layout of the band, built on first use."""
+        if self._paired is None:
+            self._paired = _paired_layout(self.params)
+        return self._paired
 
     # -- fast-path plumbing ------------------------------------------------
 
@@ -248,50 +230,29 @@ class _Layout(NamedTuple):
     ``index[r]`` gives their two positions in the canonical layout (the same
     position twice for alpha = 0), and ``inverse`` maps each canonical
     position p to a slot 2 r + s with ``index[r, s] == p``.  ``rows[alpha]``
-    is the range of rows of order alpha.  Blocks longer than the largest
-    batch size come first; the others follow in ``classes`` of
-    (orders, first row, width), each block padded with ``pad`` rows to the
-    longest block of its class.
+    is the range of rows of order alpha.
     """
 
     index: np.ndarray
     inverse: np.ndarray
     rows: tuple[slice, ...]
-    classes: tuple[tuple[tuple[int, ...], int, int], ...]
-    pad: np.ndarray
-
-
-_BATCH_SIZES = (8, 16, 32, 64)  # size classes of the blocks that share one product
 
 
 def _paired_layout(params: BandParams) -> _Layout:
-    n = params.n
-    size = [params.block_size(alpha) for alpha in range(n + 1)]
-    groups = [[a for a in range(n + 1) if size[a] > _BATCH_SIZES[-1]]]
-    lower = 0
-    for upper in _BATCH_SIZES:
-        groups.append([a for a in range(n + 1) if lower < size[a] <= upper])
-        lower = upper
-    first, classes, pad, start = {}, [], [], 0
-    for g, group in enumerate(groups):
-        width = max((size[a] for a in group), default=0)
-        if g and group:
-            classes.append((tuple(group), start, width))
-        for alpha in group:
-            first[alpha] = start
-            stop = start + (width if g else size[alpha])
-            pad.extend(range(start + size[alpha], stop))
-            start = stop
-    index = np.zeros((start, 2), dtype=np.intp)  # padding rows read position 0
+    # one row per entry of blocks 0..n: the dimension counts every block but 0 twice
+    index = np.empty(((params.dimension + params.block_size(0)) // 2, 2), dtype=np.intp)
     inverse = np.empty(params.dimension, dtype=np.intp)
-    rows = tuple(slice(first[a], first[a] + size[a]) for a in range(n + 1))
-    for alpha, r in enumerate(rows):
+    rows, start = [], 0
+    for alpha in range(params.n + 1):
+        r = slice(start, start + params.block_size(alpha))
         for s, k in enumerate((alpha, -alpha)):
             block = params.block_slice(k)
             index[r, s] = np.arange(block.start, block.stop)
             inverse[block] = 2 * np.arange(r.start, r.stop) + s
+        rows.append(r)
+        start = r.stop
     # index and inverse stay writable: np.take copies a read-only index array
-    return _Layout(index, inverse, rows, tuple(classes), np.array(pad, dtype=np.intp))
+    return _Layout(index, inverse, tuple(rows))
 
 
 def _apply_blocks(
@@ -307,34 +268,20 @@ def _apply_blocks(
     layout per row.  One gather into the paired layout puts blocks +k and
     -k, which share V, side by side, and the result is read through its
     float64 view: each |k| costs one real matrix product on 4B columns (real
-    and imaginary parts of both blocks), with no complex copy of V.  Blocks
-    of at most 64 rows go through one batched product per size class on the
-    plan's padded stacks, since a separate call per block costs more than
-    its arithmetic.  A -k block with arrays of its own (an older cache) gets
-    its own product.  One gather through the inverse permutation writes the
-    result to ``out`` (a new array if None; it may be ``x`` itself).
-    ``alphas`` restricts the work to those |k|; the entries of the other
-    blocks are left unset.
+    and imaginary parts of both blocks), with no complex copy of V.  A -k
+    block with arrays of its own (an older cache) gets its own product.
+    One gather through the inverse permutation writes the result to ``out``
+    (a new array if None; it may be ``x`` itself).  ``alphas`` restricts the
+    work to those |k|; the entries of the other blocks are left unset.
     """
-    p = plan.params
-    layout, stacks = plan._dense_tables()
+    layout = plan._layout()
     x = np.asarray(x, dtype=complex)
     batch = x.shape[0]
     gathered = np.take(x.T, layout.index, axis=0)
-    gathered[layout.pad] = 0.0
     pair = gathered.view(float).reshape(len(gathered), 4 * batch)
-    todo = set(range(p.n + 1) if alphas is None else alphas)
-    for (group, start, width), stack in zip(layout.classes, stacks):
-        if stack is None or not todo.issuperset(group):
-            continue
-        rows = slice(start, start + len(group) * width)
-        shape = (len(group), width, pair.shape[1])
-        a = stack.transpose(0, 2, 1) if transpose else stack
-        pair[rows] = np.matmul(a, pair[rows].reshape(shape)).reshape(-1, shape[2])
-        todo.difference_update(group)
     half = 2 * batch
-    for alpha in todo:  # each product overwrites its own input rows
-        r = layout.rows[alpha]
+    for alpha in range(plan.params.n + 1) if alphas is None else alphas:
+        r = layout.rows[alpha]  # each product overwrites its own input rows
         v, w = plan.blocks[alpha].vectors, plan.blocks[-alpha].vectors
         if v is w:  # np.dot: less per-call overhead than np.matmul
             pair[r] = np.dot(v.T if transpose else v, pair[r])
