@@ -8,7 +8,7 @@ That layout is also the contract for the text file format written here.
 
 from __future__ import annotations
 
-import itertools
+import cmath
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -372,21 +372,11 @@ def save_coeffs(path, coeffs: _Coeffs) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _entry_lines(lines: list[str]):
-    """(line number, line) of every non-blank line after the header.
-
-    Used to name the line of an error; the parse loop inlines it.
-    """
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.strip():
-            yield lineno, line
-
-
 def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
     """Parse a coefficient file, rejecting out-of-order, missing or non-finite entries.
 
-    The entry count is checked against the header's dimension before any
-    entry is parsed, so the work is bounded by the size of the file.
+    A file with fewer entries than the header's dimension is rejected before
+    any entry is parsed, so the work is bounded by the size of the file.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -403,21 +393,20 @@ def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
     count = sum(map(bool, map(str.strip, lines[1:])))
     if count < dim:
         raise FormatError(f"{path}: missing entries; got {count} of {dim}")
-    if count > dim:
-        lineno, _ = next(itertools.islice(_entry_lines(lines), dim, None))
-        raise FormatError(f"{path}: line {lineno}: extra entry beyond dimension")
     values = np.empty(dim, dtype=complex)
     labels = _entry_labels(params, kind)
     pos = 0
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        if pos >= dim:
+            raise FormatError(f"{path}: line {lineno}: extra entry beyond dimension")
         parts = line.split()
         if len(parts) != 4:
             raise FormatError(f"{path}: line {lineno}: expected 'k idx re im'")
         try:
             k, idx = int(parts[0]), int(parts[1])
-            re_v, im_v = float(parts[2]), float(parts[3])
+            value = complex(float(parts[2]), float(parts[3]))
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from None
         expected = next(labels)
@@ -426,12 +415,9 @@ def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
                 f"{path}: line {lineno}: entry ({k}, {idx}) out of order; "
                 f"expected {expected}"
             )
-        values[pos] = complex(re_v, im_v)
+        if not cmath.isfinite(value):
+            raise FormatError(f"{path}: line {lineno}: non-finite value")
+        values[pos] = value
         pos += 1
-    finite = np.isfinite(values)
-    if not finite.all():
-        pos = int(np.argmin(finite))
-        lineno, _ = next(itertools.islice(_entry_lines(lines), pos, None))
-        raise FormatError(f"{path}: line {lineno}: non-finite value")
     cls = HarmonicCoeffs if kind == "harmonic" else LocalizedCoeffs
     return cls._adopt(params, values)
