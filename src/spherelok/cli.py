@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _fastcheb as fc
 from .approximation import (
     EigenvalueWindow,
     SpectralSummary,
@@ -105,23 +104,15 @@ def bench_dense_band(n: int, m: int, rng=None) -> tuple[float, int]:
     return time_call(lambda: analyze(plan, c)), dense_op_count(n, m)
 
 
-def bench_fast_band(n: int, m: int, ndct: str = "auto", rng=None) -> float:
-    """Seconds per fast analysis of the full band (precompute excluded).
-
-    The untimed warm-up call of :func:`time_call` builds the fast tables.
-    """
-    rng = rng or np.random.default_rng(0)
-    plan = TransformPlan.build(n, m, mode="fast", ndct=ndct, validate=False)
-    c = HarmonicCoeffs.random_unit(plan.params, rng)
-    return time_call(lambda: analyze_fast(plan, c))
-
-
 def bench_fast_block(size: int, rng=None) -> float:
     """Seconds per fast pipeline application for one block of the given size.
 
     Uses the deepest (alpha = 0) family: nodes and scaling come straight
-    from the Gauss-Legendre rule of matching order.
+    from the Gauss-Legendre rule of matching order.  ``_fastcheb`` is
+    imported here, so only this benchmark loads ``scipy.fft``.
     """
+    from . import _fastcheb as fc
+
     rng = rng or np.random.default_rng(0)
     nodes, weights = np.polynomial.legendre.leggauss(size)
     theta = np.arccos(nodes[::-1].copy())
@@ -176,7 +167,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    plan = load_plan(args.plan, mode=args.mode, ndct=args.ndct)
+    plan = load_plan(args.plan, mode=args.mode)
     coeffs = _load_harmonic(args.input)
     if args.mode == "fast":
         result = analyze_fast(plan, coeffs)
@@ -262,13 +253,9 @@ def cmd_spectrum(args) -> int:
 def cmd_grid(args) -> int:
     plan = load_plan(args.plan)
     params = plan.params
-    p_res = args.theta_res if args.theta_res else params.n + 1
-    q_res = args.phi_res if args.phi_res else 2 * params.n + 2
-    grid = SphereGrid.for_degree(params.n, theta_res=p_res, phi_res=q_res)
+    grid = SphereGrid.for_degree(params.n, theta_res=args.theta_res, phi_res=args.phi_res)
     if args.psi is not None:
         k, i = args.psi
-        if abs(k) > params.n or not 1 <= i <= params.block_size(k):
-            raise ValueError(f"no basis function for order {k}, index {i}")
         field = evaluate_basis_on_grid(params, plan.blocks, k, i, grid)
     else:
         if args.input is None:
@@ -300,34 +287,21 @@ def cmd_bench(args) -> int:
                 print(f"fast per-block exponent: {payload['block_exponent']:.3f}")
     if args.n_list:
         ns = [int(s) for s in args.n_list.split(",")]
-        dense_t, fast_t, ops = [], [], []
+        dense_t, ops = [], []
         for n in ns:
-            if args.mode in ("dense", "both"):
-                t, op = bench_dense_band(n, args.m)
-                dense_t.append(t)
-                ops.append(op)
-                if not args.json:
-                    print(f"dense n={n:4d}: {t * 1e3:10.4f} ms  ops={op}")
-            if args.mode in ("fast", "both"):
-                t = bench_fast_band(n, args.m)
-                fast_t.append(t)
-                if not args.json:
-                    print(f"fast  n={n:4d}: {t * 1e3:10.4f} ms")
+            t, op = bench_dense_band(n, args.m)
+            dense_t.append(t)
+            ops.append(op)
+            if not args.json:
+                print(f"dense n={n:4d}: {t * 1e3:10.4f} ms  ops={op}")
         payload["n_list"] = ns
         payload["m"] = args.m
-        if dense_t:
-            payload["dense_seconds"] = dense_t
-            payload["dense_ops"] = ops
-            if len(ns) > 1:
-                payload["dense_exponent"] = fit_loglog(ns, dense_t)
-                if not args.json:
-                    print(f"dense exponent: {payload['dense_exponent']:.3f}")
-        if fast_t:
-            payload["fast_seconds"] = fast_t
-            if len(ns) > 1:
-                payload["fast_exponent"] = fit_loglog(ns, fast_t)
-                if not args.json:
-                    print(f"fast exponent: {payload['fast_exponent']:.3f}")
+        payload["dense_seconds"] = dense_t
+        payload["dense_ops"] = ops
+        if len(ns) > 1:
+            payload["dense_exponent"] = fit_loglog(ns, dense_t)
+            if not args.json:
+                print(f"dense exponent: {payload['dense_exponent']:.3f}")
     if not args.blocks and not args.n_list:
         raise ValueError("bench needs --n-list and/or --blocks")
     if args.json:
@@ -452,9 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True)
         if name == "analyze":
             p.add_argument("--mode", choices=("dense", "fast"), default="dense")
-            p.add_argument(
-                "--ndct", choices=("auto", "direct", "windowed"), default="auto"
-            )
         p.set_defaults(func=fn)
 
     p = sub.add_parser("filter", help="split by an eigenvalue window")
@@ -489,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", help="comma-separated band limits for full bands")
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--blocks", help="comma-separated sizes for per-block timing")
-    p.add_argument("--mode", choices=("dense", "fast", "both"), default="both")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)
 

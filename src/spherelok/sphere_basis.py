@@ -345,6 +345,10 @@ def evaluate_on_grid(coeffs: HarmonicCoeffs, grid: SphereGrid) -> np.ndarray:
 def evaluate_basis_on_grid(
     params: BandParams, blocks: dict[int, EigenBlock], k: int, i: int, grid: SphereGrid
 ) -> np.ndarray:
+    """Samples of the localized basis function for order k, index i (1-based)."""
+    size = params.block_size(k)
+    if not 1 <= i <= size:
+        raise IndexError(f"index {i} outside 1..{size}")
     profile = radial_table(params, k, grid.theta) @ blocks[k].vectors[:, i - 1]
     return np.outer(profile, np.exp(1j * k * grid.phi))
 

@@ -1,13 +1,8 @@
 """Transforms between harmonic and localized coefficients.
 
-The dense path multiplies each block by its orthogonal eigenvector matrix:
-one real matrix product per |k| (:func:`_apply_blocks`) serves analysis,
-synthesis, filtering and the tail bounds.
-The fast path factors that product into a Chebyshev change of basis (applied
-by a divide-and-conquer cascade), a nonequispaced cosine evaluation at the
-eigenvalue angles, and a diagonal scaling.  Blocks that are truncated, small,
-or whose polynomial values grow beyond a stability cap fall back to the dense
-multiply inside the fast path.
+Each block is multiplied by its orthogonal eigenvector matrix: one real
+matrix product per |k| (:func:`_apply_blocks`) serves analysis, synthesis,
+filtering and the tail bounds.
 """
 
 from __future__ import annotations
@@ -18,11 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _fastcheb as fc
 from .errors import FormatError, NumericError
 from .jacobi_blocks import EigenBlock, band_eigenblocks, build_block, check_eigenpairs
 from .sphere_basis import BandParams, HarmonicCoeffs, LocalizedCoeffs
-from .ultraspherical import UltrasphericalFamily, chebyshev_connection
 
 __all__ = [
     "TransformPlan",
@@ -34,10 +27,6 @@ __all__ = [
     "save_plan",
     "load_plan",
 ]
-
-FAST_MIN_BLOCK = 64  # below this a dense multiply beats the cascade
-GROWTH_CAP = 1e7  # max polynomial value at x=1 tolerated by the cascade
-NDCT_DIRECT_MAX = 128  # "auto" switches to the windowed evaluation above this
 
 _PLAN_MAGIC = b"SPHERELOK-PLAN v1\n"
 
@@ -58,18 +47,6 @@ def dense_op_count(n: int, m: int) -> int:
     if total % 3:
         raise AssertionError("operation-count formula must be divisible by 3")
     return total // 3
-
-
-def _growth_at_one(alpha: int, degree: int) -> float:
-    """Largest value of the family on [-1, 1] up to the given degree."""
-    fam = UltrasphericalFamily.build(alpha, degree + 1)
-    b = fam.b
-    prev, cur = 0.0, 1.0 / b[0]
-    top = cur
-    for i in range(degree):
-        cur, prev = (cur - b[i] * prev) / b[i + 1], cur
-        top = max(top, cur)
-    return top
 
 
 def _validate_blocks(
@@ -104,17 +81,8 @@ def _validate_blocks(
                 )
 
 
-@dataclass(frozen=True)
-class _FastBlock:
-    eligible: bool
-    theta: np.ndarray | None = None
-    kappa: np.ndarray | None = None
-    cascade: fc.CascadePlan | None = None
-    ndct: fc.NdctPlan | None = None
-
-
 class TransformPlan:
-    """Reusable per-band eigendata plus optional fast-path tables.
+    """Reusable per-band eigendata.
 
     Immutable once built; safe to share across concurrent transforms.
     """
@@ -124,19 +92,13 @@ class TransformPlan:
         params: BandParams,
         blocks: dict[int, EigenBlock],
         mode: str = "dense",
-        ndct: str = "auto",
         validate: bool = True,
     ):
         if mode not in ("dense", "fast"):
             raise ValueError(f"unknown mode {mode!r}")
-        if ndct not in ("auto", "direct", "windowed"):
-            raise ValueError(f"unknown ndct mode {ndct!r}")
         self.params = params
         self.blocks = blocks
         self.mode = mode
-        self.ndct = ndct
-        self._fast: dict[int, _FastBlock] = {}
-        self._conn: dict[int, np.ndarray] = {}
         self._eigs: np.ndarray | None = None
         self._paired: _Layout | None = None
         if validate:
@@ -148,11 +110,10 @@ class TransformPlan:
         n: int,
         m: int,
         mode: str = "dense",
-        ndct: str = "auto",
         validate: bool = True,
     ) -> "TransformPlan":
         params = BandParams(n=n, m=m)
-        plan = cls(params, band_eigenblocks(n, m), mode=mode, ndct=ndct, validate=False)
+        plan = cls(params, band_eigenblocks(n, m), mode=mode, validate=False)
         if validate:  # eigendecompose has checked every eigenpair already
             _validate_blocks(params, plan.blocks, 1e-12, eigenpairs=False)
         return plan
@@ -175,45 +136,16 @@ class TransformPlan:
             self._paired = _paired_layout(self.params)
         return self._paired
 
-    # -- fast-path plumbing ------------------------------------------------
-
     def fast_eligible(self, k: int) -> bool:
-        """Whether the factored pipeline is used for block k in fast mode."""
-        alpha = abs(k)
-        size = self.params.block_size(k)
-        if alpha <= self.params.m or size < FAST_MIN_BLOCK:
-            return False
-        return _growth_at_one(alpha, size - 1) <= GROWTH_CAP
+        """Whether block k takes a factored fast pipeline: never.
 
-    def _fast_block(self, k: int) -> _FastBlock:
-        alpha = abs(k)
-        fb = self._fast.get(alpha)
-        if fb is None:
-            if not self.fast_eligible(k):
-                fb = _FastBlock(eligible=False)
-            else:
-                eb = self.blocks[alpha]
-                theta = np.arccos(eb.eigenvalues)
-                b0 = UltrasphericalFamily.build(alpha, 1).b[0]
-                kappa = b0 * eb.vectors[0, :]
-                size = eb.size
-                fb = _FastBlock(
-                    eligible=True,
-                    theta=theta,
-                    kappa=kappa,
-                    cascade=fc.build_cascade(alpha, size),
-                    ndct=fc.build_ndct(theta, size),
-                )
-            self._fast[alpha] = fb
-        return fb
-
-    def _connection(self, alpha: int, size: int) -> np.ndarray:
-        conn = self._conn.get(alpha)
-        if conn is None:
-            fam = UltrasphericalFamily.build(alpha, size + 1)
-            conn = chebyshev_connection(fam, size)
-            self._conn[alpha] = conn
-        return conn
+        The Chebyshev cascade plus windowed NDCT of ``_fastcheb`` loses to
+        the paired dense product at every block size a plan can hold: at
+        |k| = 1, both +-k, 2.1 ms against 0.02 ms at N = 256 and 6.7 ms
+        against 4.5 ms at N = 2048, a tie only near N = 4096, whose dense
+        plan would take about 180 GB.
+        """
+        return False
 
 
 def _check_match(plan: TransformPlan, coeffs) -> None:
@@ -259,7 +191,6 @@ def _apply_blocks(
     plan: TransformPlan,
     x: np.ndarray,
     transpose: bool,
-    alphas=None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Multiply every block of a batch of B vectors by V^T (``transpose``) or V.
@@ -271,8 +202,7 @@ def _apply_blocks(
     and imaginary parts of both blocks), with no complex copy of V.  A -k
     block with arrays of its own (an older cache) gets its own product.
     One gather through the inverse permutation writes the result to ``out``
-    (a new array if None; it may be ``x`` itself).  ``alphas`` restricts the
-    work to those |k|; the entries of the other blocks are left unset.
+    (a new array if None; it may be ``x`` itself).
     """
     layout = plan._layout()
     x = np.asarray(x, dtype=complex)
@@ -280,7 +210,7 @@ def _apply_blocks(
     gathered = np.take(x.T, layout.index, axis=0)
     pair = gathered.view(float).reshape(len(gathered), 4 * batch)
     half = 2 * batch
-    for alpha in range(plan.params.n + 1) if alphas is None else alphas:
+    for alpha in range(plan.params.n + 1):
         r = layout.rows[alpha]  # each product overwrites its own input rows
         v, w = plan.blocks[alpha].vectors, plan.blocks[-alpha].vectors
         if v is w:  # np.dot: less per-call overhead than np.matmul
@@ -312,39 +242,17 @@ def synthesize(plan: TransformPlan, coeffs: LocalizedCoeffs) -> HarmonicCoeffs:
     return HarmonicCoeffs._adopt(plan.params, out[0])
 
 
-def _fast_block_apply(plan: TransformPlan, k: int, c_k: np.ndarray) -> np.ndarray:
-    """Factored pipeline for one block that :meth:`fast_eligible` admits."""
-    fb = plan._fast_block(k)
-    size = len(c_k)
-    if plan.ndct == "direct":
-        cheb = plan._connection(abs(k), size) @ c_k
-        vals = fc.ndct_direct(fb.theta, cheb)
-    else:
-        cheb = fc.apply_cascade(fb.cascade, c_k)
-        if plan.ndct == "windowed" or size > NDCT_DIRECT_MAX:
-            vals = fc.apply_ndct(fb.ndct, cheb)
-        else:
-            vals = fc.ndct_direct(fb.theta, cheb)
-    return fb.kappa * vals
-
-
 def analyze_fast(plan: TransformPlan, coeffs: HarmonicCoeffs) -> LocalizedCoeffs:
-    """Fast-path analysis; agrees with :func:`analyze` to 1e-8.
+    """Analysis through a plan built with ``mode="fast"``; equals :func:`analyze`.
 
-    Requires a plan built with ``mode="fast"``.  Truncated orders (|k| <= m)
-    and blocks outside the pipeline's stability range use the dense kernel.
+    Every block runs the dense kernel, which no factored pipeline beats at
+    the sizes a plan can hold (see :meth:`TransformPlan.fast_eligible`).
     """
     if plan.mode != "fast":
         raise ValueError("analyze_fast requires a plan built with mode='fast'")
     _check_match(plan, coeffs)
-    fast, dense = [], []
-    for alpha in range(plan.params.n + 1):
-        (fast if plan._fast_block(alpha).eligible else dense).append(alpha)
-    out = _apply_blocks(plan, coeffs.values[None], transpose=True, alphas=dense)[0]
-    for alpha in fast:  # eligible orders have alpha > m >= 0
-        for k in (alpha, -alpha):
-            out[plan.params.block_slice(k)] = _fast_block_apply(plan, k, coeffs.block(k))
-    return LocalizedCoeffs._adopt(plan.params, out)
+    out = _apply_blocks(plan, coeffs.values[None], transpose=True)
+    return LocalizedCoeffs._adopt(plan.params, out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +275,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def load_plan(path, mode: str = "dense", ndct: str = "auto") -> TransformPlan:
+def load_plan(path, mode: str = "dense") -> TransformPlan:
     """Load a plan cache, verifying layout and every block's eigendata.
 
     A block -k whose record is bit-identical to block +k's shares its
@@ -416,4 +324,4 @@ def load_plan(path, mode: str = "dense", ndct: str = "auto") -> TransformPlan:
         _validate_blocks(params, blocks, 1e-10)
     except NumericError as exc:
         raise NumericError(f"{path}: {exc}") from None
-    return TransformPlan(params, blocks, mode=mode, ndct=ndct, validate=False)
+    return TransformPlan(params, blocks, mode=mode, validate=False)

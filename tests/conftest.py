@@ -6,13 +6,13 @@ import spherelok as sl
 
 @pytest.fixture(scope="session")
 def plan_cache():
-    """Share built plans across test modules; keyed by (n, m, mode, ndct)."""
+    """Share built plans across test modules; keyed by (n, m, mode)."""
     cache = {}
 
-    def get(n, m, mode="dense", ndct="auto"):
-        key = (n, m, mode, ndct)
+    def get(n, m, mode="dense"):
+        key = (n, m, mode)
         if key not in cache:
-            cache[key] = sl.TransformPlan.build(n, m, mode=mode, ndct=ndct)
+            cache[key] = sl.TransformPlan.build(n, m, mode=mode)
         return cache[key]
 
     return get

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -233,24 +236,37 @@ def test_grid_unknown_basis_index_is_usage_error(tmp_path, plan_file):
     assert rc == 2
 
 
+@pytest.mark.parametrize("res", [["--theta-res", "0"], ["--phi-res", "0"]])
+def test_grid_zero_resolution_is_usage_error(tmp_path, plan_file, res):
+    out_csv = tmp_path / "x.csv"
+    assert main(["grid", "--plan", str(plan_file), "--psi", "0", "1", *res, "--out", str(out_csv)]) == 2
+    assert not out_csv.exists()
+
+
 def test_bench_single_n_reports_exact_op_count(capsys):
-    rc = main(["bench", "--n-list", "12", "--m", "3", "--mode", "dense", "--json"])
+    rc = main(["bench", "--n-list", "12", "--m", "3", "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["dense_ops"] == [dense_op_count(12, 3)]
 
 
 def test_bench_both_modes_and_blocks(capsys):
-    rc = main(["bench", "--n-list", "12", "--blocks", "64", "--mode", "both", "--json"])
+    rc = main(["bench", "--n-list", "12", "--blocks", "64", "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["fast_seconds"][0] > 0
     assert payload["dense_seconds"][0] > 0
     assert payload["block_seconds"][0] > 0
 
 
 def test_bench_without_work_is_usage_error():
     assert main(["bench"]) == 2
+
+
+def test_cli_import_leaves_scipy_fft_unloaded():
+    # only `bench --blocks` needs the FFT pipeline; every other call skips its import
+    code = "import sys, spherelok.cli; sys.exit('scipy.fft' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_selftest_passes(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spherelok import _fastcheb as fc
+from spherelok.jacobi_blocks import build_block, eigendecompose
 from spherelok.ultraspherical import UltrasphericalFamily, chebyshev_connection
 
 
@@ -79,3 +80,16 @@ def test_ndct_endpoint_angles(rng):
     ref = fc.ndct_direct(theta, g)
     got = fc.apply_ndct(fc.build_ndct(theta, 64), g.astype(complex))
     assert np.abs(got - ref).max() < 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_pipeline_matches_eigenvectors(rng, alpha):
+    # V^T c = kappa * (cosine series of the Chebyshev coefficients at arccos(x_i))
+    eb = eigendecompose(build_block(256, 0, alpha))
+    size = eb.size
+    theta = np.arccos(eb.eigenvalues)
+    kappa = UltrasphericalFamily.build(alpha, 1).b[0] * eb.vectors[0, :]
+    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    cheb = fc.apply_cascade(fc.build_cascade(alpha, size), c)
+    got = kappa * fc.apply_ndct(fc.build_ndct(theta, size), cheb)
+    assert np.abs(got - eb.vectors.T @ c).max() < 1e-8 * np.linalg.norm(c)

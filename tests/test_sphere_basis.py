@@ -221,6 +221,12 @@ def test_basis_function_rejects_bad_index(plan_cache):
         eval_basis_function(plan.params, plan.blocks, 3, 0, 0.5, 0.0)
     with pytest.raises(IndexError):
         eval_basis_function(plan.params, plan.blocks, 3, 7, 0.5, 0.0)
+    grid = SphereGrid.for_degree(8)
+    for i in (0, plan.params.block_size(3) + 1):  # i = 0 must not wrap to i = N_k
+        with pytest.raises(IndexError):
+            evaluate_basis_on_grid(plan.params, plan.blocks, 3, i, grid)
+    with pytest.raises(ValueError):
+        evaluate_basis_on_grid(plan.params, plan.blocks, 9, 1, grid)
 
 
 def test_highest_order_basis_function_is_single_harmonic(plan_cache):
