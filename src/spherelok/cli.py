@@ -28,6 +28,7 @@ from .sphere_basis import (
     HarmonicCoeffs,
     LocalizedCoeffs,
     SphereGrid,
+    _write_rows,
     evaluate_basis_on_grid,
     evaluate_on_grid,
     load_coeffs,
@@ -251,6 +252,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    if (args.psi is None) == (args.input is None):
+        raise ValueError("grid takes exactly one of --in coefficients or --psi K I")
     plan = load_plan(args.plan)
     params = plan.params
     grid = SphereGrid.for_degree(params.n, theta_res=args.theta_res, phi_res=args.phi_res)
@@ -258,16 +261,16 @@ def cmd_grid(args) -> int:
         k, i = args.psi
         field = evaluate_basis_on_grid(params, plan.blocks, k, i, grid)
     else:
-        if args.input is None:
-            raise ValueError("grid needs either --in coefficients or --psi K I")
         field = evaluate_on_grid(_load_harmonic(args.input), grid)
-    lines = ["theta,phi,re,im"]
-    for p, th in enumerate(grid.theta):
-        for q, ph in enumerate(grid.phi):
-            v = field[p, q]
-            lines.append(f"{th:.17g},{ph:.17g},{v.real:.17g},{v.imag:.17g}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(grid.theta)}x{len(grid.phi)} grid to {args.out}")
+    p, q = grid.shape
+    columns = (
+        np.repeat(grid.theta, q),
+        np.tile(grid.phi, p),
+        field.real.ravel(),
+        field.imag.ravel(),
+    )
+    _write_rows(args.out, "theta,phi,re,im", "%.17g,%.17g,%.17g,%.17g\n", columns)
+    print(f"wrote {p}x{q} grid to {args.out}")
     return 0
 
 

@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericError
 from .ultraspherical import UltrasphericalFamily
@@ -113,6 +112,10 @@ def build_block(n: int, m: int, k: int) -> JacobiBlock:
 
 
 def _eigh_block(block: JacobiBlock, vectors: bool):
+    # scipy.linalg is imported here, not at module level: it takes about 0.3 s,
+    # and only building a plan or computing band spectra solves a block
+    from scipy.linalg import eigh_tridiagonal
+
     if block.size == 1:
         vals = np.zeros(1)
         vecs = np.ones((1, 1)) if vectors else None
@@ -192,6 +195,11 @@ def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:
     work = sum(b.size**2 for b in blocks)
     workers = thread_count()
     if workers > 1 and work > 500_000 and len(orders) > 2:
+        # load the solver in this thread before the pool starts: when a
+        # worker's first solve imported it, the build at (256, 0) peaked
+        # 0.45 MB higher
+        import scipy.linalg  # noqa: F401
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             solved = list(pool.map(eigendecompose, blocks, orders))
     else:

@@ -12,6 +12,7 @@ import cmath
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -330,16 +331,25 @@ def embed_block(params: BandParams, k: int, vec: np.ndarray) -> HarmonicCoeffs:
 
 
 def evaluate_on_grid(coeffs: HarmonicCoeffs, grid: SphereGrid) -> np.ndarray:
-    """Sample the expansion on the grid; returns a (P, Q) complex array."""
+    """Sample the expansion on the grid; returns a (P, Q) complex array.
+
+    One radial table per |k| serves blocks +k and -k.  Each block's latitude
+    profile is added into azimuth column k mod Q, and one inverse FFT over
+    phi then sums the orders.  Profiles are added, not assigned: with
+    Q < 2n + 1 several orders alias onto one column.
+    """
     p = coeffs.params
-    field = np.zeros(grid.shape, dtype=complex)
-    for k in p.orders():
-        c = coeffs.block(k)
-        if not np.any(c):
+    q = len(grid.phi)
+    spectrum = np.zeros(grid.shape, dtype=complex)
+    for alpha in range(p.n + 1):
+        orders = (alpha, -alpha) if alpha else (0,)
+        blocks = np.stack([coeffs.block(k) for k in orders], axis=1)
+        if not np.any(blocks):
             continue
-        profile = radial_table(p, k, grid.theta) @ c
-        field += np.outer(profile, np.exp(1j * k * grid.phi))
-    return field
+        profiles = radial_table(p, alpha, grid.theta) @ blocks
+        for j, k in enumerate(orders):
+            spectrum[:, k % q] += profiles[:, j]
+    return np.fft.ifft(spectrum, axis=1, norm="forward")
 
 
 def evaluate_basis_on_grid(
@@ -361,19 +371,59 @@ _HEADER_RE = re.compile(
 )
 
 
-def _entry_labels(params: BandParams, kind: str):
-    for k in params.orders():
-        lo = params.min_degree(k)
-        for j in range(params.block_size(k)):
-            yield (k, lo + j) if kind == "harmonic" else (k, j + 1)
+def _label_columns(params: BandParams, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Order k and degree l (harmonic) or index i (localized) of every entry."""
+    orders = np.arange(params.n, -params.n - 1, -1)
+    lowest = np.maximum(np.abs(orders), params.m)
+    sizes = params.n - lowest + 1
+    first = lowest if kind == "harmonic" else np.ones_like(orders)
+    starts = np.cumsum(sizes) - sizes
+    labels = np.arange(params.dimension) - np.repeat(starts - first, sizes)
+    return np.repeat(orders, sizes), labels
+
+
+_ROWS_PER_CHUNK = 4096
+
+
+def _write_rows(path, header: str, row_format: str, columns) -> None:
+    """Write ``header``, then one ``row_format`` line per row of ``columns``.
+
+    ``columns`` are equal-length 1-d arrays.  Each chunk of
+    ``_ROWS_PER_CHUNK`` rows is formatted by one ``%`` operation on Python
+    ints and floats, which gives the same text as formatting each entry on
+    its own with the same conversions.
+    """
+    rows = len(columns[0])
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, rows, _ROWS_PER_CHUNK):
+            chunk = [col[start : start + _ROWS_PER_CHUNK].tolist() for col in columns]
+            fields = tuple(chain.from_iterable(zip(*chunk)))
+            fh.write(row_format * len(chunk[0]) % fields)
 
 
 def save_coeffs(path, coeffs: _Coeffs) -> None:
+    """Write ``coeffs`` in the text format.
+
+    Raises ValueError naming the first non-finite entry, before ``path`` is
+    opened: the loader rejects such files.
+    """
     params = coeffs.params
-    lines = [f"SPHERELOK-COEFF v1 kind={coeffs.kind} n={params.n} m={params.m}"]
-    for (k, idx), v in zip(_entry_labels(params, coeffs.kind), coeffs.values):
-        lines.append(f"{k} {idx} {v.real:.17g} {v.imag:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    values = coeffs.values
+    orders, labels = _label_columns(params, coeffs.kind)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        j = bad[0]
+        raise ValueError(
+            f"{path}: entry ({orders[j]}, {labels[j]}) has non-finite value "
+            f"{values[j]}; coefficient files hold finite values only"
+        )
+    _write_rows(
+        path,
+        f"SPHERELOK-COEFF v1 kind={coeffs.kind} n={params.n} m={params.m}",
+        "%d %d %.17g %.17g\n",
+        (orders, labels, values.real, values.imag),
+    )
 
 
 def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
@@ -398,7 +448,7 @@ def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
     if count < dim:
         raise FormatError(f"{path}: missing entries; got {count} of {dim}")
     values = np.empty(dim, dtype=complex)
-    labels = _entry_labels(params, kind)
+    labels = zip(*(col.tolist() for col in _label_columns(params, kind)))
     pos = 0
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

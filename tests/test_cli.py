@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spherelok as sl
+from spherelok import sphere_basis
 from spherelok.cli import main
 from spherelok.sphere_basis import HarmonicCoeffs, load_coeffs, save_coeffs
 from spherelok.transform import dense_op_count
@@ -236,6 +237,40 @@ def test_grid_unknown_basis_index_is_usage_error(tmp_path, plan_file):
     assert rc == 2
 
 
+def test_grid_rejects_in_with_psi_before_loading_plan(tmp_path, capsys):
+    # the plan does not exist: a usage error (2), not an I/O error (3), proves
+    # the pair is rejected before the plan is read
+    out_csv = tmp_path / "x.csv"
+    argv = ["grid", "--plan", str(tmp_path / "missing.bin"), "--in", str(tmp_path / "c.coeff")]
+    assert main([*argv, "--psi", "0", "1", "--out", str(out_csv)]) == 2
+    assert "exactly one" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def _per_sample_grid_text(grid, field):
+    """Reference for the chunked writer: the grid CSV, one f-string per sample."""
+    lines = ["theta,phi,re,im"]
+    for p, th in enumerate(grid.theta):
+        for q, ph in enumerate(grid.phi):
+            v = field[p, q]
+            lines.append(f"{th:.17g},{ph:.17g},{v.real:.17g},{v.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+# P x Q just below, at and just above one chunk of rows
+@pytest.mark.parametrize("res", [(63, 65), (64, 64), (17, 241)])
+def test_grid_csv_is_byte_identical_to_per_sample_format(tmp_path, plan_file, plan_cache, res):
+    out_csv = tmp_path / "g.csv"
+    theta_res, phi_res = res
+    assert abs(theta_res * phi_res - sphere_basis._ROWS_PER_CHUNK) <= 1
+    argv = ["grid", "--plan", str(plan_file), "--psi", "-2", "3", "--out", str(out_csv)]
+    assert main([*argv, "--theta-res", str(theta_res), "--phi-res", str(phi_res)]) == 0
+    plan = plan_cache(12, 3)
+    grid = sl.SphereGrid.for_degree(12, theta_res=theta_res, phi_res=phi_res)
+    field = sl.evaluate_basis_on_grid(plan.params, plan.blocks, -2, 3, grid)
+    assert out_csv.read_bytes() == _per_sample_grid_text(grid, field).encode()
+
+
 @pytest.mark.parametrize("res", [["--theta-res", "0"], ["--phi-res", "0"]])
 def test_grid_zero_resolution_is_usage_error(tmp_path, plan_file, res):
     out_csv = tmp_path / "x.csv"
@@ -262,11 +297,34 @@ def test_bench_without_work_is_usage_error():
     assert main(["bench"]) == 2
 
 
-def test_cli_import_leaves_scipy_fft_unloaded():
-    # only `bench --blocks` needs the FFT pipeline; every other call skips its import
-    code = "import sys, spherelok.cli; sys.exit('scipy.fft' in sys.modules)"
+def _scipy_modules_after(code, *args):
+    """Run ``code`` (which may set ``rc``) in a fresh interpreter with ``args``.
+
+    Returns its exit code ``rc`` and the sorted names of the scipy* modules it loaded.
+    """
+    listing = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+    probe = f"import json, sys\nrc = 0\n{code}\nprint(json.dumps({listing}))\nsys.exit(rc)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    run = subprocess.run(
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True
+    )
+    return run.returncode, json.loads(run.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["spherelok", "spherelok.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy loads only when a plan is built or band spectra are computed
+    assert _scipy_modules_after(f"import {module}") == (0, [])
+
+
+def test_analyze_on_existing_plan_loads_no_scipy(tmp_path, plan_file, rng):
+    cpath = tmp_path / "c.coeff"
+    save_coeffs(cpath, HarmonicCoeffs.random_unit(sl.BandParams(12, 3), rng))
+    dpath = tmp_path / "d.coeff"
+    code = "from spherelok.cli import main\nrc = main(sys.argv[1:])"
+    args = ("analyze", "--plan", str(plan_file), "--in", str(cpath), "--out", str(dpath))
+    assert _scipy_modules_after(code, *args) == (0, [])
+    assert isinstance(load_coeffs(dpath), sl.LocalizedCoeffs)
 
 
 def test_selftest_passes(capsys):

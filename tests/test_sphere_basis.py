@@ -3,7 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spherelok import sphere_basis
 from spherelok.errors import FormatError
 from spherelok.jacobi_blocks import build_block
 from spherelok.sphere_basis import (
@@ -369,3 +372,155 @@ def test_loader_work_is_bounded_by_file_not_header(tmp_path):
         tracemalloc.stop()
     assert "missing entries; got 1 of 4004001" in str(err.value)
     assert peak < 1_000_000
+
+
+def _direct_grid_sum(coeffs, grid):
+    """Order-by-order sum of profile x e^{ik phi}, one radial table per k."""
+    p = coeffs.params
+    field = np.zeros(grid.shape, dtype=complex)
+    for k in p.orders():
+        profile = radial_table(p, k, grid.theta) @ coeffs.block(k)
+        field += np.outer(profile, np.exp(1j * k * grid.phi))
+    return field
+
+
+@pytest.mark.parametrize("phi_res", [4, 8, 21, 40])
+def test_evaluate_on_grid_matches_direct_sum_when_orders_alias(rng, phi_res):
+    # n = 10 has 2n + 1 = 21 orders: Q = 4 and 8 alias several onto one column
+    p = BandParams(10, 2)
+    c = HarmonicCoeffs.random_unit(p, rng)
+    grid = SphereGrid.for_degree(p.n, phi_res=phi_res)
+    field = evaluate_on_grid(c, grid)
+    assert field.shape == (p.n + 1, phi_res)
+    assert np.abs(field - _direct_grid_sum(c, grid)).max() < 1e-13
+
+
+def _per_entry_coeff_text(coeffs):
+    """Reference for the chunked writer: the coefficient text, one f-string per entry."""
+    params = coeffs.params
+    lines = [f"SPHERELOK-COEFF v1 kind={coeffs.kind} n={params.n} m={params.m}"]
+    labels = []
+    for k in params.orders():
+        lo = params.min_degree(k)
+        for j in range(params.block_size(k)):
+            labels.append((k, lo + j) if coeffs.kind == "harmonic" else (k, j + 1))
+    for (k, idx), v in zip(labels, coeffs.values):
+        lines.append(f"{k} {idx} {v.real:.17g} {v.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL_VALUES = [
+    complex(-0.0, 0.0),
+    complex(5e-324, -5e-324),
+    complex(1e308, -1e308),
+    complex(0.1 + 0.2, 1.0 / 3.0),
+    complex(2.0 / 3.0, -1.0e-300),
+    complex(np.nextafter(1.0, 2.0), 123456789.12345679),
+]
+
+
+def _band_with_dimension(dim):
+    """Some band (n, m) whose dimension (n + 1 - m)(n + 1 + m) equals dim."""
+    for a in range(math.isqrt(dim), 0, -1):
+        b, r = divmod(dim, a)
+        if r == 0 and (a + b) % 2 == 0:
+            return BandParams((a + b) // 2 - 1, (b - a) // 2)
+    raise AssertionError(f"no band has dimension {dim}")
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("cls", [HarmonicCoeffs, LocalizedCoeffs])
+def test_saved_text_is_byte_identical_to_per_entry_format(tmp_path, rng, offset, cls):
+    p = _band_with_dimension(sphere_basis._ROWS_PER_CHUNK + offset)
+    values = HarmonicCoeffs.random_unit(p, rng).values.copy()
+    values[: len(_SPECIAL_VALUES)] = _SPECIAL_VALUES
+    values[-len(_SPECIAL_VALUES) :] = _SPECIAL_VALUES
+    coeffs = cls(p, values)
+    path = tmp_path / "c.coeff"
+    save_coeffs(path, coeffs)
+    assert path.read_bytes() == _per_entry_coeff_text(coeffs).encode()
+    assert np.array_equal(load_coeffs(path).values, values)
+
+
+def test_row_writer_matches_per_row_format(tmp_path):
+    specials = [-0.0, 5e-324, 1e308, 0.1 + 0.2, 1.0 / 3.0, -2.2250738585072014e-308]
+    cols = [np.array(specials * 3), np.array(specials[::-1] * 3)]
+    path = tmp_path / "rows.csv"
+    sphere_basis._write_rows(path, "a,b", "%.17g,%.17g\n", cols)
+    expected = ["a,b"] + [f"{a:.17g},{b:.17g}" for a, b in zip(*cols)]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize(
+    "k, l, value", [(3, 3, complex(np.nan, 0.0)), (-1, 2, complex(0.5, -np.inf))]
+)
+def test_save_rejects_non_finite_values_before_opening(tmp_path, rng, k, l, value):
+    p = BandParams(3, 1)
+    c = HarmonicCoeffs.random_unit(p, rng)
+    values = c.values.copy()
+    values[c.index_of(l, k)] = value
+    values[-1] = np.inf  # a later non-finite entry is not the one named
+    path = tmp_path / "c.coeff"
+    with pytest.raises(ValueError) as err:
+        save_coeffs(path, HarmonicCoeffs(p, values))
+    assert f"entry ({k}, {l})" in str(err.value)
+    assert not path.exists()
+
+
+_MUTATIONS = (
+    "drop_field",
+    "bad_number",
+    "swap_labels",
+    "non_finite",
+    "blank_line",
+    "append_entry",
+)
+_GOOD_PARAMS = BandParams(4, 1)
+_GOOD_COEFFS = HarmonicCoeffs.random_unit(_GOOD_PARAMS, np.random.default_rng(7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loader_error_names_the_mutated_line(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("mutated") / "c.coeff"
+    save_coeffs(path, _GOOD_COEFFS)
+    lines = path.read_text().splitlines()
+    dim = _GOOD_PARAMS.dimension
+    mutation = data.draw(st.sampled_from(_MUTATIONS), label="mutation")
+    entry = data.draw(st.integers(1, dim - 1 if mutation == "swap_labels" else dim))
+    fields = lines[entry].split()
+    target, fragment = entry, None  # index in `lines` of the line to be named
+    if mutation == "drop_field":
+        del fields[data.draw(st.integers(0, 3))]
+        fragment = "expected 'k idx re im'"
+    elif mutation == "bad_number":
+        bad = data.draw(st.sampled_from(["nope", "1.2.3", "0x10", "1e", "--1", "1,5"]))
+        fields[data.draw(st.integers(0, 3))] = bad
+    elif mutation == "swap_labels":
+        following = lines[entry + 1].split()
+        fields[:2], following[:2] = following[:2], fields[:2]
+        lines[entry + 1] = " ".join(following)
+        fragment = "out of order"
+    elif mutation == "non_finite":
+        fields[data.draw(st.integers(2, 3))] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+        fragment = "non-finite value"
+    elif mutation == "append_entry":
+        lines.append(lines[-1])
+        target, fragment = len(lines) - 1, "extra entry beyond dimension"
+    lines[entry] = " ".join(fields)
+    # a blank line anywhere after the header is skipped but still counted
+    blank_at = data.draw(st.none() | st.integers(1, len(lines)), label="blank_at")
+    if mutation == "blank_line" and blank_at is None:
+        blank_at = entry
+    if blank_at is not None:
+        lines.insert(blank_at, data.draw(st.sampled_from(["", "  ", "\t"])))
+        target += blank_at <= target
+    path.write_text("\n".join(lines) + "\n")
+    if mutation == "blank_line":
+        assert np.array_equal(load_coeffs(path).values, _GOOD_COEFFS.values)
+        return
+    with pytest.raises(FormatError) as err:
+        load_coeffs(path)
+    assert f"line {target + 1}: " in str(err.value)
+    if fragment is not None:
+        assert fragment in str(err.value)
