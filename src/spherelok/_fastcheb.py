@@ -13,11 +13,12 @@ Three pieces live here, all internal to :mod:`spherelok.transform`:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.fft as sfft
 
-from .ultraspherical import UltrasphericalFamily
+from .ultraspherical import UltrasphericalFamily, _recurrence
 
 __all__ = [
     "cheb_values",
@@ -80,17 +81,10 @@ def _assoc_values_batch(
     Returns the two requested consecutive degrees for every shift at once.
     """
     d1, d2 = degrees
-    npairs = len(shifts)
-    prev = np.zeros((npairs, len(xg)))
-    cur = np.repeat((1.0 / b[shifts])[:, None], len(xg), axis=1)
-    out1 = cur.copy() if d1 == 0 else None
-    for i in range(d2):
-        cur, prev = (xg[None, :] * cur - b[shifts + i][:, None] * prev) / b[
-            shifts + i + 1
-        ][:, None], cur
-        if i + 1 == d1:
-            out1 = cur.copy()
-    return out1, cur
+    rows = b[shifts[:, None] + np.arange(d2 + 1)]
+    start = np.repeat(1.0 / rows[:, :1], len(xg), axis=1)
+    steps = _recurrence(rows, start, xg, [d2 + 1] * len(shifts))
+    return tuple(islice(steps, d1, d2 + 1, d2 - d1))
 
 
 def build_cascade(alpha: int, n_coeffs: int) -> CascadePlan:

@@ -63,20 +63,15 @@ class JacobiBlock:
         if self.size > 1 and not np.all(self.offdiag > 0):
             raise ValueError("off-diagonal entries must be strictly positive")
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        if self.size > 1:
-            out[:-1] += self.offdiag * v[1:]
-            out[1:] += self.offdiag * v[:-1]
-        return out
-
 
 @dataclass(frozen=True)
 class EigenBlock:
     """Sorted spectrum and orthonormal eigenvectors of one Jacobi block.
 
     Eigenvalues are strictly decreasing; column i of ``vectors`` is the unit
-    eigenvector for ``eigenvalues[i]`` with positive first component.
+    eigenvector for ``eigenvalues[i]``, signed so that p_0 > 0: it is
+    p(x_i) / |p(x_i)| for the block's shifted recurrence p.  Its first entry
+    p_0(x_i) / |p(x_i)| may underflow to zero at large |k|.
     """
 
     k: int
@@ -163,15 +158,14 @@ def eigendecompose(block: JacobiBlock, k: int | None = None) -> EigenBlock:
     vals = vals[order]
     vecs = vecs[:, order]
     check_eigenpairs(block, vals, vecs)
-    # sign convention: first component positive (it cannot vanish for an
-    # irreducible tridiagonal matrix; the fallback is purely defensive)
-    lead = vecs[0].copy()
-    weak = np.abs(lead) < 1e-14
-    if np.any(weak):
-        for j in np.nonzero(weak)[0]:
-            idx = np.argmax(np.abs(vecs[:, j]) > 1e-14)
-            lead[j] = vecs[idx, j]
-    vecs = vecs * np.where(lead < 0, -1.0, 1.0)[None, :]
+    # sign convention p_0 > 0: column i is p(x_i) / |p(x_i)| for the block's
+    # shifted recurrence p.  At large |k| the leading entries underflow, so
+    # the sign is read at idx, the first entry above 1e-14: p_j(x) > 0 up to
+    # there for x > 0, and p_j(-x) = (-1)^j p_j(x)
+    idx = np.argmax(np.abs(vecs) > 1e-14, axis=0)
+    lead = vecs[idx, np.arange(block.size)]
+    flip = (lead < 0) != ((vals < 0) & (idx % 2 == 1))
+    vecs = vecs * np.where(flip, -1.0, 1.0)[None, :]
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return EigenBlock(k=0 if k is None else k, eigenvalues=vals, vectors=vecs)

@@ -12,14 +12,14 @@ import cmath
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError
 from .jacobi_blocks import EigenBlock, build_block
-from .ultraspherical import UltrasphericalFamily
+from .ultraspherical import _coefficients, _recurrence
 
 __all__ = [
     "BandParams",
@@ -202,28 +202,22 @@ class SphereGrid:
         return complex(np.sum(self.theta_weights @ f) / (2.0 * q))
 
 
-def _scaled_start(alpha: int, sin_theta: np.ndarray) -> np.ndarray:
-    """sin^alpha(theta) / b_0 with the power folded in one factor at a time.
+def _radial_rows(n: int, alphas: range, theta: np.ndarray):
+    """Kernel steps for sin^a(theta) * p_j(cos theta), j = 0 .. n - a, a in ``alphas``.
 
-    Keeps intermediate magnitudes representable for large alpha; a result
-    that underflows to zero is zero to working precision.
+    Row r holds a = alphas[r]; ``alphas`` ascends, so the row lengths
+    n - a + 1 fall.  The starts sin^a / b_0 are one running product over a
+    of sin(theta) * sqrt((a + 1/2) / a): folding the power in one factor at
+    a time keeps it representable at large a, and a start that underflows to
+    zero is zero to working precision.
     """
-    s = np.ones_like(sin_theta)
-    for j in range(1, alpha + 1):
-        s *= sin_theta * np.sqrt((j + 0.5) / j)
-    return s
-
-
-def _radial_recurrence(alpha: int, max_deg: int, x: np.ndarray, sin_theta: np.ndarray):
-    """Yield sin^alpha * p_deg(x) for deg = 0 .. max_deg."""
-    fam = UltrasphericalFamily.build(alpha, max(max_deg, 0) + 1)
-    b = fam.b
-    prev = np.zeros_like(x)
-    cur = _scaled_start(alpha, sin_theta)
-    yield cur
-    for i in range(max_deg):
-        cur, prev = (x * cur - b[i] * prev) / b[i + 1], cur
-        yield cur
+    s = np.sin(theta)
+    starts = [np.ones_like(s)]
+    for a in range(1, alphas.stop):
+        starts.append(starts[-1] * (s * np.sqrt((a + 0.5) / a)))
+    b = _coefficients(np.array(alphas)[:, None], np.arange(n - alphas.start + 1))
+    starts = np.array(starts[alphas.start :])
+    return _recurrence(b, starts, np.cos(theta), [n - a + 1 for a in alphas])
 
 
 def radial_table(params: BandParams, k: int, theta: np.ndarray) -> np.ndarray:
@@ -234,15 +228,9 @@ def radial_table(params: BandParams, k: int, theta: np.ndarray) -> np.ndarray:
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     alpha = abs(k)
-    x = np.cos(theta)
-    s = np.sin(theta)
+    rows = _radial_rows(params.n, range(alpha, alpha + 1), theta)
     lo = params.min_degree(k) - alpha
-    hi = params.n - alpha
-    cols = []
-    for deg, row in enumerate(_radial_recurrence(alpha, hi, x, s)):
-        if deg >= lo:
-            cols.append(row)
-    return np.stack(cols, axis=1)
+    return np.stack([row[0] for row in islice(rows, lo, None)], axis=1)
 
 
 def eval_harmonic(l: int, k: int, theta, phi):
@@ -252,10 +240,7 @@ def eval_harmonic(l: int, k: int, theta, phi):
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     scalar = theta.ndim == 0 and phi.ndim == 0
-    t = np.atleast_1d(theta).astype(float)
-    x, s = np.cos(t), np.sin(t)
-    for row in _radial_recurrence(abs(k), l - abs(k), x, s):
-        radial = row
+    radial = radial_table(BandParams(l, 0), k, np.atleast_1d(theta))[:, -1]
     out = radial * np.exp(1j * k * np.atleast_1d(phi))
     return complex(out[0]) if scalar else out.reshape(np.broadcast(theta, phi).shape)
 
@@ -333,23 +318,30 @@ def embed_block(params: BandParams, k: int, vec: np.ndarray) -> HarmonicCoeffs:
 def evaluate_on_grid(coeffs: HarmonicCoeffs, grid: SphereGrid) -> np.ndarray:
     """Sample the expansion on the grid; returns a (P, Q) complex array.
 
-    One radial table per |k| serves blocks +k and -k.  Each block's latitude
-    profile is added into azimuth column k mod Q, and one inverse FFT over
-    phi then sums the orders.  Profiles are added, not assigned: with
-    Q < 2n + 1 several orders alias onto one column.
+    One pass of the recurrence kernel runs every |k| at once.  Each step adds
+    its values, times that degree's coefficients in blocks +k and -k, into
+    the latitude profiles of both orders.  Each profile is then added into
+    azimuth column k mod Q, and one inverse FFT over phi sums the orders.
+    Profiles are added, not assigned: with Q < 2n + 1 several orders alias
+    onto one column.
     """
     p = coeffs.params
+    orders, degrees = _label_columns(p, "harmonic")
+    alphas = np.abs(orders)
+    # weights[a, j]: coefficients of sin^a * p_j in blocks +a and -a, as
+    # (re, im, re, im); row 0 has block 0 only
+    weights = np.zeros((p.n + 1, p.n + 1, 2), dtype=complex)
+    weights[alphas, degrees - alphas, (orders < 0).astype(int)] = coeffs.values
+    weights = weights.view(float)
+    profiles = np.zeros((p.n + 1, 4, len(grid.theta)))
+    for j, values in enumerate(_radial_rows(p.n, range(p.n + 1), grid.theta)):
+        rows = len(values)
+        profiles[:rows] += weights[:rows, j, :, None] * values[:, None, :]
+    profiles = profiles[:, 0::2] + 1j * profiles[:, 1::2]
     q = len(grid.phi)
-    spectrum = np.zeros(grid.shape, dtype=complex)
-    for alpha in range(p.n + 1):
-        orders = (alpha, -alpha) if alpha else (0,)
-        blocks = np.stack([coeffs.block(k) for k in orders], axis=1)
-        if not np.any(blocks):
-            continue
-        profiles = radial_table(p, alpha, grid.theta) @ blocks
-        for j, k in enumerate(orders):
-            spectrum[:, k % q] += profiles[:, j]
-    return np.fft.ifft(spectrum, axis=1, norm="forward")
+    spectrum = np.zeros((q, len(grid.theta)), dtype=complex)
+    np.add.at(spectrum, np.outer(range(p.n + 1), [1, -1]) % q, profiles)
+    return np.fft.ifft(spectrum.T, axis=1, norm="forward")
 
 
 def evaluate_basis_on_grid(

@@ -8,6 +8,7 @@ three-term recurrence coefficients stored here.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,24 +22,46 @@ __all__ = [
 ]
 
 
-def _b0(alpha: int) -> float:
+def _coefficients(alpha, l) -> np.ndarray:
+    """Recurrence coefficients b_l for weight exponents alpha, broadcast together."""
+    a, l = np.broadcast_arrays(np.asarray(alpha), np.asarray(l, dtype=float))
+    b = np.sqrt(
+        l * (l + 2.0 * a) / ((2.0 * l + 2.0 * a + 1.0) * (2.0 * l + 2.0 * a - 1.0))
+    )
     # b_0^2 = (1/2) * alpha! / prod_{j=0..alpha}(j + 1/2), evaluated as a
     # running product of ratios so no gamma function is needed.
-    acc = 1.0
-    for j in range(1, alpha + 1):
-        acc *= j / (j + 0.5)
-    return float(np.sqrt(acc))
+    j = np.arange(1, a.max(initial=0) + 1, dtype=float)
+    b0 = np.sqrt(np.concatenate(([1.0], np.cumprod(j / (j + 0.5)))))
+    return np.where(l == 0, b0[a], b)
+
+
+def _recurrence(b: np.ndarray, start: np.ndarray, x: np.ndarray, lengths):
+    """Yield p_j at the points x for j = 0, 1, ... over a batch of recurrences.
+
+    Row r runs p_{-1} = 0, p_0 = start[r] and
+    p_j = (x * p_{j-1} - b[r, j-1] * p_{j-2}) / b[r, j] for lengths[r] values;
+    ``start`` is (rows, len(x)).  Lengths must not increase: step j advances
+    only the prefix of rows still running and yields p_j of that prefix, a
+    new (active rows, len(x)) array.  This is the one evaluation loop of the
+    three-term recurrence.
+    """
+    active = len(lengths)
+    cur, prev, cols = start, np.zeros_like(start), b.T[:, :, None]
+    yield cur
+    for j in range(1, lengths[0]):
+        if lengths[active - 1] <= j:
+            while lengths[active - 1] <= j:
+                active -= 1
+            cur, prev, cols = cur[:active], prev[:active], cols[:, :active]
+        cur, prev = (x * cur - cols[j - 1] * prev) / cols[j], cur
+        yield cur
 
 
 def recurrence_coefficient(alpha: int, l: int) -> float:
     """Recurrence coefficient b_l for the weight exponent ``alpha``."""
     if alpha < 0 or l < 0:
         raise ValueError("alpha and l must be non-negative")
-    if l == 0:
-        return _b0(alpha)
-    num = l * (l + 2.0 * alpha)
-    den = (2.0 * l + 2.0 * alpha + 1.0) * (2.0 * l + 2.0 * alpha - 1.0)
-    return float(np.sqrt(num / den))
+    return float(_coefficients(alpha, l))
 
 
 @dataclass(frozen=True)
@@ -57,13 +80,7 @@ class UltrasphericalFamily:
     def build(cls, alpha: int, max_degree: int) -> "UltrasphericalFamily":
         if alpha < 0 or max_degree < 0:
             raise ValueError("alpha and max_degree must be non-negative")
-        l = np.arange(1, max_degree + 2, dtype=float)
-        b = np.empty(max_degree + 2)
-        b[0] = _b0(alpha)
-        b[1:] = np.sqrt(
-            l * (l + 2.0 * alpha)
-            / ((2.0 * l + 2.0 * alpha + 1.0) * (2.0 * l + 2.0 * alpha - 1.0))
-        )
+        b = _coefficients(alpha, np.arange(max_degree + 2))
         b.setflags(write=False)
         return cls(alpha=alpha, max_degree=max_degree, b=b)
 
@@ -100,12 +117,10 @@ class UltrasphericalFamily:
         x = self._check_x(x)
         if l == -1:
             return np.zeros_like(x) if x.ndim else 0.0
-        b = self.b
-        p_prev = np.zeros_like(x)
-        p = np.full_like(x, 1.0 / b[shift])
-        for i in range(l):
-            p, p_prev = (x * p - b[shift + i] * p_prev) / b[shift + i + 1], p
-        return p if x.ndim else float(p)
+        start = np.full((1, x.size), 1.0 / self.b[shift])
+        steps = _recurrence(self.b[None, shift:], start, x.reshape(-1), (l + 1,))
+        p = deque(steps, maxlen=1)[0][0]
+        return p.reshape(x.shape) if x.ndim else float(p[0])
 
 
 def christoffel_darboux_sum(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import spherelok as sl
 from spherelok.approximation import (
@@ -49,6 +51,68 @@ def test_window_parsing():
     for bad in ("", "[1,2]", "[0.1,0.2", "[0.2,0.1]", "[a,b]", "0.1,0.2"):
         with pytest.raises(ValueError):
             EigenvalueWindow.from_string(bad)
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\n"])
+
+
+@st.composite
+def _window_specs(draw):
+    """A window string of 1-4 intervals and its (lo, hi, lo_closed, hi_closed) list."""
+    parts, intervals = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        lo, hi = sorted(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
+        assume(lo < hi)
+        lo_closed, hi_closed = draw(st.booleans()), draw(st.booleans())
+        tokens = ["[" if lo_closed else "(", "%.17g" % lo, ",", "%.17g" % hi]
+        tokens.append("]" if hi_closed else ")")
+        parts.append("".join(draw(_SPACE) + t for t in tokens) + draw(_SPACE))
+        intervals.append((lo, hi, lo_closed, hi_closed))
+    joiners = [draw(st.sampled_from("uU")) for _ in parts[1:]]
+    spec = parts[0] + "".join(j + part for j, part in zip(joiners, parts[1:]))
+    return spec, intervals
+
+
+def _reference_mask(intervals, xs):
+    def inside(x, lo, hi, lo_closed, hi_closed):
+        left = lo < x or (lo_closed and x == lo)
+        return left and (x < hi or (hi_closed and x == hi))
+
+    return np.array([any(inside(x, *iv) for iv in intervals) for x in xs])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_window_specs())
+def test_window_mask_matches_reference_at_endpoints(case):
+    spec, intervals = case
+    window = EigenvalueWindow.from_string(spec)
+    ends = np.array([x for iv in intervals for x in iv[:2]])
+    xs = np.concatenate([ends, np.nextafter(ends, -2.0), np.nextafter(ends, 2.0)])
+    assert np.array_equal(window.mask(xs), _reference_mask(intervals, xs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_window_specs(), data=st.data())
+def test_window_without_a_bracket_comma_or_joiner_is_rejected(case, data):
+    spec, _ = case
+    where = [i for i, ch in enumerate(spec) if ch in "[]()uU,"]
+    cut = data.draw(st.sampled_from(where))
+    with pytest.raises(ValueError):
+        EigenvalueWindow.from_string(spec[:cut] + spec[cut + 1 :])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_window_specs(), data=st.data())
+def test_mutated_window_parses_or_raises_value_error(case, data):
+    spec, _ = case
+    start = data.draw(st.integers(0, len(spec)))
+    stop = data.draw(st.integers(start, min(start + 3, len(spec))))
+    noise = data.draw(st.text("[]()uU,.-+e0123456789 naif\u0663", max_size=3))
+    try:
+        window = EigenvalueWindow.from_string(spec[:start] + noise + spec[stop:])
+    except ValueError:
+        return
+    assert all(-1.0 <= iv.lo < iv.hi <= 1.0 for iv in window.intervals)
 
 
 def test_window_factories_match_strings():

@@ -384,10 +384,16 @@ def _direct_grid_sum(coeffs, grid):
     return field
 
 
-@pytest.mark.parametrize("phi_res", [4, 8, 21, 40])
-def test_evaluate_on_grid_matches_direct_sum_when_orders_alias(rng, phi_res):
-    # n = 10 has 2n + 1 = 21 orders: Q = 4 and 8 alias several onto one column
-    p = BandParams(10, 2)
+@pytest.mark.parametrize(
+    "n,m,phi_res",
+    [pytest.param(10, 2, q, id=str(q)) for q in (4, 8, 21, 40)]
+    + [pytest.param(48, 16, q, id=f"48-16-{q}") for q in (4, 8, 97, 100)],
+)
+def test_evaluate_on_grid_matches_direct_sum_when_orders_alias(rng, n, m, phi_res):
+    # Q below the 2n + 1 orders aliases several onto one column.  The second
+    # band adds 17 truncated orders |k| <= m, whose first m - |k| recurrence
+    # steps carry no coefficient, to the prefix of rows that shrinks per step
+    p = BandParams(n, m)
     c = HarmonicCoeffs.random_unit(p, rng)
     grid = SphereGrid.for_degree(p.n, phi_res=phi_res)
     field = evaluate_on_grid(c, grid)
