@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .ultraspherical import UltrasphericalFamily
+from .ultraspherical import UltrasphericalFamily, _coefficients
 
 __all__ = [
     "JacobiBlock",
@@ -106,6 +106,27 @@ def build_block(n: int, m: int, k: int) -> JacobiBlock:
     return JacobiBlock(alpha=alpha, size=size, offdiag=offdiag, truncation_offset=offset)
 
 
+def _band_blocks(n: int, m: int) -> list[JacobiBlock]:
+    """Jacobi blocks for the orders 0..n of the band pair (n, m), index alpha.
+
+    One band-wide table of recurrence coefficients feeds every block: row
+    alpha holds b_0 .. b_n of the alpha-family, which covers block alpha's
+    last off-diagonal b_{n - alpha}.  Each ``offdiag`` is a read-only view
+    of the table, bit for bit equal to :func:`build_block`'s copy.
+    """
+    if not 0 <= m <= n:
+        raise ValueError("need 0 <= m <= n")
+    b = _coefficients(np.arange(n + 1)[:, None], np.arange(n + 1))
+    b.setflags(write=False)
+    blocks = []
+    for alpha in range(n + 1):
+        offset = max(m - alpha, 0)
+        size = n - max(alpha, m) + 1
+        offdiag = b[alpha, offset + 1 : offset + size]
+        blocks.append(JacobiBlock(alpha, size, offdiag, offset))
+    return blocks
+
+
 def _eigh_block(block: JacobiBlock, vectors: bool):
     # scipy.linalg is imported here, not at module level: it takes about 0.3 s,
     # and only building a plan or computing band spectra solves a block
@@ -185,7 +206,7 @@ def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:
     releases the GIL).
     """
     orders = list(range(n + 1))
-    blocks = [build_block(n, m, k) for k in orders]
+    blocks = _band_blocks(n, m)
     work = sum(b.size**2 for b in blocks)
     workers = thread_count()
     if workers > 1 and work > 500_000 and len(orders) > 2:
@@ -208,4 +229,4 @@ def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:
 
 def band_spectra(n: int, m: int) -> dict[int, np.ndarray]:
     """Eigenvalues for every distinct |k| (no eigenvectors)."""
-    return {k: spectrum(build_block(n, m, k)) for k in range(n + 1)}
+    return {k: spectrum(block) for k, block in enumerate(_band_blocks(n, m))}

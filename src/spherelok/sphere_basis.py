@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .jacobi_blocks import EigenBlock, build_block
+from .jacobi_blocks import EigenBlock, _band_blocks
 from .ultraspherical import _coefficients, _recurrence
 
 __all__ = [
@@ -224,8 +224,10 @@ def radial_table(params: BandParams, k: int, theta: np.ndarray) -> np.ndarray:
     """Matrix S with S[p, j] = sin^|k|(theta_p) * p_{l_j - |k|}(cos theta_p).
 
     Columns run over the degrees l_j present in block k, so a block
-    coefficient vector c_k yields latitude profiles as S @ c_k.
+    coefficient vector c_k yields latitude profiles as S @ c_k.  Raises
+    ValueError for an order outside the band.
     """
+    params.block_size(k)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     alpha = abs(k)
     rows = _radial_rows(params.n, range(alpha, alpha + 1), theta)
@@ -275,8 +277,8 @@ def _layout_offdiag(n: int, m: int) -> np.ndarray:
     """
     params = BandParams(n, m)
     off = np.zeros(params.dimension - 1)
-    for alpha in range(n + 1):
-        b = build_block(n, m, alpha).offdiag
+    for alpha, block in enumerate(_band_blocks(n, m)):
+        b = block.offdiag
         for k in (alpha, -alpha) if alpha else (0,):
             start = params.block_slice(k).start
             off[start : start + len(b)] = b
@@ -423,6 +425,10 @@ def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
 
     A file with fewer entries than the header's dimension is rejected before
     any entry is parsed, so the work is bounded by the size of the file.
+    ``np.loadtxt`` reads the entries first, as an acceptance path only; when
+    it fails or its values would not be accepted, the per-line parser
+    :func:`_parse_entries` runs, which defines the format and names every
+    error.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -439,6 +445,74 @@ def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
     count = sum(map(bool, map(str.strip, lines[1:])))
     if count < dim:
         raise FormatError(f"{path}: missing entries; got {count} of {dim}")
+    values = _bulk_entries(lines, params, kind) if count == dim else None
+    if values is None:
+        values = _parse_entries(path, lines, params, kind)
+    cls = HarmonicCoeffs if kind == "harmonic" else LocalizedCoeffs
+    return cls._adopt(params, values)
+
+
+@lru_cache(maxsize=None)
+def _loadtxt_ints_are_strict() -> bool:
+    """Whether ``np.loadtxt`` rejects "1.0" in an integer column, as ``int()`` does.
+
+    numpy 1.23 reads such a field through a float, with a DeprecationWarning
+    (ignored by default), and returns 1; :func:`_bulk_entries` would then
+    accept a label the per-line parser rejects, so it runs only where this
+    holds.  Probing once keeps the process's warning filters untouched.
+    """
+    try:
+        np.loadtxt(["1.0"], dtype=np.int64)
+    except ValueError:
+        return True
+    except DeprecationWarning:  # raised where warnings are errors
+        pass
+    return False
+
+
+_ROW_DTYPE = np.dtype([("k", "<i8"), ("idx", "<i8"), ("re", "<f8"), ("im", "<f8")])
+
+
+def _bulk_entries(lines: list[str], params: BandParams, kind: str) -> np.ndarray | None:
+    """The values of the entry lines ``lines[1:]`` as ``np.loadtxt`` reads them, or None.
+
+    Values are returned only when there is one row per entry, both label
+    columns equal :func:`_label_columns` and every value is finite; they are
+    then the per-line parser's values bit for bit, since both read numbers
+    with the same float conversion and ``np.loadtxt`` accepts a subset of
+    the spellings ``int()`` and ``float()`` accept.  Any exception or
+    mismatch gives None.
+    """
+    if not _loadtxt_ints_are_strict():
+        return None
+    try:
+        rows = np.loadtxt(lines[1:], dtype=_ROW_DTYPE, comments=None, ndmin=1)
+    except Exception:  # noqa: BLE001 - the per-line parser names every error
+        return None
+    orders, labels = _label_columns(params, kind)
+    if not (
+        len(rows) == params.dimension
+        and np.array_equal(rows["k"], orders)
+        and np.array_equal(rows["idx"], labels)
+        and np.isfinite(rows["re"]).all()
+        and np.isfinite(rows["im"]).all()
+    ):
+        return None
+    values = np.empty(len(rows), dtype=complex)
+    values.real = rows["re"]
+    values.imag = rows["im"]
+    return values
+
+
+def _parse_entries(path, lines: list[str], params: BandParams, kind: str) -> np.ndarray:
+    """Parse the entry lines ``lines[1:]`` one at a time: the format's definition.
+
+    Blank lines are skipped.  Raises FormatError naming the first line that
+    is malformed, out of order, non-finite or beyond the dimension.  The
+    caller has checked that at least ``params.dimension`` lines are not
+    blank.
+    """
+    dim = params.dimension
     values = np.empty(dim, dtype=complex)
     labels = zip(*(col.tolist() for col in _label_columns(params, kind)))
     pos = 0
@@ -465,5 +539,4 @@ def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
             raise FormatError(f"{path}: line {lineno}: non-finite value")
         values[pos] = value
         pos += 1
-    cls = HarmonicCoeffs if kind == "harmonic" else LocalizedCoeffs
-    return cls._adopt(params, values)
+    return values

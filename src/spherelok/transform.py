@@ -7,6 +7,7 @@ filtering and the tail bounds.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -14,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, NumericError
-from .jacobi_blocks import EigenBlock, band_eigenblocks, build_block, check_eigenpairs
+from .jacobi_blocks import EigenBlock, _band_blocks, band_eigenblocks, check_eigenpairs
 from .sphere_basis import BandParams, HarmonicCoeffs, LocalizedCoeffs
 
 __all__ = [
@@ -28,7 +29,8 @@ __all__ = [
     "load_plan",
 ]
 
-_PLAN_MAGIC = b"SPHERELOK-PLAN v1\n"
+_PLAN_MAGIC = b"SPHERELOK-PLAN v2\n"
+_PLAN_MAGIC_V1 = b"SPHERELOK-PLAN v1\n"
 
 
 @dataclass
@@ -49,6 +51,12 @@ def dense_op_count(n: int, m: int) -> int:
     return total // 3
 
 
+def _shares_mirror(blocks: dict[int, EigenBlock], alpha: int) -> bool:
+    """Whether block -alpha holds block +alpha's eigenvalue and eigenvector arrays."""
+    plus, minus = blocks[alpha], blocks[-alpha]
+    return minus.eigenvalues is plus.eigenvalues and minus.vectors is plus.vectors
+
+
 def _validate_blocks(
     params: BandParams, blocks: dict[int, EigenBlock], tol: float, eigenpairs: bool = True
 ) -> None:
@@ -59,17 +67,15 @@ def _validate_blocks(
     max |V^T V - I| <= tol.  A block -k that shares its arrays with block +k
     is checked once.
     """
+    jacobi = _band_blocks(params.n, params.m) if eigenpairs else None
     for alpha in range(params.n + 1):
-        jacobi = build_block(params.n, params.m, alpha) if eigenpairs else None
         for k in (alpha, -alpha) if alpha else (0,):
-            eb = blocks[k]
-            if k < 0 and eb.vectors is blocks[alpha].vectors and (
-                eb.eigenvalues is blocks[alpha].eigenvalues
-            ):
+            if k < 0 and _shares_mirror(blocks, alpha):
                 continue
+            eb = blocks[k]
             if eigenpairs:
                 try:
-                    check_eigenpairs(jacobi, eb.eigenvalues, eb.vectors)
+                    check_eigenpairs(jacobi[alpha], eb.eigenvalues, eb.vectors)
                 except NumericError as exc:
                     raise NumericError(f"block k={k}: {exc}") from None
             gram = eb.vectors.T @ eb.vectors
@@ -260,66 +266,90 @@ def analyze_fast(plan: TransformPlan, coeffs: HarmonicCoeffs) -> LocalizedCoeffs
 
 
 def save_plan(path, plan: TransformPlan) -> None:
-    """Serialize eigendata (little-endian, per-block records) to a cache file."""
+    """Serialize eigendata to a v2 cache file of little-endian 8-byte words.
+
+    After the 18-byte magic line come ``n m``, one flag per |k| = 1..n that
+    is 1 when block -k has a record of its own, then one record
+    ``k, N_k, eigenvalues, eigenvectors`` (row-major) per block in the
+    order k = n .. -n.  A block -k that shares both arrays with block +k
+    has no record, so each |k| is stored once; every record ends in
+    eigenvector bytes.
+    """
+    params, blocks = plan.params, plan.blocks
+    own = [not _shares_mirror(blocks, alpha) for alpha in range(1, params.n + 1)]
     with open(path, "wb") as fh:
         fh.write(_PLAN_MAGIC)
-        np.array([plan.params.n, plan.params.m], dtype="<i8").tofile(fh)
-        for k in plan.params.orders():
-            eb = plan.blocks[k]
+        np.array([params.n, params.m, *own], dtype="<i8").tofile(fh)
+        for k in params.orders():
+            if k < 0 and not own[-k - 1]:
+                continue
+            eb = blocks[k]
             np.array([k, eb.size], dtype="<i8").tofile(fh)
             eb.eigenvalues.astype("<f8").tofile(fh)
             eb.vectors.astype("<f8").tofile(fh)
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 def load_plan(path, mode: str = "dense") -> TransformPlan:
-    """Load a plan cache, verifying layout and every block's eigendata.
+    """Load a v2 plan cache, verifying layout and every record's eigendata.
 
-    A block -k whose record is bit-identical to block +k's shares its
-    arrays, so it is stored and validated once.
+    The file is read once into one 8-byte-aligned buffer; each block's
+    arrays are read-only views of it.  A block -k without a record of its
+    own shares block +k's arrays and is validated once.  A v1 cache is
+    rejected: it may hold eigenvector signs from before the p_0 > 0 rule.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(_PLAN_MAGIC))
+        if magic == _PLAN_MAGIC_V1:
+            raise FormatError(
+                f"{path}: plan cache format v1 is no longer read; delete the file "
+                "and rebuild it with `spherelok plan`"
+            )
         if magic != _PLAN_MAGIC:
             raise FormatError(f"{path}: not a plan cache (bad magic)")
-        header = np.fromfile(fh, dtype="<i8", count=2)
-        if len(header) != 2:
-            raise FormatError(f"{path}: truncated header")
-        n, m = int(header[0]), int(header[1])
-        if not 0 <= m <= n:
-            raise FormatError(f"{path}: invalid band parameters n={n} m={m}")
-        params = BandParams(n=n, m=m)
-        blocks: dict[int, EigenBlock] = {}
-        for k in params.orders():
-            rec = np.fromfile(fh, dtype="<i8", count=2)
-            if len(rec) != 2:
-                raise FormatError(f"{path}: truncated at block k={k}")
-            k_read, size = int(rec[0]), int(rec[1])
-            if k_read != k or size != params.block_size(k):
-                raise FormatError(
-                    f"{path}: block record ({k_read}, {size}) out of order; "
-                    f"expected ({k}, {params.block_size(k)})"
-                )
-            vals = np.fromfile(fh, dtype="<f8", count=size)
-            vecs = np.fromfile(fh, dtype="<f8", count=size * size)
-            if len(vals) != size or len(vecs) != size * size:
-                raise FormatError(f"{path}: truncated eigendata at block k={k}")
-            vals = vals.astype(float, copy=False)
-            vecs = vecs.astype(float, copy=False).reshape(size, size)
-            if k < 0 and _same_bits(vals, blocks[-k].eigenvalues) and _same_bits(
-                vecs, blocks[-k].vectors
-            ):
-                blocks[k] = blocks[-k].with_order(k)
-                continue
-            vals.setflags(write=False)
-            vecs.setflags(write=False)
-            blocks[k] = EigenBlock(k=k, eigenvalues=vals, vectors=vecs)
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after last block")
+        # the words after the magic line land in an aligned array: views of
+        # an unaligned buffer would slow every later product
+        nbytes = os.fstat(fh.fileno()).st_size - len(magic)
+        words = np.empty(nbytes // 8, dtype="<i8")
+        if fh.readinto(words) != words.nbytes:
+            raise FormatError(f"{path}: file shrank while being read")
+        trailing = nbytes % 8 or fh.read(1)
+    words.setflags(write=False)
+    data = words.view("<f8").astype(float, copy=False)  # a copy on big-endian hosts only
+    data.setflags(write=False)
+    if len(words) < 2:
+        raise FormatError(f"{path}: truncated header")
+    n, m = int(words[0]), int(words[1])
+    if not 0 <= m <= n:
+        raise FormatError(f"{path}: invalid band parameters n={n} m={m}")
+    if len(words) < 2 + n:
+        raise FormatError(f"{path}: truncated header")
+    own = words[2 : 2 + n]
+    if not np.all((own == 0) | (own == 1)):
+        raise FormatError(f"{path}: mirror flags must be 0 or 1")
+    params = BandParams(n=n, m=m)
+    blocks: dict[int, EigenBlock] = {}
+    pos = 2 + n
+    for k in params.orders():
+        if k < 0 and not own[-k - 1]:
+            blocks[k] = blocks[-k].with_order(k)
+            continue
+        size = params.block_size(k)
+        end = pos + 2 + size + size * size
+        if end > len(words):
+            raise FormatError(f"{path}: truncated at block k={k}")
+        k_read, size_read = int(words[pos]), int(words[pos + 1])
+        if (k_read, size_read) != (k, size):
+            raise FormatError(
+                f"{path}: block record ({k_read}, {size_read}) out of order; "
+                f"expected ({k}, {size})"
+            )
+        vals = data[pos + 2 : pos + 2 + size]
+        vecs = data[pos + 2 + size : end].reshape(size, size)
+        blocks[k] = EigenBlock(k=k, eigenvalues=vals, vectors=vecs)
+        pos = end
+    if pos != len(words) or trailing:
+        raise FormatError(f"{path}: trailing bytes after last block")
     try:
         _validate_blocks(params, blocks, 1e-10)
     except NumericError as exc:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spherelok.jacobi_blocks import (
+    _band_blocks,
     band_eigenblocks,
     band_spectra,
     build_block,
@@ -32,6 +33,21 @@ def test_build_block_examples():
     assert blk.offdiag == pytest.approx(
         [recurrence_coefficient(16, l) for l in range(1, 17)]
     )
+
+
+@pytest.mark.parametrize("n,m", [(256, 0), (128, 16), (12, 4), (7, 7), (0, 0)])
+def test_band_blocks_equal_build_block_bit_for_bit(n, m):
+    blocks = _band_blocks(n, m)
+    assert len(blocks) == n + 1
+    for alpha, blk in enumerate(blocks):
+        ref = build_block(n, m, alpha)
+        assert (blk.alpha, blk.size, blk.truncation_offset) == (
+            ref.alpha,
+            ref.size,
+            ref.truncation_offset,
+        )
+        assert blk.offdiag.tobytes() == ref.offdiag.tobytes()
+        assert not blk.offdiag.flags.writeable
 
 
 def test_build_block_rejects_bad_order():

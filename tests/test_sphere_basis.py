@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from spherelok import sphere_basis
@@ -230,6 +230,13 @@ def test_basis_function_rejects_bad_index(plan_cache):
             evaluate_basis_on_grid(plan.params, plan.blocks, 3, i, grid)
     with pytest.raises(ValueError):
         evaluate_basis_on_grid(plan.params, plan.blocks, 9, 1, grid)
+
+
+@pytest.mark.parametrize("k", [7, -5])
+def test_radial_table_rejects_order_outside_band(k):
+    with pytest.raises(ValueError, match=f"order {k} outside band limit 4"):
+        radial_table(BandParams(4, 0), k, [0.5, 1.0])
+    assert radial_table(BandParams(4, 0), -4, [0.5, 1.0]).shape == (2, 1)
 
 
 def test_highest_order_basis_function_is_single_harmonic(plan_cache):
@@ -530,3 +537,113 @@ def test_loader_error_names_the_mutated_line(tmp_path_factory, data):
     assert f"line {target + 1}: " in str(err.value)
     if fragment is not None:
         assert fragment in str(err.value)
+
+
+# spellings on which np.loadtxt and int() / float() disagree, or agree
+_NUMBER_FORMS = ("1_0", "\u0661", "+5", "01", "0x10", "1e400", "infinity", "-0", "+-5", "3.0", "1E5")
+_SPACES = ("\t", "  ", " \t ", "\x0c", "\x85", "\xa0", "\u3000")
+
+
+def _respell(field, draw):
+    """Another spelling of a number field, keeping its value where it can."""
+    how = draw(st.sampled_from(("form", "plus", "zero", "underscore", "arabic")))
+    digits = field.lstrip("-")
+    if how == "plus" and digits == field:
+        return "+" + field
+    if how == "zero":
+        return field[: len(field) - len(digits)] + "0" + digits
+    if how == "underscore" and len(digits) > 1 and digits[:2].isdigit():
+        return field.replace(digits[:2], digits[0] + "_" + digits[1], 1)
+    if how == "arabic":
+        return field.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"))
+    return draw(st.sampled_from(_NUMBER_FORMS))
+
+
+def _mutate_entry_line(line, draw):
+    mutation = draw(st.sampled_from(("number", "separator", "trailing", "inside", "five_fields")))
+    fields = line.split()
+    if mutation == "number":
+        i = draw(st.integers(0, 3))
+        fields[i] = _respell(fields[i], draw)
+    elif mutation == "five_fields":
+        fields.append(draw(st.sampled_from(("0", "x", "1e400"))))
+    elif mutation == "inside":
+        pos = draw(st.integers(0, len(line)))
+        return line[:pos] + draw(st.sampled_from(("\x0c", "\x85"))) + line[pos:]
+    seps = [" "] * 3
+    if mutation == "separator":
+        seps[draw(st.integers(0, 2))] = draw(st.sampled_from(_SPACES))
+    out = fields[0] + "".join(sep + f for sep, f in zip(seps, fields[1:4])) + " ".join([""] + fields[4:])
+    if mutation == "trailing":
+        out += draw(st.sampled_from(_SPACES))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bulk_path_returns_the_line_parsers_bits_or_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("grammar") / "c.coeff"
+    save_coeffs(path, _GOOD_COEFFS)
+    lines = path.read_text().splitlines()
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        entries = [i for i, line in enumerate(lines) if i and len(line.split()) >= 4]
+        entry = data.draw(st.sampled_from(entries), label="entry")
+        if data.draw(st.booleans(), label="blank line"):
+            lines.insert(entry, data.draw(st.sampled_from(["", "  ", "\t", "\x0c"])))
+        else:
+            lines[entry] = _mutate_entry_line(lines[entry], data.draw)
+    path.write_text("\n".join(lines) + "\n")
+    lines = path.read_text().splitlines()  # as the loader splits them
+    try:
+        expected = sphere_basis._parse_entries(path, lines, _GOOD_PARAMS, "harmonic")
+    except FormatError as exc:
+        expected = exc
+    bulk = sphere_basis._bulk_entries(lines, _GOOD_PARAMS, "harmonic")
+    event("loop error" if isinstance(expected, FormatError) else f"bulk accepted: {bulk is not None}")
+    if isinstance(expected, FormatError):
+        assert bulk is None
+        with pytest.raises(FormatError) as err:
+            load_coeffs(path)
+        assert str(err.value) == str(expected)
+    else:
+        assert load_coeffs(path).values.tobytes() == expected.tobytes()
+        if bulk is not None:
+            assert bulk.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda ls: ls,
+        lambda ls: [ls[0]] + [line.replace(" ", "\t") + "  " for line in ls[1:]],
+        lambda ls: ls[:3] + ["", " \t "] + ls[3:] + [""],
+        lambda ls: [ls[0]] + ["+" + line for line in ls[1:] if not line.startswith("-")]
+        + [line for line in ls[1:] if line.startswith("-")],
+    ],
+    ids=["saved", "tabs-and-trailing-spaces", "blank-lines", "plus-signs"],
+)
+@pytest.mark.skipif(
+    not sphere_basis._loadtxt_ints_are_strict(),
+    reason="this numpy's np.loadtxt reads integers through floats; the bulk path is off",
+)
+def test_bulk_path_accepts_what_the_writer_and_loop_accept(edit):
+    lines = _per_entry_coeff_text(_GOOD_COEFFS).splitlines()
+    lines = edit(lines)
+    values = sphere_basis._bulk_entries(lines, _GOOD_PARAMS, "harmonic")
+    assert values is not None
+    assert values.tobytes() == _GOOD_COEFFS.values.tobytes()
+
+
+def test_loader_runs_the_line_parser_alone_where_loadtxt_reads_ints_through_floats(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "c.coeff"
+    save_coeffs(path, _GOOD_COEFFS)
+    lines = path.read_text().splitlines()
+    monkeypatch.setattr(sphere_basis, "_loadtxt_ints_are_strict", lambda: False)
+    assert sphere_basis._bulk_entries(lines, _GOOD_PARAMS, "harmonic") is None
+    assert load_coeffs(path).values.tobytes() == _GOOD_COEFFS.values.tobytes()
+    lines[3] = "3.0 " + lines[3].split(maxsplit=1)[1]  # a label int() rejects
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="line 4: invalid literal for int"):
+        load_coeffs(path)

@@ -333,3 +333,73 @@ def test_plan_validation_rejects_bad_eigenvalues(plan_cache, i, value, message):
     plan = plan_cache(12, 4)
     with pytest.raises(NumericError, match=message):
         TransformPlan(plan.params, _with_eigenvalue(plan, 8, i, value))
+
+
+@st.composite
+def _bands_with_own_mirrors(draw):
+    n = draw(st.integers(0, 12))
+    own = draw(st.sets(st.integers(1, n))) if n else set()
+    return n, draw(st.integers(0, n)), own
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=_bands_with_own_mirrors())
+def test_plan_cache_v2_roundtrip_sharing_and_truncation(tmp_path_factory, plan_cache, case):
+    n, m, own = case
+    plan = plan_cache(n, m)
+    blocks = dict(plan.blocks)
+    for alpha in own:  # arrays of its own, negated in every other column
+        eb = blocks[-alpha]
+        signs = np.where(np.arange(eb.size) % 2, -1.0, 1.0)
+        blocks[-alpha] = sl.EigenBlock(-alpha, eb.eigenvalues.copy(), eb.vectors * signs)
+    path = tmp_path_factory.mktemp("v2") / "plan.bin"
+    save_plan(path, TransformPlan(plan.params, blocks))
+    loaded = load_plan(path)
+    for k in plan.params.orders():
+        got, want = loaded.blocks[k], blocks[k]
+        assert got.k == k
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        assert not got.vectors.flags.writeable and got.vectors.ctypes.data % 8 == 0
+    for alpha in range(1, n + 1):
+        for attr in ("eigenvalues", "vectors"):
+            before = getattr(blocks[-alpha], attr) is getattr(blocks[alpha], attr)
+            after = getattr(loaded.blocks[-alpha], attr) is getattr(loaded.blocks[alpha], attr)
+            assert after == before == (alpha not in own)
+    data = path.read_bytes()
+    for cut in [*range(len(data)), len(data) + 1]:
+        path.write_bytes(data[:cut] if cut < len(data) else data + b"\0")
+        with pytest.raises(FormatError):
+            load_plan(path)
+
+
+def test_plan_cache_stores_each_shared_order_once(tmp_path, plan_cache):
+    plan = plan_cache(12, 4)
+    path = tmp_path / "plan.bin"
+    save_plan(path, plan)
+    words = 2 + 12 + sum(2 + s + s * s for s in map(plan.params.block_size, range(13)))
+    assert path.stat().st_size == len(b"SPHERELOK-PLAN v2\n") + 8 * words
+
+
+def _write_v1_plan(path, plan):
+    """The v1 layout: magic, n m, then a record for every block k = n .. -n."""
+    with open(path, "wb") as fh:
+        fh.write(b"SPHERELOK-PLAN v1\n")
+        np.array([plan.params.n, plan.params.m], dtype="<i8").tofile(fh)
+        for k in plan.params.orders():
+            eb = plan.blocks[k]
+            np.array([k, eb.size], dtype="<i8").tofile(fh)
+            eb.eigenvalues.astype("<f8").tofile(fh)
+            eb.vectors.astype("<f8").tofile(fh)
+
+
+def test_v1_plan_cache_is_rejected_with_rebuild_hint(tmp_path, plan_cache, capsys):
+    path = tmp_path / "plan.bin"
+    _write_v1_plan(path, plan_cache(12, 4))
+    v1 = path.read_bytes()
+    hint = "delete the file and rebuild it with `spherelok plan`"
+    with pytest.raises(FormatError, match=hint):
+        load_plan(path)
+    assert main(["plan", "--n", "12", "--m", "4", "--out", str(path)]) == 3
+    assert hint in capsys.readouterr().err
+    assert path.read_bytes() == v1
