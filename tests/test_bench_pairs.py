@@ -56,8 +56,9 @@ def test_bench_pairs_summarizes_one_pair(tmp_path):
 
 def test_bench_pairs_refuses_an_unpaired_seed(tmp_path):
     _record(tmp_path, "cli-256-seed7-trace0-1-20260101T000000Z.json", "aaaa1111", 7, [4.0, 1.0, 0.9, 1.2, 121.0])
-    _record(tmp_path, "cli-256-seed8-trace0-2-20260101T000100Z.json", "bbbb2222", 8, [3.5, 1.5, 0.6, 1.3, 122.0])
-    argv = ["--parent", "aaaa", "--change", "bbbb", "--seeds", "7-8", "--results", str(tmp_path),
+    _record(tmp_path, "cli-256-seed7-trace0-2-20260101T000100Z.json", "bbbb2222", 7, [3.5, 1.5, 0.6, 1.3, 122.0])
+    _record(tmp_path, "cli-256-seed8-trace0-3-20260101T000200Z.json", "bbbb2222", 8, [3.5, 1.5, 0.6, 1.3, 122.0])
+    argv = ["--parent", "aaaa", "--change", "bbbb", "--seeds", "7-9", "--results", str(tmp_path),
             "--out", str(tmp_path / "BENCH.json")]
     with pytest.raises(SystemExit, match="missing runs"):
         bench_pairs.main(argv)

@@ -2,7 +2,7 @@
 
 Reads the run records that `perfbench/run.py` writes (`.perfbench/results/*.json`),
 keeps the untraced full-size runs of the given seeds, and pairs, per workload
-and seed, one run of the parent tree with one run of the changed tree.  Each
+and seed it ran, one run of the parent tree with one run of the changed tree.  Each
 side is named by a prefix of its git commit or of its source digest, as the
 records store them.  For every end-to-end metric of BENCHMARK.json it writes
 both sides' values, medians and quartiles, the wins of the change per pair,
@@ -16,12 +16,14 @@ by more than the parent's quartile spread.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -54,7 +56,7 @@ def collect(dirs, seeds, parent: str, change: str) -> dict:
             rec = json.loads(path.read_text())
             if rec.get("trace") != 0 or rec.get("tiny") or rec.get("seed") not in seeds:
                 continue
-            sides = [s for s, rev in (("parent", parent), ("change", change)) if matches(rec["source"], rev)]
+            sides = [s for s, rev in zip(SIDES, (parent, change)) if matches(rec["source"], rev)]
             if len(sides) != 1:
                 continue
             slot = runs.setdefault(rec["workload"], {}).setdefault(rec["seed"], {})
@@ -65,25 +67,34 @@ def collect(dirs, seeds, parent: str, change: str) -> dict:
     return runs
 
 
+def distinct(items) -> list:
+    """The distinct JSON values among ``items``, sorted."""
+    return [json.loads(t) for t in sorted({json.dumps(i, sort_keys=True) for i in items})]
+
+
 def pair_workload(pairs: dict, seeds: list[int], spec: list[dict]) -> dict:
-    missing = [(s, side) for s in seeds for side in ("parent", "change") if side not in pairs.get(s, {})]
+    """Both sides' summaries for the seeds this workload ran; each must have a run per side."""
+    seeds = [s for s in seeds if s in pairs]
+    missing = [(s, side) for s in seeds for side in SIDES if side not in pairs[s]]
     if missing:
         raise SystemExit(f"missing runs (seed, side): {missing}")
+
+    def outputs(side, *keys):
+        return [functools.reduce(dict.get, keys, pairs[s][side][1]["output"]) for s in seeds]
+
     # a record's file name ends in the time it was written, so names order the runs
+    written = {side: [pairs[s][side][0].rsplit("-", 1)[1] for s in seeds] for side in SIDES}
     out = {
         "seeds": seeds,
-        "parent_ran_first": [pairs[s]["parent"][0].rsplit("-", 1)[1] < pairs[s]["change"][0].rsplit("-", 1)[1]
-                             for s in seeds],
-        "seconds": sorted({pairs[s][side][1]["seconds"] for s in seeds for side in ("parent", "change")}),
-        "failed_ops": {side: [pairs[s][side][1]["output"]["failed"] for s in seeds] for side in ("parent", "change")},
-        "attempted_ops": {side: [pairs[s][side][1]["output"]["attempted"] for s in seeds]
-                          for side in ("parent", "change")},
+        "parent_ran_first": [p < c for p, c in zip(written["parent"], written["change"])],
+        "seconds": distinct(pairs[s][side][1]["seconds"] for s in seeds for side in SIDES),
+        "failed_ops": {side: outputs(side, "failed") for side in SIDES},
+        "attempted_ops": {side: outputs(side, "attempted") for side in SIDES},
         "metrics": {},
     }
     for metric in spec:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-        values = {side: [pairs[s][side][1]["output"]["metrics"][name]["value"] for s in seeds]
-                  for side in ("parent", "change")}
+        values = {side: outputs(side, "metrics", name, "value") for side in SIDES}
         parent, change = summary(values["parent"]), summary(values["change"])
         gain = sign * (change["median"] - parent["median"])
         out["metrics"][name] = {
@@ -114,17 +125,12 @@ def main(argv=None) -> int:
     runs = collect(args.results or [ROOT / ".perfbench" / "results"], set(seeds), args.parent, args.change)
     if not runs:
         raise SystemExit("no run matches the given seeds and sources")
-    records = [rec for by_seed in runs.values() for pair in by_seed.values() for _, rec in pair.values()]
-    machines = [json.loads(m) for m in sorted({json.dumps(r["details"].get("machine"), sort_keys=True)
-                                                for r in records})]
-    sources = {side: [json.loads(s) for s in sorted({json.dumps(pair[side][1]["source"], sort_keys=True)
-                                                    for by_seed in runs.values() for pair in by_seed.values()
-                                                    if side in pair})]
-               for side in ("parent", "change")}
+    records = {side: [pair[side][1] for by_seed in runs.values() for pair in by_seed.values() if side in pair]
+               for side in SIDES}
+    machines = distinct(r["details"].get("machine") for side in SIDES for r in records[side])
     bench = {
         "summarizes": "paired untraced runs of perfbench/run.py, parent tree against changed tree",
-        "parent": sources["parent"],
-        "change": sources["change"],
+        **{side: distinct(r["source"] for r in records[side]) for side in SIDES},
         "machine": machines[0] if len(machines) == 1 else machines,
         "workloads": {wl: pair_workload(runs[wl], seeds, spec) for wl in sorted(runs)},
     }
