@@ -8,8 +8,6 @@ truncated (index-shifted) block, larger orders the untruncated one.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +30,13 @@ _MIN_EIGENVALUE_GAP = 1e-13
 
 
 def thread_count() -> int:
-    """Worker cap for block-parallel work, overridable via SPHERELOK_THREADS."""
-    env = os.environ.get("SPHERELOK_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(8, os.cpu_count() or 1))
+    """Worker threads used to build a plan: always 1.
+
+    Blocks are solved one after another: ``scipy.linalg.eigh_tridiagonal``
+    holds the GIL, so threads cannot overlap two solves.  Kept public for
+    callers that record it.
+    """
+    return 1
 
 
 @dataclass(frozen=True)
@@ -201,29 +198,14 @@ def spectrum(block: JacobiBlock) -> np.ndarray:
 def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:
     """Eigendecompositions for every order -n <= k <= n.
 
-    Blocks for k and -k are identical, so each |k| is solved once and the
-    result shared.  Large bands are solved on a small thread pool (LAPACK
-    releases the GIL).
+    Blocks for k and -k are identical, so each |k| is solved once, in turn,
+    and block -k shares block +k's arrays.
     """
-    orders = list(range(n + 1))
-    blocks = _band_blocks(n, m)
-    work = sum(b.size**2 for b in blocks)
-    workers = thread_count()
-    if workers > 1 and work > 500_000 and len(orders) > 2:
-        # load the solver in this thread before the pool starts: when a
-        # worker's first solve imported it, the build at (256, 0) peaked
-        # 0.45 MB higher
-        import scipy.linalg  # noqa: F401
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(eigendecompose, blocks, orders))
-    else:
-        solved = [eigendecompose(b, k) for b, k in zip(blocks, orders)]
     out: dict[int, EigenBlock] = {}
-    for k, eb in zip(orders, solved):
-        out[k] = eb
+    for k, block in enumerate(_band_blocks(n, m)):
+        out[k] = eigendecompose(block, k)
         if k > 0:
-            out[-k] = eb.with_order(-k)
+            out[-k] = out[k].with_order(-k)
     return out
 
 

@@ -68,8 +68,9 @@ class BandParams:
         return max(abs(k), self.m)
 
     def block_slice(self, k: int) -> slice:
+        size = self.block_size(k)  # ValueError for an order outside the band
         start = _layout(self.n, self.m)[k]
-        return slice(start, start + self.block_size(k))
+        return slice(start, start + size)
 
 
 @lru_cache(maxsize=256)
@@ -256,6 +257,7 @@ def eval_basis_function(
     phi,
 ):
     """Localized basis function for order k and eigenvalue index i (1-based)."""
+    params.block_size(k)  # ValueError for an order outside the band
     eb = blocks[k]
     if not 1 <= i <= eb.size:
         raise IndexError(f"index {i} outside 1..{eb.size}")

@@ -51,46 +51,38 @@ def dense_op_count(n: int, m: int) -> int:
     return total // 3
 
 
-def _shares_mirror(blocks: dict[int, EigenBlock], alpha: int) -> bool:
-    """Whether block -alpha holds block +alpha's eigenvalue and eigenvector arrays."""
-    plus, minus = blocks[alpha], blocks[-alpha]
-    return minus.eigenvalues is plus.eigenvalues and minus.vectors is plus.vectors
-
-
 def _validate_blocks(
     params: BandParams, blocks: dict[int, EigenBlock], tol: float, eigenpairs: bool = True
 ) -> None:
-    """Check every block against its Jacobi matrix rebuilt from (n, m).
+    """Check the blocks k = 0..n against their Jacobi matrices rebuilt from (n, m).
 
     Runs :func:`check_eigenpairs` (order, range, O(N^2) residual) unless
     ``eigenpairs`` is False, and the O(N^3) orthogonality check
-    max |V^T V - I| <= tol.  A block -k that shares its arrays with block +k
-    is checked once.
+    max |V^T V - I| <= tol.  Block -k is block +k's eigendata.
     """
     jacobi = _band_blocks(params.n, params.m) if eigenpairs else None
-    for alpha in range(params.n + 1):
-        for k in (alpha, -alpha) if alpha else (0,):
-            if k < 0 and _shares_mirror(blocks, alpha):
-                continue
-            eb = blocks[k]
-            if eigenpairs:
-                try:
-                    check_eigenpairs(jacobi[alpha], eb.eigenvalues, eb.vectors)
-                except NumericError as exc:
-                    raise NumericError(f"block k={k}: {exc}") from None
-            gram = eb.vectors.T @ eb.vectors
-            gram.flat[:: eb.size + 1] -= 1.0
-            resid = max(gram.max(), -gram.min())
-            if not resid <= tol:
-                raise NumericError(
-                    f"block k={k}: orthogonality residual {resid:.3e} exceeds {tol:g}"
-                )
+    for k in range(params.n + 1):
+        eb = blocks[k]
+        if eigenpairs:
+            try:
+                check_eigenpairs(jacobi[k], eb.eigenvalues, eb.vectors)
+            except NumericError as exc:
+                raise NumericError(f"block k={k}: {exc}") from None
+        gram = eb.vectors.T @ eb.vectors
+        gram.flat[:: eb.size + 1] -= 1.0
+        resid = max(gram.max(), -gram.min())
+        if not resid <= tol:
+            raise NumericError(
+                f"block k={k}: orthogonality residual {resid:.3e} exceeds {tol:g}"
+            )
 
 
 class TransformPlan:
     """Reusable per-band eigendata.
 
-    Immutable once built; safe to share across concurrent transforms.
+    Only ``blocks[k]`` for k = 0..n is read: block -k is block +k relabelled,
+    sharing its arrays, since the Jacobi blocks of k and -k are the same
+    matrix.  Immutable once built; safe to share across concurrent transforms.
     """
 
     def __init__(
@@ -103,12 +95,16 @@ class TransformPlan:
         if mode not in ("dense", "fast"):
             raise ValueError(f"unknown mode {mode!r}")
         self.params = params
-        self.blocks = blocks
+        self.blocks = {}
+        for k in range(params.n + 1):
+            self.blocks[k] = blocks[k]
+            if k:
+                self.blocks[-k] = blocks[k].with_order(-k)
         self.mode = mode
         self._eigs: np.ndarray | None = None
         self._paired: _Layout | None = None
         if validate:
-            _validate_blocks(params, blocks, 1e-12)
+            _validate_blocks(params, self.blocks, 1e-12)
 
     @classmethod
     def build(
@@ -205,9 +201,8 @@ def _apply_blocks(
     layout per row.  One gather into the paired layout puts blocks +k and
     -k, which share V, side by side, and the result is read through its
     float64 view: each |k| costs one real matrix product on 4B columns (real
-    and imaginary parts of both blocks), with no complex copy of V.  A -k
-    block with arrays of its own (an older cache) gets its own product.
-    One gather through the inverse permutation writes the result to ``out``
+    and imaginary parts of both blocks), with no complex copy of V.  One
+    gather through the inverse permutation writes the result to ``out``
     (a new array if None; it may be ``x`` itself).
     """
     layout = plan._layout()
@@ -215,15 +210,11 @@ def _apply_blocks(
     batch = x.shape[0]
     gathered = np.take(x.T, layout.index, axis=0)
     pair = gathered.view(float).reshape(len(gathered), 4 * batch)
-    half = 2 * batch
     for alpha in range(plan.params.n + 1):
         r = layout.rows[alpha]  # each product overwrites its own input rows
-        v, w = plan.blocks[alpha].vectors, plan.blocks[-alpha].vectors
-        if v is w:  # np.dot: less per-call overhead than np.matmul
-            pair[r] = np.dot(v.T if transpose else v, pair[r])
-        else:
-            pair[r, :half] = (v.T if transpose else v) @ pair[r, :half]
-            pair[r, half:] = (w.T if transpose else w) @ pair[r, half:]
+        v = plan.blocks[alpha].vectors
+        # np.dot: less per-call overhead than np.matmul
+        pair[r] = np.dot(v.T if transpose else v, pair[r])
     slots = gathered.reshape(2 * len(gathered), batch).T
     # mode="clip" skips the bounds check that would buffer ``out``
     return np.take(slots, layout.inverse, axis=1, out=out, mode="clip")
@@ -268,22 +259,17 @@ def analyze_fast(plan: TransformPlan, coeffs: HarmonicCoeffs) -> LocalizedCoeffs
 def save_plan(path, plan: TransformPlan) -> None:
     """Serialize eigendata to a v2 cache file of little-endian 8-byte words.
 
-    After the 18-byte magic line come ``n m``, one flag per |k| = 1..n that
-    is 1 when block -k has a record of its own, then one record
-    ``k, N_k, eigenvalues, eigenvectors`` (row-major) per block in the
-    order k = n .. -n.  A block -k that shares both arrays with block +k
-    has no record, so each |k| is stored once; every record ends in
-    eigenvector bytes.
+    After the 18-byte magic line come ``n m``, n flag words written as 0,
+    then one record ``k, N_k, eigenvalues, eigenvectors`` (row-major) per
+    block in the order k = n .. 0.  Block -k is block +k's eigendata, so
+    each |k| is stored once and the file ends in eigenvector bytes.
     """
-    params, blocks = plan.params, plan.blocks
-    own = [not _shares_mirror(blocks, alpha) for alpha in range(1, params.n + 1)]
+    params = plan.params
     with open(path, "wb") as fh:
         fh.write(_PLAN_MAGIC)
-        np.array([params.n, params.m, *own], dtype="<i8").tofile(fh)
-        for k in params.orders():
-            if k < 0 and not own[-k - 1]:
-                continue
-            eb = blocks[k]
+        np.array([params.n, params.m, *[0] * params.n], dtype="<i8").tofile(fh)
+        for k in range(params.n, -1, -1):
+            eb = plan.blocks[k]
             np.array([k, eb.size], dtype="<i8").tofile(fh)
             eb.eigenvalues.astype("<f8").tofile(fh)
             eb.vectors.astype("<f8").tofile(fh)
@@ -293,9 +279,10 @@ def load_plan(path, mode: str = "dense") -> TransformPlan:
     """Load a v2 plan cache, verifying layout and every record's eigendata.
 
     The file is read once into one 8-byte-aligned buffer; each block's
-    arrays are read-only views of it.  A block -k without a record of its
-    own shares block +k's arrays and is validated once.  A v1 cache is
-    rejected: it may hold eigenvector signs from before the p_0 > 0 rule.
+    arrays are read-only views of it, and block -k shares block +k's.  A v1
+    cache is rejected, since it may hold eigenvector signs from before the
+    p_0 > 0 rule, and so is a nonzero flag word, which would announce a
+    separate record for some -k.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -324,16 +311,15 @@ def load_plan(path, mode: str = "dense") -> TransformPlan:
         raise FormatError(f"{path}: invalid band parameters n={n} m={m}")
     if len(words) < 2 + n:
         raise FormatError(f"{path}: truncated header")
-    own = words[2 : 2 + n]
-    if not np.all((own == 0) | (own == 1)):
-        raise FormatError(f"{path}: mirror flags must be 0 or 1")
+    if np.any(words[2 : 2 + n]):
+        raise FormatError(
+            f"{path}: plan cache holds separate -k records, which are no longer "
+            "read; delete the file and rebuild it with `spherelok plan`"
+        )
     params = BandParams(n=n, m=m)
     blocks: dict[int, EigenBlock] = {}
     pos = 2 + n
-    for k in params.orders():
-        if k < 0 and not own[-k - 1]:
-            blocks[k] = blocks[-k].with_order(k)
-            continue
+    for k in range(n, -1, -1):
         size = params.block_size(k)
         end = pos + 2 + size + size * size
         if end > len(words):

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -159,27 +156,12 @@ def test_band_eigenblocks_shares_mirror_orders():
     assert blocks[3].k == 3 and blocks[-3].k == -3
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("SPHERELOK_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("SPHERELOK_THREADS", "bogus")
-    assert thread_count() >= 1
-
-
-def test_threaded_band_build_in_fresh_interpreter():
-    # scipy is not loaded until the build; more workers than cores and a
-    # short switch interval stress the pool's first solves
-    code = """
-import sys
-sys.setswitchinterval(1e-6)
-from spherelok.jacobi_blocks import band_eigenblocks, eigendecompose, build_block
-assert "scipy.linalg" not in sys.modules
-blocks = band_eigenblocks(120, 0)
-assert set(blocks) == set(range(-120, 121))
-for k in (0, 1, 60, 120):
-    ref = eigendecompose(build_block(120, 0, k))
-    assert abs(blocks[k].vectors - ref.vectors).max() < 1e-13
-"""
-    env = {**os.environ, "SPHERELOK_THREADS": "4", "PYTHONPATH": os.pathsep.join(sys.path)}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
-    assert run.returncode == 0, run.stderr.decode()
+@pytest.mark.parametrize("n,m", [(120, 0), (40, 7)])
+def test_band_eigenblocks_equals_per_block_solves(n, m):
+    # one serial solve per |k|: bit for bit the per-block eigendecomposition
+    assert thread_count() == 1
+    blocks = band_eigenblocks(n, m)
+    for k in range(n + 1):
+        ref = eigendecompose(build_block(n, m, k))
+        assert blocks[k].eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert blocks[k].vectors.tobytes() == ref.vectors.tobytes()

@@ -239,6 +239,23 @@ def test_radial_table_rejects_order_outside_band(k):
     assert radial_table(BandParams(4, 0), -4, [0.5, 1.0]).shape == (2, 1)
 
 
+_ORDER_LOOKUPS = {
+    "block_slice": lambda plan, k: plan.params.block_slice(k),
+    "block": lambda plan, k: HarmonicCoeffs(plan.params).block(k),
+    "from_blocks": lambda plan, k: HarmonicCoeffs.from_blocks(plan.params, {k: np.ones(1)}),
+    "eval_basis_function": lambda plan, k: eval_basis_function(
+        plan.params, plan.blocks, k, 1, 0.5, 0.0
+    ),
+}
+
+
+@pytest.mark.parametrize("lookup", sorted(_ORDER_LOOKUPS))
+@pytest.mark.parametrize("k", [9, -5])
+def test_order_outside_band_is_a_value_error(plan_cache, lookup, k):
+    with pytest.raises(ValueError, match=f"order {k} outside band limit 4"):
+        _ORDER_LOOKUPS[lookup](plan_cache(4, 1), k)
+
+
 def test_highest_order_basis_function_is_single_harmonic(plan_cache):
     plan = plan_cache(32, 0)
     theta, phi = 0.8, 0.3

@@ -189,24 +189,9 @@ def test_plan_is_reusable(plan_cache, rng):
     assert np.array_equal(first, second)
 
 
-def _flip_mirror_columns(plan):
-    """Blocks whose -k eigenvectors have every other column negated.
-
-    Still sorted, orthonormal eigenpairs, but -k no longer shares arrays
-    with +k, as in a cache whose mirror records differ.
-    """
-    blocks = {}
-    for k, eb in plan.blocks.items():
-        if k < 0:
-            signs = np.where(np.arange(eb.size) % 2, -1.0, 1.0)
-            eb = sl.EigenBlock(k=k, eigenvalues=eb.eigenvalues, vectors=eb.vectors * signs)
-        blocks[k] = eb
-    return blocks
-
-
 @st.composite
-def _bands(draw):
-    n = draw(st.integers(0, 40))
+def _bands(draw, top=40):
+    n = draw(st.integers(0, top))
     return n, draw(st.integers(0, n))
 
 
@@ -215,15 +200,10 @@ def _bands(draw):
     band=_bands(),
     batch=st.sampled_from([1, 2]),
     transpose=st.booleans(),
-    mirrored=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_apply_blocks_matches_per_block_reference(
-    plan_cache, band, batch, transpose, mirrored, seed
-):
+def test_apply_blocks_matches_per_block_reference(plan_cache, band, batch, transpose, seed):
     plan = plan_cache(*band)
-    if mirrored:
-        plan = TransformPlan(plan.params, _flip_mirror_columns(plan))
     rng = np.random.default_rng(seed)
     shape = (batch, plan.params.dimension)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -277,27 +257,17 @@ def test_loaded_plan_shares_identical_mirror_blocks(tmp_path, plan_cache):
         assert loaded.blocks[-k].k == -k
 
 
-def test_plan_loader_accepts_differing_mirror_records(tmp_path, plan_cache, rng):
-    plan = plan_cache(12, 4)
-    blocks = _flip_mirror_columns(plan)
-    path = tmp_path / "plan.bin"
-    save_plan(path, TransformPlan(plan.params, blocks, validate=False))
-    loaded = load_plan(path)
-    assert loaded.blocks[-5].vectors is not loaded.blocks[5].vectors
-    c = HarmonicCoeffs.random_unit(plan.params, rng)
-    ref = np.concatenate([blocks[k].vectors.T @ c.block(k) for k in plan.params.orders()])
-    assert np.abs(analyze(loaded, c).values - ref).max() < 1e-14
-
-
-def test_plan_loader_validates_differing_mirror_record(tmp_path, plan_cache):
+def test_plan_reads_only_nonnegative_orders(plan_cache):
+    # block -k is block +k relabelled, whatever the caller passes for it
     plan = plan_cache(12, 4)
     blocks = dict(plan.blocks)
     eb = blocks[-5]
-    blocks[-5] = sl.EigenBlock(k=-5, eigenvalues=eb.eigenvalues, vectors=eb.vectors * 1.001)
-    path = tmp_path / "plan.bin"
-    save_plan(path, TransformPlan(plan.params, blocks, validate=False))
-    with pytest.raises(NumericError, match="k=-5"):
-        load_plan(path)
+    signs = np.where(np.arange(eb.size) % 2, -1.0, 1.0)
+    blocks[-5] = sl.EigenBlock(k=-5, eigenvalues=eb.eigenvalues.copy(), vectors=eb.vectors * signs)
+    built = TransformPlan(plan.params, blocks)
+    assert built.blocks[-5].vectors is built.blocks[5].vectors
+    assert built.blocks[-5].eigenvalues is built.blocks[5].eigenvalues
+    assert built.blocks[-5].k == -5
 
 
 def _with_eigenvalue(plan, k, i, value):
@@ -335,37 +305,22 @@ def test_plan_validation_rejects_bad_eigenvalues(plan_cache, i, value, message):
         TransformPlan(plan.params, _with_eigenvalue(plan, 8, i, value))
 
 
-@st.composite
-def _bands_with_own_mirrors(draw):
-    n = draw(st.integers(0, 12))
-    own = draw(st.sets(st.integers(1, n))) if n else set()
-    return n, draw(st.integers(0, n)), own
-
-
 @settings(max_examples=12, deadline=None)
-@given(case=_bands_with_own_mirrors())
-def test_plan_cache_v2_roundtrip_sharing_and_truncation(tmp_path_factory, plan_cache, case):
-    n, m, own = case
-    plan = plan_cache(n, m)
-    blocks = dict(plan.blocks)
-    for alpha in own:  # arrays of its own, negated in every other column
-        eb = blocks[-alpha]
-        signs = np.where(np.arange(eb.size) % 2, -1.0, 1.0)
-        blocks[-alpha] = sl.EigenBlock(-alpha, eb.eigenvalues.copy(), eb.vectors * signs)
+@given(band=_bands(top=12))
+def test_plan_cache_v2_roundtrip_sharing_and_truncation(tmp_path_factory, plan_cache, band):
+    plan = plan_cache(*band)
     path = tmp_path_factory.mktemp("v2") / "plan.bin"
-    save_plan(path, TransformPlan(plan.params, blocks))
+    save_plan(path, plan)
     loaded = load_plan(path)
     for k in plan.params.orders():
-        got, want = loaded.blocks[k], blocks[k]
+        got, want = loaded.blocks[k], plan.blocks[k]
         assert got.k == k
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert got.vectors.tobytes() == want.vectors.tobytes()
         assert not got.vectors.flags.writeable and got.vectors.ctypes.data % 8 == 0
-    for alpha in range(1, n + 1):
+    for alpha in range(1, plan.params.n + 1):
         for attr in ("eigenvalues", "vectors"):
-            before = getattr(blocks[-alpha], attr) is getattr(blocks[alpha], attr)
-            after = getattr(loaded.blocks[-alpha], attr) is getattr(loaded.blocks[alpha], attr)
-            assert after == before == (alpha not in own)
+            assert getattr(loaded.blocks[-alpha], attr) is getattr(loaded.blocks[alpha], attr)
     data = path.read_bytes()
     for cut in [*range(len(data)), len(data) + 1]:
         path.write_bytes(data[:cut] if cut < len(data) else data + b"\0")
@@ -403,3 +358,19 @@ def test_v1_plan_cache_is_rejected_with_rebuild_hint(tmp_path, plan_cache, capsy
     assert main(["plan", "--n", "12", "--m", "4", "--out", str(path)]) == 3
     assert hint in capsys.readouterr().err
     assert path.read_bytes() == v1
+
+
+def test_plan_cache_with_a_mirror_flag_is_rejected_with_rebuild_hint(tmp_path, plan_cache, capsys):
+    # flag word 5 (|k| = 5) set: a separate -5 record, which no release reads
+    path = tmp_path / "plan.bin"
+    save_plan(path, plan_cache(12, 4))
+    data = bytearray(path.read_bytes())
+    flag = len(b"SPHERELOK-PLAN v2\n") + 8 * (2 + 4)
+    data[flag : flag + 8] = np.array([1], dtype="<i8").tobytes()
+    path.write_bytes(bytes(data))
+    hint = "delete the file and rebuild it with `spherelok plan`"
+    with pytest.raises(FormatError, match=hint):
+        load_plan(path)
+    assert main(["plan", "--n", "12", "--m", "4", "--out", str(path)]) == 3
+    assert hint in capsys.readouterr().err
+    assert path.read_bytes() == bytes(data)
