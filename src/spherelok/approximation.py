@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi_blocks import band_spectra
-from .sphere_basis import BandParams, HarmonicCoeffs, mean_value
+from .sphere_basis import BandParams, HarmonicCoeffs, _label_columns, mean_value
 from .transform import TransformPlan, _apply_blocks, analyze
 
 __all__ = [
@@ -208,17 +208,19 @@ def markov_bound(
     return bound, actual
 
 
-def coefficient_variance(plan: TransformPlan, coeffs: HarmonicCoeffs) -> float:
-    """Discrete variance of the eigenvalue distribution weighted by |d|^2.
-
-    Uses the centered form sum |d|^2 (x - mean)^2, which is free of the
-    cancellation the expanded x^2 - mean^2 form suffers.
-    """
+def _weighted_spread(plan: TransformPlan, coeffs: HarmonicCoeffs):
+    """Weights |d|^2, the eigenvalues, and their weighted mean and variance."""
     d = analyze(plan, coeffs)
     xs = plan.eigenvalue_vector()
     w = np.abs(d.values) ** 2
     eps = float(np.sum(w * xs))
-    return float(np.sum(w * (xs - eps) ** 2))
+    # the centered form is free of the cancellation of x^2 - mean^2
+    return w, xs, eps, float(np.sum(w * (xs - eps) ** 2))
+
+
+def coefficient_variance(plan: TransformPlan, coeffs: HarmonicCoeffs) -> float:
+    """Discrete variance of the eigenvalue distribution weighted by |d|^2."""
+    return _weighted_spread(plan, coeffs)[3]
 
 
 def chebyshev_bound(
@@ -228,11 +230,7 @@ def chebyshev_bound(
     if a <= 0:
         raise ValueError("a must be positive")
     _check_unit(coeffs)
-    d = analyze(plan, coeffs)
-    xs = plan.eigenvalue_vector()
-    w = np.abs(d.values) ** 2
-    eps = float(np.sum(w * xs))
-    var = float(np.sum(w * (xs - eps) ** 2))
+    w, xs, eps, var = _weighted_spread(plan, coeffs)
     window = EigenvalueWindow.centered(eps, a)
     outside = ~window.mask(xs)
     actual = float(np.sum(w[outside]))
@@ -252,7 +250,7 @@ class SpectralSummary:
     """All (order, index, eigenvalue) triples of a band plus basic statistics."""
 
     params: BandParams
-    orders: np.ndarray
+    orders: np.ndarray  # orders and indices: the band's read-only label columns
     indices: np.ndarray
     eigenvalues: np.ndarray
     moments: np.ndarray  # raw sums of x^j for j = 0 .. len-1
@@ -262,16 +260,9 @@ class SpectralSummary:
     MAX_MOMENT = 8
 
     @classmethod
-    def _from_block_values(cls, params, per_abs_k, bins):
-        ks, iis, xs = [], [], []
-        for k in params.orders():
-            vals = per_abs_k[abs(k)]
-            ks.append(np.full(len(vals), k, dtype=np.int64))
-            iis.append(np.arange(1, len(vals) + 1, dtype=np.int64))
-            xs.append(vals)
-        ks = np.concatenate(ks)
-        iis = np.concatenate(iis)
-        xs = np.concatenate(xs)
+    def _from_eigenvalues(cls, params: BandParams, xs: np.ndarray, bins: int):
+        """Summary of the eigenvalues ``xs``, given in the canonical localized order."""
+        orders, indices = _label_columns(params, "localized")
         if len(xs) != params.dimension:
             raise AssertionError("eigenvalue count does not match the dimension")
         moments = np.array(
@@ -280,8 +271,8 @@ class SpectralSummary:
         counts, edges = np.histogram(xs, bins=bins, range=(-1.0, 1.0))
         return cls(
             params=params,
-            orders=ks,
-            indices=iis,
+            orders=orders,
+            indices=indices,
             eigenvalues=xs,
             moments=moments,
             hist_counts=counts,
@@ -290,13 +281,15 @@ class SpectralSummary:
 
     @classmethod
     def from_plan(cls, plan: TransformPlan, bins: int = 64) -> "SpectralSummary":
-        per = {k: plan.blocks[k].eigenvalues for k in range(plan.params.n + 1)}
-        return cls._from_block_values(plan.params, per, bins)
+        return cls._from_eigenvalues(plan.params, plan.eigenvalue_vector(), bins)
 
     @classmethod
     def from_band(cls, n: int, m: int, bins: int = 64) -> "SpectralSummary":
         """Eigenvalues-only construction (no eigenvectors are computed)."""
-        return cls._from_block_values(BandParams(n, m), band_spectra(n, m), bins)
+        params = BandParams(n, m)
+        spectra = band_spectra(n, m)
+        xs = np.concatenate([spectra[abs(k)] for k in params.orders()])
+        return cls._from_eigenvalues(params, xs, bins)
 
     def counting(self, a: float, b: float) -> float:
         """Fraction of eigenvalues in the closed interval [a, b]."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
+from .sphere_basis import BandParams
 from .ultraspherical import UltrasphericalFamily, _coefficients
 
 __all__ = [
@@ -84,19 +85,15 @@ class EigenBlock:
         return EigenBlock(k=k, eigenvalues=self.eigenvalues, vectors=self.vectors)
 
 
+def _block_shape(params: BandParams, k: int) -> tuple[int, int]:
+    """Truncation offset and size of block k, which holds degrees max(|k|, m)..n."""
+    return params.min_degree(k) - abs(k), params.block_size(k)
+
+
 def build_block(n: int, m: int, k: int) -> JacobiBlock:
     """Jacobi block for order k of the band pair (n, m)."""
-    if not 0 <= m <= n:
-        raise ValueError("need 0 <= m <= n")
-    if abs(k) > n:
-        raise ValueError(f"order {k} outside band limit {n}")
     alpha = abs(k)
-    if alpha <= m:
-        offset = m - alpha
-        size = n - m + 1
-    else:
-        offset = 0
-        size = n - alpha + 1
+    offset, size = _block_shape(BandParams(n, m), k)
     family = UltrasphericalFamily.build(alpha, offset + size)
     offdiag = family.b[offset + 1 : offset + size].copy()
     offdiag.setflags(write=False)
@@ -111,14 +108,12 @@ def _band_blocks(n: int, m: int) -> list[JacobiBlock]:
     last off-diagonal b_{n - alpha}.  Each ``offdiag`` is a read-only view
     of the table, bit for bit equal to :func:`build_block`'s copy.
     """
-    if not 0 <= m <= n:
-        raise ValueError("need 0 <= m <= n")
+    params = BandParams(n, m)
     b = _coefficients(np.arange(n + 1)[:, None], np.arange(n + 1))
     b.setflags(write=False)
     blocks = []
     for alpha in range(n + 1):
-        offset = max(m - alpha, 0)
-        size = n - max(alpha, m) + 1
+        offset, size = _block_shape(params, alpha)
         offdiag = b[alpha, offset + 1 : offset + size]
         blocks.append(JacobiBlock(alpha, size, offdiag, offset))
     return blocks

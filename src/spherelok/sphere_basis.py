@@ -1,9 +1,12 @@
 """Band-limited spherical expansions and the localized eigenbasis.
 
-Coefficient vectors follow one canonical layout: blocks ordered by azimuthal
-order k from +n down to -n, entries inside a block ordered by ascending
-degree l (harmonic side) or ascending eigenvalue index i (localized side).
-That layout is also the contract for the text file format written here.
+Coefficient vectors follow one canonical layout, also the contract for the
+text file format written here: blocks ordered by azimuthal order k from +n
+down to -n, block k holding the degrees l = max(|k|, m)..n (harmonic side)
+or the eigenvalue indices i = 1..N_k (localized side) in ascending order.
+:func:`_label_columns` is its one definition; the block slices, the
+off-diagonals of :func:`mean_value`, the text labels, ``transform``'s
++-k-paired layout and ``SpectralSummary``'s labels all derive from it.
 """
 
 from __future__ import annotations
@@ -14,12 +17,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FormatError
-from .jacobi_blocks import EigenBlock, _band_blocks
 from .ultraspherical import _coefficients, _recurrence
+
+if TYPE_CHECKING:  # jacobi_blocks imports this module
+    from .jacobi_blocks import EigenBlock
 
 __all__ = [
     "BandParams",
@@ -61,7 +67,7 @@ class BandParams:
     def block_size(self, k: int) -> int:
         if abs(k) > self.n:
             raise ValueError(f"order {k} outside band limit {self.n}")
-        return self.n - max(abs(k), self.m) + 1
+        return self.n - self.min_degree(k) + 1
 
     def min_degree(self, k: int) -> int:
         """Smallest degree l present in block k."""
@@ -69,18 +75,33 @@ class BandParams:
 
     def block_slice(self, k: int) -> slice:
         size = self.block_size(k)  # ValueError for an order outside the band
-        start = _layout(self.n, self.m)[k]
+        start = _block_starts(self)[self.n - k]
         return slice(start, start + size)
 
 
+@lru_cache(maxsize=8)
+def _label_columns(params: BandParams, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Order k and degree l (harmonic) or index i (localized) of every entry.
+
+    The layout's one definition; cached per (params, kind), both read-only.
+    """
+    orders = np.arange(params.n, -params.n - 1, -1)
+    lowest = np.maximum(np.abs(orders), params.m)
+    sizes = params.n - lowest + 1
+    first = lowest if kind == "harmonic" else np.ones_like(orders)
+    starts = np.cumsum(sizes) - sizes
+    labels = np.arange(params.dimension) - np.repeat(starts - first, sizes)
+    orders = np.repeat(orders, sizes)
+    orders.setflags(write=False)
+    labels.setflags(write=False)
+    return orders, labels
+
+
 @lru_cache(maxsize=256)
-def _layout(n: int, m: int) -> dict[int, int]:
-    starts = {}
-    pos = 0
-    for k in range(n, -n - 1, -1):
-        starts[k] = pos
-        pos += n - max(abs(k), m) + 1
-    return starts
+def _block_starts(params: BandParams) -> list[int]:
+    """Position of each block's first entry, for k = n .. -n."""
+    orders = _label_columns(params, "harmonic")[0]  # the same for both kinds
+    return np.flatnonzero(np.diff(orders, prepend=params.n + 1)).tolist()
 
 
 class _Coeffs:
@@ -136,10 +157,17 @@ class HarmonicCoeffs(_Coeffs):
 
     @classmethod
     def from_blocks(cls, params: BandParams, blocks: dict[int, np.ndarray]):
+        """The given blocks, zero elsewhere; each block k must have shape (N_k,)."""
         vals = np.zeros(params.dimension, dtype=complex)
         for k, v in blocks.items():
-            vals[params.block_slice(k)] = v
-        return cls(params, vals)
+            rows = params.block_slice(k)  # ValueError for an order outside the band
+            size = rows.stop - rows.start
+            if np.shape(v) != (size,):
+                raise ValueError(
+                    f"expected {size} entries for order {k}, got shape {np.shape(v)}"
+                )
+            vals[rows] = v
+        return cls._adopt(params, vals)
 
     @classmethod
     def random_unit(cls, params: BandParams, rng: np.random.Generator):
@@ -271,19 +299,16 @@ def eval_basis_function(
 
 
 @lru_cache(maxsize=8)
-def _layout_offdiag(n: int, m: int) -> np.ndarray:
+def _layout_offdiag(params: BandParams) -> np.ndarray:
     """Jacobi off-diagonals laid end to end in the canonical layout.
 
-    Entry j couples coefficients j and j + 1; it is zero where a block ends.
-    Each |k| is built once and shared by blocks +k and -k.
+    Entry j couples coefficients j and j + 1, degrees l and l + 1 of one
+    block, with b_{l-|k|+1} of the |k|-family; it is zero where a block ends.
     """
-    params = BandParams(n, m)
-    off = np.zeros(params.dimension - 1)
-    for alpha, block in enumerate(_band_blocks(n, m)):
-        b = block.offdiag
-        for k in (alpha, -alpha) if alpha else (0,):
-            start = params.block_slice(k).start
-            off[start : start + len(b)] = b
+    orders, degrees = _label_columns(params, "harmonic")
+    alphas = np.abs(orders[:-1])
+    same_block = orders[:-1] == orders[1:]
+    off = np.where(same_block, _coefficients(alphas, degrees[:-1] - alphas + 1), 0)
     off.setflags(write=False)
     return off
 
@@ -295,7 +320,7 @@ def mean_value(coeffs: HarmonicCoeffs) -> float:
     whole layout, O(dimension); the off-diagonals are cached per (n, m).
     """
     c = coeffs.values
-    off = _layout_offdiag(coeffs.params.n, coeffs.params.m)
+    off = _layout_offdiag(coeffs.params)
     return 2.0 * float(np.real(np.vdot(c[:-1], off * c[1:])))
 
 
@@ -311,11 +336,6 @@ def mean_value_quadrature(coeffs: HarmonicCoeffs, grid: SphereGrid | None = None
 
 def embed_block(params: BandParams, k: int, vec: np.ndarray) -> HarmonicCoeffs:
     """Embed a length-N_k vector as block k of an otherwise zero coefficient set."""
-    vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (params.block_size(k),):
-        raise ValueError(
-            f"expected {params.block_size(k)} entries for order {k}, got {vec.shape}"
-        )
     return HarmonicCoeffs.from_blocks(params, {k: vec})
 
 
@@ -365,17 +385,6 @@ def evaluate_basis_on_grid(
 _HEADER_RE = re.compile(
     r"^SPHERELOK-COEFF v1 kind=(harmonic|localized) n=(\d+) m=(\d+)$"
 )
-
-
-def _label_columns(params: BandParams, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Order k and degree l (harmonic) or index i (localized) of every entry."""
-    orders = np.arange(params.n, -params.n - 1, -1)
-    lowest = np.maximum(np.abs(orders), params.m)
-    sizes = params.n - lowest + 1
-    first = lowest if kind == "harmonic" else np.ones_like(orders)
-    starts = np.cumsum(sizes) - sizes
-    labels = np.arange(params.dimension) - np.repeat(starts - first, sizes)
-    return np.repeat(orders, sizes), labels
 
 
 _ROWS_PER_CHUNK = 4096

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -16,7 +17,13 @@ import numpy as np
 
 from .errors import FormatError, NumericError
 from .jacobi_blocks import EigenBlock, _band_blocks, band_eigenblocks, check_eigenpairs
-from .sphere_basis import BandParams, HarmonicCoeffs, LocalizedCoeffs
+from .sphere_basis import (
+    BandParams,
+    HarmonicCoeffs,
+    LocalizedCoeffs,
+    _block_starts,
+    _label_columns,
+)
 
 __all__ = [
     "TransformPlan",
@@ -102,7 +109,6 @@ class TransformPlan:
                 self.blocks[-k] = blocks[k].with_order(-k)
         self.mode = mode
         self._eigs: np.ndarray | None = None
-        self._paired: _Layout | None = None
         if validate:
             _validate_blocks(params, self.blocks, 1e-12)
 
@@ -131,12 +137,6 @@ class TransformPlan:
             eigs.setflags(write=False)
             self._eigs = eigs
         return self._eigs
-
-    def _layout(self) -> _Layout:
-        """The +-k-paired layout of the band, built on first use."""
-        if self._paired is None:
-            self._paired = _paired_layout(self.params)
-        return self._paired
 
     def fast_eligible(self, k: int) -> bool:
         """Whether block k takes a factored fast pipeline: never.
@@ -172,21 +172,22 @@ class _Layout(NamedTuple):
     rows: tuple[slice, ...]
 
 
+@lru_cache(maxsize=8)
 def _paired_layout(params: BandParams) -> _Layout:
-    # one row per entry of blocks 0..n: the dimension counts every block but 0 twice
-    index = np.empty(((params.dimension + params.block_size(0)) // 2, 2), dtype=np.intp)
-    inverse = np.empty(params.dimension, dtype=np.intp)
-    rows, start = [], 0
-    for alpha in range(params.n + 1):
-        r = slice(start, start + params.block_size(alpha))
-        for s, k in enumerate((alpha, -alpha)):
-            block = params.block_slice(k)
-            index[r, s] = np.arange(block.start, block.stop)
-            inverse[block] = 2 * np.arange(r.start, r.stop) + s
-        rows.append(r)
-        start = r.stop
+    orders = _label_columns(params, "harmonic")[0]  # the same for both kinds
+    starts = np.array(_block_starts(params))
+    # the layout holds blocks 0 .. -n in row order already; each entry of
+    # block +alpha sits as far from its block's start as its partner in -alpha
+    minus = np.flatnonzero(orders <= 0)
+    alphas = -orders[minus]
+    plus = minus - starts[params.n + alphas] + starts[params.n - alphas]
     # index and inverse stay writable: np.take copies a read-only index array
-    return _Layout(index, inverse, tuple(rows))
+    index = np.stack([plus, minus], axis=1)
+    inverse = np.empty(params.dimension, dtype=np.intp)
+    inverse[plus] = 2 * np.arange(len(plus))
+    inverse[minus] = 2 * np.arange(len(minus)) + 1  # block 0 keeps slot 1
+    ends = np.searchsorted(alphas, np.arange(params.n + 2)).tolist()
+    return _Layout(index, inverse, tuple(map(slice, ends[:-1], ends[1:])))
 
 
 def _apply_blocks(
@@ -205,7 +206,7 @@ def _apply_blocks(
     gather through the inverse permutation writes the result to ``out``
     (a new array if None; it may be ``x`` itself).
     """
-    layout = plan._layout()
+    layout = _paired_layout(plan.params)
     x = np.asarray(x, dtype=complex)
     batch = x.shape[0]
     gathered = np.take(x.T, layout.index, axis=0)

@@ -272,9 +272,15 @@ def test_spectral_summary_invariants(plan_cache):
     assert summary.counting(-1.0, 1.0) == 1.0
     assert summary.hist_counts.sum() == dim
     assert summary.moment(0) == pytest.approx(dim)
+    assert np.array_equal(summary.eigenvalues, plan.eigenvalue_vector())
     by_band = SpectralSummary.from_band(16, 3)
     assert by_band.eigenvalues == pytest.approx(summary.eigenvalues, abs=1e-12)
-    assert np.array_equal(by_band.orders, summary.orders)
+    p = plan.params
+    for each in (summary, by_band):
+        for k in p.orders():
+            rows = p.block_slice(k)
+            assert (each.orders[rows] == k).all()
+            assert np.array_equal(each.indices[rows], np.arange(1, p.block_size(k) + 1))
 
 
 def test_moment_bound_is_positive_and_holds():

@@ -189,6 +189,22 @@ def test_embed_block_unitary(rng):
         embed_block(p, 2, v[:-1])
 
 
+@pytest.mark.parametrize("block", [np.ones(1), np.ones(5), np.ones((4, 1)), 1.0])
+def test_from_blocks_rejects_a_block_of_the_wrong_shape(block):
+    with pytest.raises(ValueError, match="expected 4 entries for order 0"):
+        HarmonicCoeffs.from_blocks(BandParams(4, 1), {0: block})
+    got = HarmonicCoeffs.from_blocks(BandParams(4, 1), {0: [1, 2, 3, 4]})
+    assert np.array_equal(got.block(0), [1, 2, 3, 4])
+
+
+def test_label_columns_are_cached_and_read_only():
+    orders, labels = sphere_basis._label_columns(BandParams(6, 2), "harmonic")
+    assert sphere_basis._label_columns(BandParams(6, 2), "harmonic")[0] is orders
+    for column in (orders, labels):
+        with pytest.raises(ValueError):
+            column[0] = 0
+
+
 def test_embedded_eigenvector_evaluates_to_basis_function(plan_cache):
     plan = plan_cache(10, 3)
     p = plan.params

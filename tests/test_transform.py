@@ -6,11 +6,21 @@ from hypothesis import strategies as st
 import spherelok as sl
 from spherelok.cli import main
 from spherelok.errors import FormatError, NumericError
-from spherelok.sphere_basis import HarmonicCoeffs, LocalizedCoeffs, embed_block, save_coeffs
+from spherelok.jacobi_blocks import _band_blocks
+from spherelok.sphere_basis import (
+    BandParams,
+    HarmonicCoeffs,
+    LocalizedCoeffs,
+    _label_columns,
+    _layout_offdiag,
+    embed_block,
+    save_coeffs,
+)
 from spherelok.transform import (
     OpCounter,
     TransformPlan,
     _apply_blocks,
+    _paired_layout,
     analyze,
     analyze_fast,
     dense_op_count,
@@ -217,6 +227,31 @@ def test_apply_blocks_matches_per_block_reference(plan_cache, band, batch, trans
     assert np.abs(got - ref).max() <= 1e-14 * np.linalg.norm(x)
     _apply_blocks(plan, x, transpose, out=x)  # in place, as filter_coeffs runs it
     assert np.array_equal(x, got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(band=_bands(top=24))
+def test_paired_layout_and_layout_offdiag_follow_the_label_columns(band):
+    params = BandParams(*band)
+    orders, indices = _label_columns(params, "localized")
+    layout = _paired_layout(params)
+    plus, minus = layout.index.T
+    # row r holds one label (alpha, i) in block +alpha and in block -alpha
+    assert np.array_equal(orders[plus], -orders[minus])
+    assert np.array_equal(indices[plus], indices[minus])
+    assert np.array_equal(layout.index.ravel()[layout.inverse], np.arange(params.dimension))
+    covered = np.concatenate([np.arange(r.start, r.stop) for r in layout.rows])
+    assert np.array_equal(covered, np.arange(len(layout.index)))
+    for alpha, rows in enumerate(layout.rows):
+        assert (orders[plus[rows]] == alpha).all()
+        assert np.array_equal(indices[plus[rows]], np.arange(1, params.block_size(alpha) + 1))
+    # reference: each block's own off-diagonals, laid out with block_slice
+    ref = np.zeros(params.dimension - 1)
+    for alpha, block in enumerate(_band_blocks(*band)):
+        for k in {alpha, -alpha}:
+            start = params.block_slice(k).start
+            ref[start : start + block.size - 1] = block.offdiag
+    assert np.array_equal(_layout_offdiag(params), ref)
 
 
 def test_apply_blocks_keeps_non_finite_inside_its_block(plan_cache):
