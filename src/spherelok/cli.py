@@ -100,7 +100,7 @@ def bench_dense_band(n: int, m: int, rng=None) -> tuple[float, int]:
     and -k.  The operation count is the closed form sum_k (2 N_k - 1) N_k.
     """
     rng = rng or np.random.default_rng(0)
-    plan = TransformPlan.build(n, m, validate=False)
+    plan = TransformPlan.build(n, m)
     c = HarmonicCoeffs.random_unit(plan.params, rng)
     return time_call(lambda: analyze(plan, c)), dense_op_count(n, m)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericError
 from .sphere_basis import BandParams
-from .ultraspherical import UltrasphericalFamily, _coefficients
+from .ultraspherical import _coefficients
 
 __all__ = [
     "JacobiBlock",
@@ -94,8 +94,7 @@ def build_block(n: int, m: int, k: int) -> JacobiBlock:
     """Jacobi block for order k of the band pair (n, m)."""
     alpha = abs(k)
     offset, size = _block_shape(BandParams(n, m), k)
-    family = UltrasphericalFamily.build(alpha, offset + size)
-    offdiag = family.b[offset + 1 : offset + size].copy()
+    offdiag = _coefficients(alpha, np.arange(offset + 1, offset + size))
     offdiag.setflags(write=False)
     return JacobiBlock(alpha=alpha, size=size, offdiag=offdiag, truncation_offset=offset)
 
@@ -119,31 +118,19 @@ def _band_blocks(n: int, m: int) -> list[JacobiBlock]:
     return blocks
 
 
-def _eigh_block(block: JacobiBlock, vectors: bool):
-    # scipy.linalg is imported here, not at module level: it takes about 0.3 s,
-    # and only building a plan or computing band spectra solves a block
-    from scipy.linalg import eigh_tridiagonal
-
-    if block.size == 1:
-        vals = np.zeros(1)
-        vecs = np.ones((1, 1)) if vectors else None
-        return vals, vecs
-    diag = np.zeros(block.size)
-    if vectors:
-        vals, vecs = eigh_tridiagonal(diag, np.asarray(block.offdiag))
-        return vals, vecs
-    vals = eigh_tridiagonal(diag, np.asarray(block.offdiag), eigvals_only=True)
-    return vals, None
-
-
 def check_eigenpairs(block: JacobiBlock, vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Raise NumericError unless (vals, vecs) are sorted eigenpairs of block.
+    """Raise NumericError unless (vals, vecs) are sorted orthonormal eigenpairs of block.
 
-    The eigenvalues must be strictly decreasing, with every gap above
-    1e-13, and lie inside (-1, 1); the residual max |J V - V diag(vals)|,
-    one tridiagonal matvec per column, must stay within 1e-12 * size.  The
-    comparisons are written so that NaN fails them.  Orthogonality of V is
-    the caller's O(N^3) check.
+    This is the one definition of valid eigendata, whether it was solved,
+    loaded from a plan cache or passed in, and it has no tolerance to set:
+
+    - the eigenvalues are strictly decreasing, with every gap above 1e-13;
+    - they lie inside (-1, 1);
+    - the residual max |J V - V diag(vals)|, one tridiagonal matvec per
+      column, is at most 1e-12 * size;
+    - the orthogonality residual max |V^T V - I| is at most 1e-12.
+
+    The comparisons are written so that NaN fails them.
     """
     if block.size > 1:
         gap = (vals[:-1] - vals[1:]).min()
@@ -162,15 +149,37 @@ def check_eigenpairs(block: JacobiBlock, vals: np.ndarray, vecs: np.ndarray) -> 
     worst = max(resid.max(), -resid.min())
     if not worst <= 1e-12 * block.size:
         raise NumericError(f"eigenpair residual {worst:.3e} too large")
+    gram = vecs.T @ vecs
+    gram.flat[:: block.size + 1] -= 1.0
+    worst = max(gram.max(), -gram.min())
+    if not worst <= 1e-12:
+        raise NumericError(f"orthogonality residual {worst:.3e} exceeds 1e-12")
 
 
-def eigendecompose(block: JacobiBlock, k: int | None = None) -> EigenBlock:
-    """Full spectrum and orthonormal eigenvectors, sorted by decreasing eigenvalue."""
-    vals, vecs = _eigh_block(block, vectors=True)
+def _check_band(jacobi: list[JacobiBlock], blocks: dict[int, EigenBlock]) -> None:
+    """Run :func:`check_eigenpairs` on blocks k = 0..n of a band.
+
+    ``jacobi`` is :func:`_band_blocks` of the band.  An error names the
+    block it was found in.  Block -k is block +k's eigendata.
+    """
+    for k, block in enumerate(jacobi):
+        eb = blocks[k]
+        try:
+            check_eigenpairs(block, eb.eigenvalues, eb.vectors)
+        except NumericError as exc:
+            raise NumericError(f"block k={k}: {exc}") from None
+
+
+def _solve(block: JacobiBlock, k: int) -> EigenBlock:
+    """Eigendata of block, sorted and signed but not checked."""
+    # scipy.linalg is imported here, not at module level: it takes about 0.3 s,
+    # and only building a plan or computing band spectra solves a block
+    from scipy.linalg import eigh_tridiagonal
+
+    vals, vecs = eigh_tridiagonal(np.zeros(block.size), block.offdiag)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
-    check_eigenpairs(block, vals, vecs)
     # sign convention p_0 > 0: column i is p(x_i) / |p(x_i)| for the block's
     # shifted recurrence p.  At large |k| the leading entries underflow, so
     # the sign is read at idx, the first entry above 1e-14: p_j(x) > 0 up to
@@ -181,12 +190,25 @@ def eigendecompose(block: JacobiBlock, k: int | None = None) -> EigenBlock:
     vecs = vecs * np.where(flip, -1.0, 1.0)[None, :]
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    return EigenBlock(k=0 if k is None else k, eigenvalues=vals, vectors=vecs)
+    return EigenBlock(k=k, eigenvalues=vals, vectors=vecs)
+
+
+def eigendecompose(block: JacobiBlock, k: int | None = None) -> EigenBlock:
+    """Full spectrum and orthonormal eigenvectors, sorted by decreasing eigenvalue.
+
+    The result passes :func:`check_eigenpairs` (gap, range, residual and
+    orthogonality), or NumericError is raised.
+    """
+    eb = _solve(block, 0 if k is None else k)
+    check_eigenpairs(block, eb.eigenvalues, eb.vectors)
+    return eb
 
 
 def spectrum(block: JacobiBlock) -> np.ndarray:
     """Eigenvalues only, sorted decreasing."""
-    vals, _ = _eigh_block(block, vectors=False)
+    from scipy.linalg import eigh_tridiagonal
+
+    vals = eigh_tridiagonal(np.zeros(block.size), block.offdiag, eigvals_only=True)
     return vals[::-1].copy()
 
 
@@ -194,13 +216,16 @@ def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:
     """Eigendecompositions for every order -n <= k <= n.
 
     Blocks for k and -k are identical, so each |k| is solved once, in turn,
-    and block -k shares block +k's arrays.
+    and block -k shares block +k's arrays.  Every block is solved before
+    :func:`_check_band` checks them: a matrix product between two solves
+    leaves OpenBLAS's worker threads spinning, which slows the next
+    single-threaded LAPACK solve.
     """
-    out: dict[int, EigenBlock] = {}
-    for k, block in enumerate(_band_blocks(n, m)):
-        out[k] = eigendecompose(block, k)
-        if k > 0:
-            out[-k] = out[k].with_order(-k)
+    jacobi = _band_blocks(n, m)
+    out = {k: _solve(block, k) for k, block in enumerate(jacobi)}
+    _check_band(jacobi, out)
+    for k in range(1, n + 1):
+        out[-k] = out[k].with_order(-k)
     return out
 
 

@@ -284,18 +284,19 @@ def eval_basis_function(
     theta,
     phi,
 ):
-    """Localized basis function for order k and eigenvalue index i (1-based)."""
+    """Localized basis function for order k and eigenvalue index i (1-based).
+
+    ``theta`` and ``phi`` broadcast together, as in :func:`eval_harmonic`.
+    """
     params.block_size(k)  # ValueError for an order outside the band
     eb = blocks[k]
     if not 1 <= i <= eb.size:
         raise IndexError(f"index {i} outside 1..{eb.size}")
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    scalar = theta.ndim == 0 and phi.ndim == 0
-    table = radial_table(params, k, np.atleast_1d(theta))
-    radial = table @ eb.vectors[:, i - 1]
-    out = radial * np.exp(1j * k * np.atleast_1d(phi))
-    return complex(out[0]) if scalar else out.reshape(np.broadcast(theta, phi).shape)
+    radial = radial_table(params, k, theta.ravel()) @ eb.vectors[:, i - 1]
+    out = radial.reshape(theta.shape) * np.exp(1j * k * phi)
+    return complex(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=8)
@@ -372,11 +373,7 @@ def evaluate_basis_on_grid(
     params: BandParams, blocks: dict[int, EigenBlock], k: int, i: int, grid: SphereGrid
 ) -> np.ndarray:
     """Samples of the localized basis function for order k, index i (1-based)."""
-    size = params.block_size(k)
-    if not 1 <= i <= size:
-        raise IndexError(f"index {i} outside 1..{size}")
-    profile = radial_table(params, k, grid.theta) @ blocks[k].vectors[:, i - 1]
-    return np.outer(profile, np.exp(1j * k * grid.phi))
+    return eval_basis_function(params, blocks, k, i, grid.theta[:, None], grid.phi[None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, NumericError
-from .jacobi_blocks import EigenBlock, _band_blocks, band_eigenblocks, check_eigenpairs
+from .jacobi_blocks import EigenBlock, _band_blocks, _check_band, band_eigenblocks
 from .sphere_basis import (
     BandParams,
     HarmonicCoeffs,
@@ -58,38 +58,14 @@ def dense_op_count(n: int, m: int) -> int:
     return total // 3
 
 
-def _validate_blocks(
-    params: BandParams, blocks: dict[int, EigenBlock], tol: float, eigenpairs: bool = True
-) -> None:
-    """Check the blocks k = 0..n against their Jacobi matrices rebuilt from (n, m).
-
-    Runs :func:`check_eigenpairs` (order, range, O(N^2) residual) unless
-    ``eigenpairs`` is False, and the O(N^3) orthogonality check
-    max |V^T V - I| <= tol.  Block -k is block +k's eigendata.
-    """
-    jacobi = _band_blocks(params.n, params.m) if eigenpairs else None
-    for k in range(params.n + 1):
-        eb = blocks[k]
-        if eigenpairs:
-            try:
-                check_eigenpairs(jacobi[k], eb.eigenvalues, eb.vectors)
-            except NumericError as exc:
-                raise NumericError(f"block k={k}: {exc}") from None
-        gram = eb.vectors.T @ eb.vectors
-        gram.flat[:: eb.size + 1] -= 1.0
-        resid = max(gram.max(), -gram.min())
-        if not resid <= tol:
-            raise NumericError(
-                f"block k={k}: orthogonality residual {resid:.3e} exceeds {tol:g}"
-            )
-
-
 class TransformPlan:
     """Reusable per-band eigendata.
 
     Only ``blocks[k]`` for k = 0..n is read: block -k is block +k relabelled,
     sharing its arrays, since the Jacobi blocks of k and -k are the same
-    matrix.  Immutable once built; safe to share across concurrent transforms.
+    matrix.  Unless ``validate`` is False, every block k = 0..n must pass
+    :func:`~spherelok.jacobi_blocks.check_eigenpairs`.  Immutable once built;
+    safe to share across concurrent transforms.
     """
 
     def __init__(
@@ -110,21 +86,12 @@ class TransformPlan:
         self.mode = mode
         self._eigs: np.ndarray | None = None
         if validate:
-            _validate_blocks(params, self.blocks, 1e-12)
+            _check_band(_band_blocks(params.n, params.m), self.blocks)
 
     @classmethod
-    def build(
-        cls,
-        n: int,
-        m: int,
-        mode: str = "dense",
-        validate: bool = True,
-    ) -> "TransformPlan":
-        params = BandParams(n=n, m=m)
-        plan = cls(params, band_eigenblocks(n, m), mode=mode, validate=False)
-        if validate:  # eigendecompose has checked every eigenpair already
-            _validate_blocks(params, plan.blocks, 1e-12, eigenpairs=False)
-        return plan
+    def build(cls, n: int, m: int, mode: str = "dense") -> "TransformPlan":
+        # band_eigenblocks has checked every block already
+        return cls(BandParams(n=n, m=m), band_eigenblocks(n, m), mode=mode, validate=False)
 
     def eigenblock(self, k: int) -> EigenBlock:
         return self.blocks[k]
@@ -338,7 +305,6 @@ def load_plan(path, mode: str = "dense") -> TransformPlan:
     if pos != len(words) or trailing:
         raise FormatError(f"{path}: trailing bytes after last block")
     try:
-        _validate_blocks(params, blocks, 1e-10)
+        return TransformPlan(params, blocks, mode=mode)
     except NumericError as exc:
         raise NumericError(f"{path}: {exc}") from None
-    return TransformPlan(params, blocks, mode=mode, validate=False)

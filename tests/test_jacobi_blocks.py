@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from spherelok.errors import NumericError
 from spherelok.jacobi_blocks import (
     _band_blocks,
     band_eigenblocks,
     band_spectra,
     build_block,
+    check_eigenpairs,
     eigendecompose,
     thread_count,
 )
@@ -147,6 +149,21 @@ def test_edge_monotonicity_truncated_orders():
     assert np.argmax(tops) == 0
     bots = [spectra[k][-1] for k in range(n + 1)]
     assert np.argmin(bots) == 0
+
+
+def test_check_eigenpairs_rejects_non_orthonormal_vectors():
+    # a scaled column is still an eigenvector, with a residual far inside
+    # 1e-12 * size; only the orthogonality condition catches it
+    blk = build_block(12, 4, 8)
+    eb = eigendecompose(blk)
+    for scale in (1 + 5e-12, 1.001):
+        vecs = eb.vectors.copy()
+        vecs[:, 1] *= scale
+        with pytest.raises(NumericError, match="orthogonality residual"):
+            check_eigenpairs(blk, eb.eigenvalues, vecs)
+    vecs = eb.vectors.copy()
+    vecs[:, 1] *= 1 + 1e-13  # within the 1e-12 gate
+    check_eigenpairs(blk, eb.eigenvalues, vecs)
 
 
 def test_band_eigenblocks_shares_mirror_orders():

@@ -234,6 +234,26 @@ def test_basis_function_block_orthogonality(plan_cache):
     assert abs(grid.inner(f, h)) < 1e-12
 
 
+def test_basis_function_broadcasts_like_eval_harmonic(plan_cache):
+    # a 2-D theta, or a column theta against a row phi, gives one value per
+    # broadcast point, each equal to the scalar evaluation there
+    plan = plan_cache(8, 2)
+    theta = np.array([0.3, 1.1, 2.0])
+    phi = np.array([0.0, 0.7, 2.5, 4.0])
+    for k, i in ((0, 2), (-3, 1), (5, 4)):
+        ref = np.array(
+            [[eval_basis_function(plan.params, plan.blocks, k, i, t, f) for f in phi] for t in theta]
+        )
+        outer = eval_basis_function(plan.params, plan.blocks, k, i, theta[:, None], phi[None, :])
+        assert outer.shape == (3, 4)
+        assert np.abs(outer - ref).max() < 1e-14
+        theta2, phi2 = np.meshgrid(theta, phi, indexing="ij")
+        assert np.array_equal(
+            eval_basis_function(plan.params, plan.blocks, k, i, theta2, phi2), outer
+        )
+        assert eval_harmonic(8, k, theta2, phi2).shape == outer.shape
+
+
 def test_basis_function_rejects_bad_index(plan_cache):
     plan = plan_cache(8, 0)
     with pytest.raises(IndexError):

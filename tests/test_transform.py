@@ -181,6 +181,27 @@ def test_plan_loader_rejects_nonorthogonal_vectors(tmp_path, plan_cache):
         load_plan(path)
 
 
+def test_loaded_plan_meets_the_same_orthogonality_gate(tmp_path, plan_cache, rng, capsys):
+    # one column of block k=8 scaled by 1 + 5e-12: orthogonality residual 1e-11,
+    # above the 1e-12 that every built, loaded or passed-in block must meet
+    plan = plan_cache(12, 4)
+    blocks = dict(plan.blocks)
+    vecs = blocks[8].vectors.copy()
+    vecs[:, 1] *= 1 + 5e-12
+    blocks[8] = sl.EigenBlock(k=8, eigenvalues=blocks[8].eigenvalues, vectors=vecs)
+    path = tmp_path / "plan.bin"
+    save_plan(path, TransformPlan(plan.params, blocks, validate=False))
+    with pytest.raises(NumericError, match="k=8: orthogonality"):
+        load_plan(path)
+    with pytest.raises(NumericError, match="k=8: orthogonality"):
+        TransformPlan(plan.params, blocks)
+    cpath = tmp_path / "c.coeff"
+    save_coeffs(cpath, HarmonicCoeffs.random_unit(plan.params, rng))
+    rc = main(["analyze", "--plan", str(path), "--in", str(cpath), "--out", str(tmp_path / "o.coeff")])
+    assert rc == 4  # numeric-contract violation
+    assert "k=8: orthogonality" in capsys.readouterr().err
+
+
 def test_plan_build_validates_orthogonality(plan_cache):
     plan = plan_cache(6, 2)
     scaled = {
@@ -189,6 +210,22 @@ def test_plan_build_validates_orthogonality(plan_cache):
     }
     with pytest.raises(NumericError):
         TransformPlan(plan.params, scaled)
+
+
+def test_plan_build_checks_the_solved_blocks(monkeypatch):
+    # eigenvectors scaled by 1.001 keep a tiny eigenpair residual: only the
+    # orthogonality condition of the band check, run on every built plan,
+    # catches them
+    import scipy.linalg
+
+    solve = scipy.linalg.eigh_tridiagonal
+    monkeypatch.setattr(
+        scipy.linalg, "eigh_tridiagonal", lambda d, e: (solve(d, e)[0], solve(d, e)[1] * 1.001)
+    )
+    with pytest.raises(NumericError, match="block k=0: orthogonality"):
+        sl.band_eigenblocks(6, 2)
+    with pytest.raises(NumericError, match="block k=0: orthogonality"):
+        TransformPlan.build(6, 2)
 
 
 def test_plan_is_reusable(plan_cache, rng):
@@ -340,6 +377,41 @@ def test_plan_validation_rejects_bad_eigenvalues(plan_cache, i, value, message):
         TransformPlan(plan.params, _with_eigenvalue(plan, 8, i, value))
 
 
+_PLAN_MAGIC_LEN = len(b"SPHERELOK-PLAN v2\n")
+
+
+def _truncations(params, nbytes):
+    """Sampled lengths that cut a v2 plan file short, with load_plan's error.
+
+    Every length inside the magic line; the bytes around each header and
+    flag-word boundary and around the start and end of each record's label,
+    value and vector regions; one cut inside a word; and 32 lengths drawn
+    with a seed.  A cut inside the magic line reads as "bad magic"; one
+    inside ``n m`` or the flag words as "truncated header"; any later cut,
+    at a record boundary or inside a word, as "truncated at block k=..."
+    for the first incomplete record.
+    """
+    header = _PLAN_MAGIC_LEN + 8 * (2 + params.n)
+    edges = list(range(_PLAN_MAGIC_LEN, header, 8))
+    pos = header
+    for k in range(params.n, -1, -1):
+        size = params.block_size(k)
+        for length in (16, 8 * size, 8 * size * size):  # label, values, vectors
+            edges.append(pos)
+            pos += length
+    assert pos == nbytes
+    cuts = {*range(_PLAN_MAGIC_LEN), header + 16 + 4}
+    cuts.update(edge + d for edge in edges for d in (-1, 0, 1))
+    cuts.update(np.random.default_rng(nbytes).integers(0, nbytes, 32).tolist())
+    for cut in sorted(c for c in cuts if 0 <= c < nbytes):
+        if cut < _PLAN_MAGIC_LEN:
+            yield cut, "bad magic"
+        elif cut < header:
+            yield cut, "truncated header"
+        else:
+            yield cut, "truncated at block k="
+
+
 @settings(max_examples=12, deadline=None)
 @given(band=_bands(top=12))
 def test_plan_cache_v2_roundtrip_sharing_and_truncation(tmp_path_factory, plan_cache, band):
@@ -357,10 +429,13 @@ def test_plan_cache_v2_roundtrip_sharing_and_truncation(tmp_path_factory, plan_c
         for attr in ("eigenvalues", "vectors"):
             assert getattr(loaded.blocks[-alpha], attr) is getattr(loaded.blocks[alpha], attr)
     data = path.read_bytes()
-    for cut in [*range(len(data)), len(data) + 1]:
-        path.write_bytes(data[:cut] if cut < len(data) else data + b"\0")
-        with pytest.raises(FormatError):
+    for cut, message in _truncations(plan.params, len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(FormatError, match=message):
             load_plan(path)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(FormatError, match="trailing bytes"):
+        load_plan(path)
 
 
 def test_plan_cache_stores_each_shared_order_once(tmp_path, plan_cache):
