@@ -219,9 +219,12 @@ def test_plan_build_checks_the_solved_blocks(monkeypatch):
     import scipy.linalg
 
     solve = scipy.linalg.eigh_tridiagonal
-    monkeypatch.setattr(
-        scipy.linalg, "eigh_tridiagonal", lambda d, e: (solve(d, e)[0], solve(d, e)[1] * 1.001)
-    )
+
+    def scaled(d, e):
+        vals, vecs = solve(d, e)
+        return vals, vecs * 1.001
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", scaled)
     with pytest.raises(NumericError, match="block k=0: orthogonality"):
         sl.band_eigenblocks(6, 2)
     with pytest.raises(NumericError, match="block k=0: orthogonality"):
