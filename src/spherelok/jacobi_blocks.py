@@ -8,7 +8,7 @@ truncated (index-shifted) block, larger orders the untruncated one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,10 +62,26 @@ class JacobiBlock:
             raise ValueError("off-diagonal entries must be strictly positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EigenBlock:
-    """Sorted spectrum and orthonormal eigenvectors of one Jacobi block.
+    """Eigendata of one Jacobi block, held as its nonnegative half.
 
+    A Jacobi block has a zero diagonal, so D J D = -J for D = diag((-1)^j):
+    its eigenvalues come in pairs +-x, and if v is the unit eigenvector of
+    x, then D v is that of -x (the even/odd split of Golub and Kahan).  The
+    p_0 > 0 sign rule holds for both.  Of the N eigenpairs, sorted by
+    decreasing eigenvalue, the c = ceil(N / 2) largest are kept: ``values``
+    holds their eigenvalues, ``even`` (c x c) and ``odd`` (floor(N / 2) x c)
+    the even and odd rows of their eigenvectors.  The rest is their exact
+    mirror, x_{N-1-i} = -x_i and v_{N-1-i} = D v_i for i < N - c; the middle
+    pair of an odd N is kept once.
+
+    ``EigenBlock(k, eigenvalues, vectors)`` takes a full pair and raises
+    NumericError unless its last N - c pairs are that exact mirror of the
+    first.  ``eigenvalues`` and ``vectors`` give the full pair back as
+    read-only arrays, built on first access and kept (block -k shares them
+    with block +k); no transform, filter, bound, spectrum or plan-cache
+    path reads them.
     Eigenvalues are strictly decreasing; column i of ``vectors`` is the unit
     eigenvector for ``eigenvalues[i]``, signed so that p_0 > 0: it is
     p(x_i) / |p(x_i)| for the block's shifted recurrence p.  Its first entry
@@ -73,16 +89,72 @@ class EigenBlock:
     """
 
     k: int
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
+    values: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+    _full: dict = field(repr=False, compare=False)  # the full pair, once built
+
+    def __init__(self, k: int, eigenvalues, vectors):
+        vals = np.asarray(eigenvalues, dtype=float)
+        vecs = np.asarray(vectors, dtype=float)
+        size = len(vals)
+        if vecs.shape != (size, size):
+            raise ValueError(f"block k={k}: {vecs.shape} eigenvectors for {size} eigenvalues")
+        c, r = (size + 1) // 2, size // 2
+        parity = np.where(np.arange(size) % 2, -1.0, 1.0)[:, None]
+        mirrored = np.array_equal(vals[c:], -vals[:r][::-1], equal_nan=True) and np.array_equal(
+            vecs[:, c:], parity * vecs[:, :r][:, ::-1], equal_nan=True
+        )
+        if not mirrored:
+            raise NumericError(
+                f"block k={k}: eigenpairs {c}..{size - 1} are not the exact mirror "
+                "(-x, D v) of the first ones"
+            )
+        half = [a.copy() for a in (vals[:c], vecs[0::2, :c], vecs[1::2, :c])]
+        for a in half:
+            a.setflags(write=False)
+        self._set(k, *half, {})
+
+    @classmethod
+    def _half(cls, k: int, values, even, odd, full=None) -> "EigenBlock":
+        """Block from its kept half, taken as given (no copy, no check)."""
+        eb = cls.__new__(cls)
+        eb._set(k, values, even, odd, {} if full is None else full)
+        return eb
+
+    def _set(self, *fields) -> None:
+        for name, value in zip(("k", "values", "even", "odd", "_full"), fields):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
-        return len(self.eigenvalues)
+        return len(self.even) + len(self.odd)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        if "eigenvalues" not in self._full:
+            r = len(self.odd)  # the number of mirrored pairs, N - c
+            vals = np.concatenate([self.values, -self.values[:r][::-1]])
+            vals.setflags(write=False)
+            self._full["eigenvalues"] = vals
+        return self._full["eigenvalues"]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        if "vectors" not in self._full:
+            c, r = len(self.even), len(self.odd)
+            vecs = np.empty((c + r, c + r))
+            vecs[0::2, :c] = self.even
+            vecs[1::2, :c] = self.odd
+            vecs[0::2, c:] = self.even[:, :r][:, ::-1]
+            vecs[1::2, c:] = -self.odd[:, :r][:, ::-1]
+            vecs.setflags(write=False)
+            self._full["vectors"] = vecs
+        return self._full["vectors"]
 
     def with_order(self, k: int) -> "EigenBlock":
         """Same eigendata relabelled for another order (shares the arrays)."""
-        return EigenBlock(k=k, eigenvalues=self.eigenvalues, vectors=self.vectors)
+        return EigenBlock._half(k, self.values, self.even, self.odd, self._full)
 
 
 def _block_shape(params: BandParams, k: int) -> tuple[int, int]:
@@ -118,56 +190,100 @@ def _band_blocks(n: int, m: int) -> list[JacobiBlock]:
     return blocks
 
 
-def check_eigenpairs(block: JacobiBlock, vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Raise NumericError unless (vals, vecs) are sorted orthonormal eigenpairs of block.
+def _absmax(*arrays: np.ndarray) -> float:
+    """Largest |entry| of the arrays (0 if all are empty, NaN if any entry is NaN)."""
+    ends = [(a.max(initial=0.0), -a.min(initial=0.0)) for a in arrays]
+    return float(np.max(ends))
 
-    This is the one definition of valid eigendata, whether it was solved,
-    loaded from a plan cache or passed in, and it has no tolerance to set:
 
-    - the eigenvalues are strictly decreasing, with every gap above 1e-13;
-    - they lie inside (-1, 1);
-    - the residual max |J V - V diag(vals)|, one tridiagonal matvec per
-      column, is at most 1e-12 * size;
-    - the orthogonality residual max |V^T V - I| is at most 1e-12.
-
-    The comparisons are written so that NaN fails them.
-    """
+def _check_spectrum(block: JacobiBlock, eb: EigenBlock) -> None:
+    """Gap, range and residual conditions of :func:`check_eigenpairs`."""
+    if eb.size != block.size:
+        raise NumericError(f"{eb.size} eigenpairs for a block of size {block.size}")
+    x, e, o = eb.values, eb.even, eb.odd
     if block.size > 1:
-        gap = (vals[:-1] - vals[1:]).min()
+        # the mirror repeats the gaps of the kept half; the one across zero
+        # is x_{c-1} + x_c, with x_c = -x_{c-1} for even N
+        across = x[-1] + (x[-1] if len(o) == len(e) else x[-2])
+        gap = np.append(x[:-1] - x[1:], across).min()
         if not gap > _MIN_EIGENVALUE_GAP:
             raise NumericError(
                 f"eigenvalue gap {gap:.3e} not above {_MIN_EIGENVALUE_GAP}: "
                 "not strictly decreasing"
             )
-    if not np.abs(vals).max() < 1.0:
+    if not np.abs(x).max() < 1.0:
         raise NumericError("eigenvalues escaped the open interval (-1, 1)")
-    resid = vecs * -vals
+    # J v - x v on the kept columns, even rows and odd rows apart: J couples
+    # row 2j with rows 2j +- 1 only.  b_{2j} joins rows 2j and 2j + 1, and
+    # b_{2j+1} rows 2j + 1 and 2j + 2.  A mirror's residual is exactly the
+    # negated D-image of its partner's, so it has the same maximum
+    res_e = e * -x
+    res_o = o * -x
     if block.size > 1:
-        off = block.offdiag[:, None]
-        resid[:-1] += off * vecs[1:]
-        resid[1:] += off * vecs[:-1]
-    worst = max(resid.max(), -resid.min())
+        b_even, b_odd = block.offdiag[0::2, None], block.offdiag[1::2, None]
+        res_e[: len(o)] += b_even * o
+        res_e[1:] += b_odd * o[: len(e) - 1]
+        res_o[: len(e) - 1] += b_odd * e[1:]
+        res_o += b_even * e[: len(o)]
+    worst = _absmax(res_e, res_o)
     if not worst <= 1e-12 * block.size:
         raise NumericError(f"eigenpair residual {worst:.3e} too large")
-    gram = vecs.T @ vecs
-    gram.flat[:: block.size + 1] -= 1.0
-    worst = max(gram.max(), -gram.min())
+
+
+def _check_orthogonality(block: JacobiBlock, eb: EigenBlock) -> None:
+    """Orthogonality condition of :func:`check_eigenpairs`, from two half-size Grams.
+
+    With G_e = E^T E and G_o = O^T O, the kept columns have Gram matrix
+    G_e + G_o, each mirror pair the same, and kept column i against mirror
+    D v_j has (G_e - G_o)[i, j]; so max |V^T V - I| is the larger of
+    max |G_e + G_o - I| and max |(G_e - G_o)[:, :N-c]|.
+    """
+    e, o = eb.even, eb.odd
+    g_even = np.dot(e.T, e)
+    g_odd = np.dot(o.T, o)
+    cross = (g_even - g_odd)[:, : len(o)]
+    g_even += g_odd
+    g_even.flat[:: len(e) + 1] -= 1.0
+    worst = _absmax(g_even, cross)
     if not worst <= 1e-12:
         raise NumericError(f"orthogonality residual {worst:.3e} exceeds 1e-12")
+
+
+def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
+    """Raise NumericError unless ``eb`` holds sorted orthonormal eigenpairs of block.
+
+    This is the one definition of valid eigendata, whether it was solved,
+    loaded from a plan cache or passed in, and it has no tolerance to set.
+    It checks the matrix the transforms apply, the kept half and its exact
+    mirror (see :class:`EigenBlock`), against four conditions:
+
+    - the eigenvalues are strictly decreasing, with every gap above 1e-13;
+    - they lie inside (-1, 1);
+    - the residual max |J V - V diag(x)|, one tridiagonal matvec per
+      column, is at most 1e-12 * size;
+    - the orthogonality residual max |V^T V - I| is at most 1e-12.
+
+    The comparisons are written so that NaN fails them.
+    """
+    _check_spectrum(block, eb)
+    _check_orthogonality(block, eb)
 
 
 def _check_band(jacobi: list[JacobiBlock], blocks: dict[int, EigenBlock]) -> None:
     """Run :func:`check_eigenpairs` on blocks k = 0..n of a band.
 
     ``jacobi`` is :func:`_band_blocks` of the band.  An error names the
-    block it was found in.  Block -k is block +k's eigendata.
+    block it was found in.  Block -k is block +k's eigendata.  Every
+    block's elementwise conditions run before any Gram product: a matrix
+    product leaves OpenBLAS's worker threads spinning, which slows the
+    elementwise work that follows it.
     """
-    for k, block in enumerate(jacobi):
-        eb = blocks[k]
-        try:
-            check_eigenpairs(block, eb.eigenvalues, eb.vectors)
-        except NumericError as exc:
-            raise NumericError(f"block k={k}: {exc}") from None
+    for check in (_check_spectrum, _check_orthogonality):
+        for k, block in enumerate(jacobi):
+            try:
+                check(block, blocks[k])
+            except NumericError as exc:
+                raise NumericError(f"block k={k}: {exc}") from None
 
 
 def _solve(block: JacobiBlock, k: int) -> EigenBlock:
@@ -177,7 +293,8 @@ def _solve(block: JacobiBlock, k: int) -> EigenBlock:
     from scipy.linalg import eigh_tridiagonal
 
     vals, vecs = eigh_tridiagonal(np.zeros(block.size), block.offdiag)
-    order = np.argsort(vals)[::-1]
+    # keep the c = ceil(N / 2) largest eigenpairs; the rest mirror them
+    order = np.argsort(vals)[::-1][: (block.size + 1) // 2]
     vals = vals[order]
     vecs = vecs[:, order]
     # sign convention p_0 > 0: column i is p(x_i) / |p(x_i)| for the block's
@@ -185,12 +302,13 @@ def _solve(block: JacobiBlock, k: int) -> EigenBlock:
     # the sign is read at idx, the first entry above 1e-14: p_j(x) > 0 up to
     # there for x > 0, and p_j(-x) = (-1)^j p_j(x)
     idx = np.argmax(np.abs(vecs) > 1e-14, axis=0)
-    lead = vecs[idx, np.arange(block.size)]
+    lead = vecs[idx, np.arange(len(vals))]
     flip = (lead < 0) != ((vals < 0) & (idx % 2 == 1))
-    vecs = vecs * np.where(flip, -1.0, 1.0)[None, :]
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
-    return EigenBlock(k=k, eigenvalues=vals, vectors=vecs)
+    signs = np.where(flip, -1.0, 1.0)
+    half = [vals, vecs[0::2] * signs, vecs[1::2] * signs]
+    for a in half:
+        a.setflags(write=False)
+    return EigenBlock._half(k, *half)
 
 
 def eigendecompose(block: JacobiBlock, k: int | None = None) -> EigenBlock:
@@ -200,7 +318,7 @@ def eigendecompose(block: JacobiBlock, k: int | None = None) -> EigenBlock:
     orthogonality), or NumericError is raised.
     """
     eb = _solve(block, 0 if k is None else k)
-    check_eigenpairs(block, eb.eigenvalues, eb.vectors)
+    check_eigenpairs(block, eb)
     return eb
 
 

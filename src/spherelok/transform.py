@@ -1,13 +1,17 @@
 """Transforms between harmonic and localized coefficients.
 
-Each block is multiplied by its orthogonal eigenvector matrix: one real
-matrix product per |k| (:func:`_apply_blocks`) serves analysis, synthesis,
-filtering and the tail bounds.
+Each block is multiplied by its orthogonal eigenvector matrix V, through
+the half of V that a plan holds (:class:`~spherelok.jacobi_blocks.EigenBlock`):
+its even and odd rows of the ceil(N / 2) leading columns, whose mirrors
+are the other columns.  One kernel, two real half-size products per |k|
+(:func:`_apply_blocks`), serves analysis, synthesis, filtering and the
+tail bounds.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -36,13 +40,19 @@ __all__ = [
     "load_plan",
 ]
 
-_PLAN_MAGIC = b"SPHERELOK-PLAN v2\n"
-_PLAN_MAGIC_V1 = b"SPHERELOK-PLAN v1\n"
+_PLAN_MAGIC = b"SPHERELOK-PLAN v3\n"
+_OLD_PLAN_MAGICS = (b"SPHERELOK-PLAN v1\n", b"SPHERELOK-PLAN v2\n")
 
 
 @dataclass
 class OpCounter:
-    """Accumulates the arithmetic operations of dense block multiplies."""
+    """Accumulates the operation count of dense block multiplies.
+
+    The count is that of a product with the full N x N matrix, (2N - 1) N
+    per block: the dense-equivalent count, which :func:`dense_op_count`
+    gives in closed form.  The kernel, which multiplies by half of V (see
+    :func:`_apply_blocks`), performs about half of it.
+    """
 
     ops: int = 0
 
@@ -51,7 +61,11 @@ class OpCounter:
 
 
 def dense_op_count(n: int, m: int) -> int:
-    """Closed form of the dense transform operation count, sum_k (2 N_k - 1) N_k."""
+    """Closed form of the dense transform operation count, sum_k (2 N_k - 1) N_k.
+
+    A dense-equivalent count, as :class:`OpCounter`'s: the kernel performs
+    about half of it.
+    """
     total = (n - m + 1) * (4 * n * n + n * (4 * m + 5) + 3 + m - 8 * m * m)
     if total % 3:
         raise AssertionError("operation-count formula must be divisible by 3")
@@ -63,9 +77,13 @@ class TransformPlan:
 
     Only ``blocks[k]`` for k = 0..n is read: block -k is block +k relabelled,
     sharing its arrays, since the Jacobi blocks of k and -k are the same
-    matrix.  Unless ``validate`` is False, every block k = 0..n must pass
-    :func:`~spherelok.jacobi_blocks.check_eigenpairs`.  Immutable once built;
-    safe to share across concurrent transforms.
+    matrix.  Each block holds the kept half of its eigendata
+    (:class:`~spherelok.jacobi_blocks.EigenBlock`); a full pair passed as
+    ``EigenBlock(k, eigenvalues, vectors)`` has already been held to being
+    the exact mirror of that half.  Unless ``validate`` is False, every
+    block k = 0..n must pass :func:`~spherelok.jacobi_blocks.check_eigenpairs`.
+    Immutable once built; safe to share across concurrent transforms: each
+    thread gets its own work buffers (:class:`_Kernel`).
     """
 
     def __init__(
@@ -85,6 +103,7 @@ class TransformPlan:
                 self.blocks[-k] = blocks[k].with_order(-k)
         self.mode = mode
         self._eigs: np.ndarray | None = None
+        self._local = threading.local()
         if validate:
             _check_band(_band_blocks(params.n, params.m), self.blocks)
 
@@ -96,11 +115,21 @@ class TransformPlan:
     def eigenblock(self, k: int) -> EigenBlock:
         return self.blocks[k]
 
+    def _kernel(self, batch: int) -> "_Kernel":
+        """This thread's kernel for batches of ``batch`` vectors."""
+        kernel = getattr(self._local, "kernel", None)
+        if kernel is None or kernel.batch != batch:
+            kernel = self._local.kernel = _Kernel(self, batch)
+        return kernel
+
     def eigenvalue_vector(self) -> np.ndarray:
         """All eigenvalues in the canonical localized-coefficient order."""
         if self._eigs is None:
-            parts = [self.blocks[k].eigenvalues for k in self.params.orders()]
-            eigs = np.concatenate(parts)
+            # the kept values, then their negations, in the rows of the
+            # paired layout's localized side
+            kept = np.concatenate([self.blocks[a].values for a in range(self.params.n + 1)])
+            rows = _paired_layout(self.params).half_inverse // 2
+            eigs = np.concatenate([kept, -kept])[rows]
             eigs.setflags(write=False)
             self._eigs = eigs
         return self._eigs
@@ -109,10 +138,11 @@ class TransformPlan:
         """Whether block k takes a factored fast pipeline: never.
 
         The Chebyshev cascade plus windowed NDCT of ``_fastcheb`` loses to
-        the paired dense product at every block size a plan can hold: at
-        |k| = 1, both +-k, 2.1 ms against 0.02 ms at N = 256 and 6.7 ms
-        against 4.5 ms at N = 2048, a tie only near N = 4096, whose dense
-        plan would take about 180 GB.
+        the kernel's two paired half-size products at every block size a
+        plan can hold: at |k| = 1, both +-k, best of 7 on a 2-vCPU x86
+        host, 0.62 ms against 0.007 ms at N = 256 and 2.3 ms against
+        1.7 ms at N = 2048.  It wins only near N = 4096 (4.7 ms against
+        9.5 ms), whose plan would take about 92 GB.
         """
         return False
 
@@ -125,18 +155,46 @@ def _check_match(plan: TransformPlan, coeffs) -> None:
 
 
 class _Layout(NamedTuple):
-    """The +-k-paired layout of a band, the dense kernel's working order.
+    """The +-k-paired, even/odd-split layout of a band, the kernel's working order.
 
-    Row r holds entry j of block +alpha next to entry j of block -alpha:
-    ``index[r]`` gives their two positions in the canonical layout (the same
-    position twice for alpha = 0), and ``inverse`` maps each canonical
-    position p to a slot 2 r + s with ``index[r, s] == p``.  ``rows[alpha]``
-    is the range of rows of order alpha.
+    Every row pairs an entry of block +alpha with the same entry of block
+    -alpha: it holds their two positions in the canonical layout (the same
+    position twice for alpha = 0).  With c_alpha = ceil(N_alpha / 2):
+
+    - ``split`` lists the harmonic side, the rows of V: the even entries of
+      every order alpha = 0..n, c_alpha rows each, then their odd entries;
+    - ``half`` lists the localized side, the columns of V: the first
+      c_alpha entries of every order, then, row for row, their mirrors
+      N_alpha - 1 - i.  The mirror of an odd block's middle entry is the
+      entry itself; those rows are ``middle``.
+
+    Each ``*_inverse`` maps a canonical position p to a slot 2 r + s with
+    row r of that array holding p in column s (the top row, not the mirror,
+    for a middle entry).  ``top[alpha]`` are the rows of order alpha in the
+    first part of either array, ``bottom[alpha]`` those in the second part
+    of ``half`` and ``low[alpha]`` those in the second part of ``split``.
     """
 
-    index: np.ndarray
-    inverse: np.ndarray
-    rows: tuple[slice, ...]
+    split: np.ndarray
+    split_inverse: np.ndarray
+    half: np.ndarray
+    half_inverse: np.ndarray
+    middle: np.ndarray
+    top: tuple[slice, ...]
+    low: tuple[slice, ...]
+    bottom: tuple[slice, ...]
+
+
+def _set_slots(inverse: np.ndarray, index: np.ndarray, first: int) -> None:
+    """Map the positions in ``index``, its rows numbered from ``first``, to their slots."""
+    rows = 2 * np.arange(first, first + len(index))
+    inverse[index[:, 0]] = rows
+    inverse[index[:, 1]] = rows + 1  # block 0 keeps slot 1
+
+
+def _bounds(counts: np.ndarray, base: int = 0) -> tuple[slice, ...]:
+    ends = (base + np.concatenate([[0], np.cumsum(counts)])).tolist()
+    return tuple(map(slice, ends[:-1], ends[1:]))
 
 
 @lru_cache(maxsize=8)
@@ -147,14 +205,77 @@ def _paired_layout(params: BandParams) -> _Layout:
     # block +alpha sits as far from its block's start as its partner in -alpha
     minus = np.flatnonzero(orders <= 0)
     alphas = -orders[minus]
-    plus = minus - starts[params.n + alphas] + starts[params.n - alphas]
-    # index and inverse stay writable: np.take copies a read-only index array
-    index = np.stack([plus, minus], axis=1)
-    inverse = np.empty(params.dimension, dtype=np.intp)
-    inverse[plus] = 2 * np.arange(len(plus))
-    inverse[minus] = 2 * np.arange(len(minus)) + 1  # block 0 keeps slot 1
-    ends = np.searchsorted(alphas, np.arange(params.n + 2)).tolist()
-    return _Layout(index, inverse, tuple(map(slice, ends[:-1], ends[1:])))
+    j = minus - starts[params.n + alphas]
+    pairs = np.stack([j + starts[params.n - alphas], minus], axis=1)
+    sizes = np.bincount(alphas, minlength=params.n + 1)
+    n_row = sizes[alphas]
+    even = j % 2 == 0
+    # rows stay sorted by alpha, then j, under every mask below
+    split = np.concatenate([pairs[even], pairs[~even]])
+    kept = np.flatnonzero(2 * j < n_row)  # j < c
+    mirror = kept + n_row[kept] - 1 - 2 * j[kept]
+    half = np.concatenate([pairs[kept], pairs[mirror]])
+    n_top = len(kept)
+    # index arrays stay writable: np.take copies a read-only index array
+    split_inverse = np.empty(params.dimension, dtype=np.intp)
+    _set_slots(split_inverse, split, 0)
+    half_inverse = np.empty(params.dimension, dtype=np.intp)
+    _set_slots(half_inverse, pairs[mirror], n_top)
+    _set_slots(half_inverse, pairs[kept], 0)  # a middle entry reads its top row
+    return _Layout(
+        split=split,
+        split_inverse=split_inverse,
+        half=half,
+        half_inverse=half_inverse,
+        middle=n_top + np.flatnonzero(mirror == kept),
+        top=_bounds((sizes + 1) // 2),
+        low=_bounds(sizes // 2, n_top),
+        bottom=_bounds((sizes + 1) // 2, n_top),
+    )
+
+
+def _plus_minus(x: tuple[np.ndarray, np.ndarray], out: tuple[np.ndarray, np.ndarray]) -> None:
+    """out = (a + b, a - b) for x = (a, b)."""
+    np.add(*x, out=out[0])
+    np.subtract(*x, out=out[1])
+
+
+class _Kernel:
+    """One thread's work buffers for a plan and a batch size, every product bound.
+
+    One buffer holds a batch in the paired layout and one the operands of
+    the other side.  Each product of :func:`_apply_blocks` is a bound
+    ``ndarray.dot`` with its input and output slices taken here once, so a
+    pass runs nothing per block but the two products.  The smallest blocks
+    cost little more than that call overhead.
+    """
+
+    def __init__(self, plan: TransformPlan, batch: int):
+        layout = _paired_layout(plan.params)
+        self.layout = layout
+        self.batch = batch
+        rows = len(layout.half)  # the longer layout: 2 c_alpha >= N_alpha rows per order
+        work = np.empty((rows, 2, batch), dtype=complex)
+        w = work.view(float).reshape(rows, 4 * batch)
+        p = np.empty_like(w)
+        self.work = work
+        self.work_split = work[: len(layout.split)]
+        self.slots = work.reshape(2 * rows, batch).T
+        # the two halves [a; b] of each buffer, for the band-wide a + b, a - b
+        self.w = (w[: rows // 2], w[rows // 2 :])
+        self.prod = (p[: rows // 2], p[rows // 2 :])
+        blocks = [plan.blocks[alpha] for alpha in range(plan.params.n + 1)]
+        slices = list(zip(blocks, layout.top, layout.low, layout.bottom))
+        # analysis: a = E^T y_even into the top rows, b = O^T y_odd below
+        self.analysis = [
+            (eb.even.T.dot, w[top], p[top], eb.odd.T.dot, w[low], p[bottom])
+            for eb, top, low, bottom in slices
+        ]
+        # synthesis: y_even = E s and y_odd = O d, from s above d
+        self.synthesis = [
+            (eb.even.dot, p[top], w[top], eb.odd.dot, p[bottom], w[low])
+            for eb, top, low, bottom in slices
+        ]
 
 
 def _apply_blocks(
@@ -166,26 +287,46 @@ def _apply_blocks(
     """Multiply every block of a batch of B vectors by V^T (``transpose``) or V.
 
     ``x`` is a complex ``(B, dimension)`` array, one vector in the canonical
-    layout per row.  One gather into the paired layout puts blocks +k and
-    -k, which share V, side by side, and the result is read through its
-    float64 view: each |k| costs one real matrix product on 4B columns (real
-    and imaginary parts of both blocks), with no complex copy of V.  One
-    gather through the inverse permutation writes the result to ``out``
+    layout per row.  V is applied through its kept half, E (even rows) and
+    O (odd rows) of its c = ceil(N / 2) leading columns, since its other
+    columns are their mirrors D v_i (see :class:`EigenBlock`):
+
+    - V^T y: a = E^T y_even, b = O^T y_odd; entry i is a_i + b_i and its
+      mirror N - 1 - i is a_i - b_i;
+    - V z: with s = z_top + z_mirror and d = z_top - z_mirror (the middle
+      entry of an odd block has no mirror), y_even = E s and y_odd = O d.
+
+    One gather into the paired layout (:func:`_paired_layout`) puts blocks
+    +k and -k, which share V, side by side and splits the input into the
+    two halves its products read; each is read through its float64 view,
+    so each |k| costs two real half-size products on 4B columns (real and
+    imaginary parts of both blocks), with no complex copy of V.  That is
+    half the multiply-adds, and half the bytes of V, of one product with
+    the full V.  The sums and differences run once over the whole band.
+    One gather through the inverse permutation writes the result to ``out``
     (a new array if None; it may be ``x`` itself).
     """
-    layout = _paired_layout(plan.params)
     x = np.asarray(x, dtype=complex)
-    batch = x.shape[0]
-    gathered = np.take(x.T, layout.index, axis=0)
-    pair = gathered.view(float).reshape(len(gathered), 4 * batch)
-    for alpha in range(plan.params.n + 1):
-        r = layout.rows[alpha]  # each product overwrites its own input rows
-        v = plan.blocks[alpha].vectors
-        # np.dot: less per-call overhead than np.matmul
-        pair[r] = np.dot(v.T if transpose else v, pair[r])
-    slots = gathered.reshape(2 * len(gathered), batch).T
-    # mode="clip" skips the bounds check that would buffer ``out``
-    return np.take(slots, layout.inverse, axis=1, out=out, mode="clip")
+    kernel = plan._kernel(x.shape[0])
+    layout = kernel.layout
+    # every take uses mode="clip": it skips the bounds check that would
+    # buffer ``out``, and the layout's indices are in range
+    if transpose:
+        np.take(x.T, layout.split, axis=0, out=kernel.work_split, mode="clip")
+        for dot_e, y_e, a, dot_o, y_o, b in kernel.analysis:
+            dot_e(y_e, a)
+            dot_o(y_o, b)
+        _plus_minus(kernel.prod, kernel.w)
+        inverse = layout.half_inverse
+    else:
+        np.take(x.T, layout.half, axis=0, out=kernel.work, mode="clip")
+        kernel.work[layout.middle] = 0.0
+        _plus_minus(kernel.w, kernel.prod)
+        for dot_e, s, y_e, dot_o, d, y_o in kernel.synthesis:
+            dot_e(s, y_e)
+            dot_o(d, y_o)
+        inverse = layout.split_inverse
+    return np.take(kernel.slots, inverse, axis=1, out=out, mode="clip")
 
 
 def analyze(
@@ -225,12 +366,16 @@ def analyze_fast(plan: TransformPlan, coeffs: HarmonicCoeffs) -> LocalizedCoeffs
 
 
 def save_plan(path, plan: TransformPlan) -> None:
-    """Serialize eigendata to a v2 cache file of little-endian 8-byte words.
+    """Serialize eigendata to a v3 cache file of little-endian 8-byte words.
 
     After the 18-byte magic line come ``n m``, n flag words written as 0,
-    then one record ``k, N_k, eigenvalues, eigenvectors`` (row-major) per
-    block in the order k = n .. 0.  Block -k is block +k's eigendata, so
-    each |k| is stored once and the file ends in eigenvector bytes.
+    then one record per block in the order k = n .. 0: ``k, N_k``, the
+    c = ceil(N_k / 2) kept eigenvalues and the N_k x c kept eigenvectors,
+    their even rows then their odd rows, row-major (see
+    :class:`~spherelok.jacobi_blocks.EigenBlock`).  Block -k is block +k's
+    eigendata and the other N_k - c eigenpairs are the kept ones' mirrors,
+    so each |k| is stored once, as half of V, and the file ends in
+    eigenvector bytes.
     """
     params = plan.params
     with open(path, "wb") as fh:
@@ -239,26 +384,26 @@ def save_plan(path, plan: TransformPlan) -> None:
         for k in range(params.n, -1, -1):
             eb = plan.blocks[k]
             np.array([k, eb.size], dtype="<i8").tofile(fh)
-            eb.eigenvalues.astype("<f8").tofile(fh)
-            eb.vectors.astype("<f8").tofile(fh)
+            for a in (eb.values, eb.even, eb.odd):
+                a.astype("<f8").tofile(fh)
 
 
 def load_plan(path, mode: str = "dense") -> TransformPlan:
-    """Load a v2 plan cache, verifying layout and every record's eigendata.
+    """Load a v3 plan cache, verifying layout and every record's eigendata.
 
     The file is read once into one 8-byte-aligned buffer; each block's
-    arrays are read-only views of it, and block -k shares block +k's.  A v1
-    cache is rejected, since it may hold eigenvector signs from before the
-    p_0 > 0 rule, and so is a nonzero flag word, which would announce a
-    separate record for some -k.
+    arrays are read-only views of it, and block -k shares block +k's.  v1
+    and v2 caches are rejected: v1 may hold eigenvector signs from before
+    the p_0 > 0 rule, and both store all of V.  So is a nonzero flag word,
+    which would announce a separate record for some -k.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(_PLAN_MAGIC))
-        if magic == _PLAN_MAGIC_V1:
+        if magic in _OLD_PLAN_MAGICS:
             raise FormatError(
-                f"{path}: plan cache format v1 is no longer read; delete the file "
-                "and rebuild it with `spherelok plan`"
+                f"{path}: plan cache format {magic[-3:-1].decode()} is no longer read; "
+                "delete the file and rebuild it with `spherelok plan`"
             )
         if magic != _PLAN_MAGIC:
             raise FormatError(f"{path}: not a plan cache (bad magic)")
@@ -289,7 +434,8 @@ def load_plan(path, mode: str = "dense") -> TransformPlan:
     pos = 2 + n
     for k in range(n, -1, -1):
         size = params.block_size(k)
-        end = pos + 2 + size + size * size
+        c = (size + 1) // 2
+        end = pos + 2 + c + size * c
         if end > len(words):
             raise FormatError(f"{path}: truncated at block k={k}")
         k_read, size_read = int(words[pos]), int(words[pos + 1])
@@ -298,9 +444,9 @@ def load_plan(path, mode: str = "dense") -> TransformPlan:
                 f"{path}: block record ({k_read}, {size_read}) out of order; "
                 f"expected ({k}, {size})"
             )
-        vals = data[pos + 2 : pos + 2 + size]
-        vecs = data[pos + 2 + size : end].reshape(size, size)
-        blocks[k] = EigenBlock(k=k, eigenvalues=vals, vectors=vecs)
+        vals = data[pos + 2 : pos + 2 + c]
+        vecs = data[pos + 2 + c : end].reshape(size, c)
+        blocks[k] = EigenBlock._half(k, vals, vecs[:c], vecs[c:])
         pos = end
     if pos != len(words) or trailing:
         raise FormatError(f"{path}: trailing bytes after last block")

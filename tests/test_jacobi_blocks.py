@@ -5,6 +5,7 @@ import pytest
 
 from spherelok.errors import NumericError
 from spherelok.jacobi_blocks import (
+    EigenBlock,
     _band_blocks,
     band_eigenblocks,
     band_spectra,
@@ -153,23 +154,26 @@ def test_edge_monotonicity_truncated_orders():
 
 def test_check_eigenpairs_rejects_non_orthonormal_vectors():
     # a scaled column is still an eigenvector, with a residual far inside
-    # 1e-12 * size; only the orthogonality condition catches it
+    # 1e-12 * size; only the orthogonality condition catches it.  Column 1
+    # of the five is scaled with its mirror, column 3, so that the pair
+    # stays an exact mirror
     blk = build_block(12, 4, 8)
     eb = eigendecompose(blk)
     for scale in (1 + 5e-12, 1.001):
         vecs = eb.vectors.copy()
-        vecs[:, 1] *= scale
+        vecs[:, [1, 3]] *= scale
         with pytest.raises(NumericError, match="orthogonality residual"):
-            check_eigenpairs(blk, eb.eigenvalues, vecs)
+            check_eigenpairs(blk, EigenBlock(8, eb.eigenvalues, vecs))
     vecs = eb.vectors.copy()
-    vecs[:, 1] *= 1 + 1e-13  # within the 1e-12 gate
-    check_eigenpairs(blk, eb.eigenvalues, vecs)
+    vecs[:, [1, 3]] *= 1 + 1e-13  # within the 1e-12 gate
+    check_eigenpairs(blk, EigenBlock(8, eb.eigenvalues, vecs))
 
 
 def test_band_eigenblocks_shares_mirror_orders():
     blocks = band_eigenblocks(8, 2)
     assert set(blocks) == set(range(-8, 9))
-    assert blocks[3].vectors is blocks[-3].vectors
+    for attr in ("values", "even", "odd"):
+        assert getattr(blocks[3], attr) is getattr(blocks[-3], attr)
     assert blocks[3].k == 3 and blocks[-3].k == -3
 
 
@@ -182,3 +186,36 @@ def test_band_eigenblocks_equals_per_block_solves(n, m):
         ref = eigendecompose(build_block(n, m, k))
         assert blocks[k].eigenvalues.tobytes() == ref.eigenvalues.tobytes()
         assert blocks[k].vectors.tobytes() == ref.vectors.tobytes()
+
+
+@pytest.mark.parametrize("n,m", [(12, 4), (9, 0), (3, 3)])
+def test_built_blocks_hold_half_of_an_exact_mirror(n, m):
+    # the kept half is the c = ceil(N / 2) largest eigenpairs, split into even
+    # and odd rows; the full pair rebuilt from it is read-only, and handing
+    # it back in keeps the same half bit for bit
+    for k, eb in band_eigenblocks(n, m).items():
+        size = eb.size
+        c = (size + 1) // 2
+        assert eb.values.shape == (c,) and eb.even.shape == (c, c)
+        assert eb.odd.shape == (size // 2, c)
+        vals, vecs = eb.eigenvalues, eb.vectors
+        assert not vals.flags.writeable and not vecs.flags.writeable
+        parity = np.where(np.arange(size) % 2, -1.0, 1.0)[:, None]
+        assert np.array_equal(vals[::-1][: size // 2], -vals[: size // 2])
+        assert np.array_equal(vecs[:, ::-1][:, : size // 2], parity * vecs[:, : size // 2])
+        again = EigenBlock(k, vals, vecs)
+        for attr in ("values", "even", "odd"):
+            assert getattr(again, attr).tobytes() == getattr(eb, attr).tobytes()
+
+
+@pytest.mark.parametrize("where", ["vector", "value"])
+def test_full_pair_whose_mirror_differs_in_one_bit_is_rejected(where):
+    # nothing handed in is dropped unchecked: the mirror half must be exact
+    eb = eigendecompose(build_block(12, 4, 5), k=5)
+    vals, vecs = eb.eigenvalues.copy(), eb.vectors.copy()
+    if where == "vector":
+        vecs.view(np.int64)[3, -2] ^= 1  # last bit of an entry of column N - 2
+    else:
+        vals.view(np.int64)[-1] ^= 1
+    with pytest.raises(NumericError, match="block k=5: .* not the exact mirror"):
+        EigenBlock(5, vals, vecs)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spherelok as sl
@@ -182,12 +182,13 @@ def test_plan_loader_rejects_nonorthogonal_vectors(tmp_path, plan_cache):
 
 
 def test_loaded_plan_meets_the_same_orthogonality_gate(tmp_path, plan_cache, rng, capsys):
-    # one column of block k=8 scaled by 1 + 5e-12: orthogonality residual 1e-11,
-    # above the 1e-12 that every built, loaded or passed-in block must meet
+    # one column of block k=8 scaled by 1 + 5e-12, with its mirror column 3:
+    # orthogonality residual 1e-11, above the 1e-12 that every built, loaded
+    # or passed-in block must meet
     plan = plan_cache(12, 4)
     blocks = dict(plan.blocks)
     vecs = blocks[8].vectors.copy()
-    vecs[:, 1] *= 1 + 5e-12
+    vecs[:, [1, 3]] *= 1 + 5e-12
     blocks[8] = sl.EigenBlock(k=8, eigenvalues=blocks[8].eigenvalues, vectors=vecs)
     path = tmp_path / "plan.bin"
     save_plan(path, TransformPlan(plan.params, blocks, validate=False))
@@ -275,16 +276,33 @@ def test_paired_layout_and_layout_offdiag_follow_the_label_columns(band):
     params = BandParams(*band)
     orders, indices = _label_columns(params, "localized")
     layout = _paired_layout(params)
-    plus, minus = layout.index.T
-    # row r holds one label (alpha, i) in block +alpha and in block -alpha
-    assert np.array_equal(orders[plus], -orders[minus])
-    assert np.array_equal(indices[plus], indices[minus])
-    assert np.array_equal(layout.index.ravel()[layout.inverse], np.arange(params.dimension))
-    covered = np.concatenate([np.arange(r.start, r.stop) for r in layout.rows])
-    assert np.array_equal(covered, np.arange(len(layout.index)))
-    for alpha, rows in enumerate(layout.rows):
-        assert (orders[plus[rows]] == alpha).all()
-        assert np.array_equal(indices[plus[rows]], np.arange(1, params.block_size(alpha) + 1))
+    n_top = layout.bottom[0].start
+    assert len(layout.half) == 2 * n_top
+    for index, inverse in ((layout.split, layout.split_inverse), (layout.half, layout.half_inverse)):
+        plus, minus = index.T
+        # row r holds one label (alpha, i) in block +alpha and in block -alpha
+        assert np.array_equal(orders[plus], -orders[minus])
+        assert np.array_equal(indices[plus], indices[minus])
+        assert np.array_equal(index.ravel()[inverse], np.arange(params.dimension))
+    for parts in ((layout.top, layout.low), (layout.top, layout.bottom)):
+        covered = np.concatenate([np.arange(r.start, r.stop) for part in parts for r in part])
+        assert np.array_equal(np.sort(covered), np.arange(len(covered)))
+    assert layout.low[-1].stop == len(layout.split)
+    plus_split, plus_half = layout.split[:, 0], layout.half[:, 0]
+    for alpha, (top, low, bottom) in enumerate(zip(layout.top, layout.low, layout.bottom)):
+        size = params.block_size(alpha)
+        c = (size + 1) // 2
+        i = np.arange(1, size + 1)  # 1-based, so the even entries have odd i
+        assert (orders[plus_split[top]] == alpha).all() and (orders[plus_split[low]] == alpha).all()
+        assert np.array_equal(indices[plus_split[top]], i[0::2])
+        assert np.array_equal(indices[plus_split[low]], i[1::2])
+        assert (orders[plus_half[top]] == alpha).all() and (orders[plus_half[bottom]] == alpha).all()
+        assert np.array_equal(indices[plus_half[top]], i[:c])
+        assert np.array_equal(indices[plus_half[bottom]], size + 1 - i[:c])
+    # a middle entry is its own mirror, and its slot is the top row's
+    middle = np.flatnonzero((layout.half[n_top:] == layout.half[:n_top]).all(axis=1)) + n_top
+    assert np.array_equal(layout.middle, middle)
+    assert (layout.half_inverse[layout.half[middle, 0]] // 2 < n_top).all()
     # reference: each block's own off-diagonals, laid out with block_slice
     ref = np.zeros(params.dimension - 1)
     for alpha, block in enumerate(_band_blocks(*band)):
@@ -327,28 +345,33 @@ def test_loaded_plan_shares_identical_mirror_blocks(tmp_path, plan_cache):
     save_plan(path, plan)
     loaded = load_plan(path)
     for k in range(1, 13):
-        assert loaded.blocks[-k].vectors is loaded.blocks[k].vectors
-        assert loaded.blocks[-k].eigenvalues is loaded.blocks[k].eigenvalues
+        for attr in ("values", "even", "odd"):
+            assert getattr(loaded.blocks[-k], attr) is getattr(loaded.blocks[k], attr)
         assert loaded.blocks[-k].k == -k
 
 
 def test_plan_reads_only_nonnegative_orders(plan_cache):
-    # block -k is block +k relabelled, whatever the caller passes for it
+    # block -k is block +k relabelled, whatever the caller passes for it; the
+    # columns flipped here are flipped with their mirrors, so the pair passed
+    # in is an exact mirror
     plan = plan_cache(12, 4)
     blocks = dict(plan.blocks)
     eb = blocks[-5]
-    signs = np.where(np.arange(eb.size) % 2, -1.0, 1.0)
+    i = np.arange(eb.size)
+    signs = np.where(np.minimum(i, eb.size - 1 - i) % 2, -1.0, 1.0)
     blocks[-5] = sl.EigenBlock(k=-5, eigenvalues=eb.eigenvalues.copy(), vectors=eb.vectors * signs)
     built = TransformPlan(plan.params, blocks)
-    assert built.blocks[-5].vectors is built.blocks[5].vectors
-    assert built.blocks[-5].eigenvalues is built.blocks[5].eigenvalues
+    for attr in ("values", "even", "odd"):
+        assert getattr(built.blocks[-5], attr) is getattr(built.blocks[5], attr)
     assert built.blocks[-5].k == -5
 
 
 def _with_eigenvalue(plan, k, i, value):
+    """Eigenvalue i of block k set to value, and its mirror to -value."""
     blocks = dict(plan.blocks)
     vals = blocks[k].eigenvalues.copy()
-    vals[i] = value
+    vals[len(vals) - 1 - i] = -value
+    vals[i] = value  # the middle one of an odd block is its own mirror
     blocks[k] = sl.EigenBlock(k=k, eigenvalues=vals, vectors=blocks[k].vectors)
     return blocks
 
@@ -380,11 +403,11 @@ def test_plan_validation_rejects_bad_eigenvalues(plan_cache, i, value, message):
         TransformPlan(plan.params, _with_eigenvalue(plan, 8, i, value))
 
 
-_PLAN_MAGIC_LEN = len(b"SPHERELOK-PLAN v2\n")
+_PLAN_MAGIC_LEN = len(b"SPHERELOK-PLAN v3\n")
 
 
 def _truncations(params, nbytes):
-    """Sampled lengths that cut a v2 plan file short, with load_plan's error.
+    """Sampled lengths that cut a v3 plan file short, with load_plan's error.
 
     Every length inside the magic line; the bytes around each header and
     flag-word boundary and around the start and end of each record's label,
@@ -399,7 +422,8 @@ def _truncations(params, nbytes):
     pos = header
     for k in range(params.n, -1, -1):
         size = params.block_size(k)
-        for length in (16, 8 * size, 8 * size * size):  # label, values, vectors
+        c = (size + 1) // 2
+        for length in (16, 8 * c, 8 * size * c):  # label, values, vectors
             edges.append(pos)
             pos += length
     assert pos == nbytes
@@ -417,19 +441,20 @@ def _truncations(params, nbytes):
 
 @settings(max_examples=12, deadline=None)
 @given(band=_bands(top=12))
-def test_plan_cache_v2_roundtrip_sharing_and_truncation(tmp_path_factory, plan_cache, band):
+def test_plan_cache_v3_roundtrip_sharing_and_truncation(tmp_path_factory, plan_cache, band):
     plan = plan_cache(*band)
-    path = tmp_path_factory.mktemp("v2") / "plan.bin"
+    path = tmp_path_factory.mktemp("v3") / "plan.bin"
     save_plan(path, plan)
     loaded = load_plan(path)
     for k in plan.params.orders():
         got, want = loaded.blocks[k], plan.blocks[k]
         assert got.k == k
-        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-        assert got.vectors.tobytes() == want.vectors.tobytes()
-        assert not got.vectors.flags.writeable and got.vectors.ctypes.data % 8 == 0
+        for attr in ("values", "even", "odd"):
+            a = getattr(got, attr)
+            assert a.tobytes() == getattr(want, attr).tobytes()
+            assert not a.flags.writeable and a.ctypes.data % 8 == 0
     for alpha in range(1, plan.params.n + 1):
-        for attr in ("eigenvalues", "vectors"):
+        for attr in ("values", "even", "odd"):
             assert getattr(loaded.blocks[-alpha], attr) is getattr(loaded.blocks[alpha], attr)
     data = path.read_bytes()
     for cut, message in _truncations(plan.params, len(data)):
@@ -445,8 +470,10 @@ def test_plan_cache_stores_each_shared_order_once(tmp_path, plan_cache):
     plan = plan_cache(12, 4)
     path = tmp_path / "plan.bin"
     save_plan(path, plan)
-    words = 2 + 12 + sum(2 + s + s * s for s in map(plan.params.block_size, range(13)))
-    assert path.stat().st_size == len(b"SPHERELOK-PLAN v2\n") + 8 * words
+    # each record holds c = ceil(N / 2) eigenvalues and N c eigenvector words
+    sizes = [plan.params.block_size(k) for k in range(13)]
+    words = 2 + 12 + sum(2 + (s + 1) // 2 * (s + 1) for s in sizes)
+    assert path.stat().st_size == len(b"SPHERELOK-PLAN v3\n") + 8 * words
 
 
 def _write_v1_plan(path, plan):
@@ -473,12 +500,41 @@ def test_v1_plan_cache_is_rejected_with_rebuild_hint(tmp_path, plan_cache, capsy
     assert path.read_bytes() == v1
 
 
+def _write_v2_plan(path, plan):
+    """The v2 layout: magic, n m, n zero flag words, then all of V per |k|."""
+    with open(path, "wb") as fh:
+        fh.write(b"SPHERELOK-PLAN v2\n")
+        np.array([plan.params.n, plan.params.m, *[0] * plan.params.n], dtype="<i8").tofile(fh)
+        for k in range(plan.params.n, -1, -1):
+            eb = plan.blocks[k]
+            np.array([k, eb.size], dtype="<i8").tofile(fh)
+            eb.eigenvalues.astype("<f8").tofile(fh)
+            eb.vectors.astype("<f8").tofile(fh)
+
+
+def test_v2_plan_cache_exits_3_with_rebuild_hint(tmp_path, plan_cache, rng, capsys):
+    plan = plan_cache(12, 4)
+    path = tmp_path / "plan.bin"
+    _write_v2_plan(path, plan)
+    v2 = path.read_bytes()
+    hint = "delete the file and rebuild it with `spherelok plan`"
+    with pytest.raises(FormatError, match="format v2 is no longer read; " + hint):
+        load_plan(path)
+    cpath = tmp_path / "c.coeff"
+    save_coeffs(cpath, HarmonicCoeffs.random_unit(plan.params, rng))
+    rc = main(["analyze", "--plan", str(path), "--in", str(cpath), "--out", str(tmp_path / "o.coeff")])
+    assert rc == 3
+    assert main(["plan", "--n", "12", "--m", "4", "--out", str(path)]) == 3
+    assert capsys.readouterr().err.count(hint) == 2
+    assert path.read_bytes() == v2
+
+
 def test_plan_cache_with_a_mirror_flag_is_rejected_with_rebuild_hint(tmp_path, plan_cache, capsys):
     # flag word 5 (|k| = 5) set: a separate -5 record, which no release reads
     path = tmp_path / "plan.bin"
     save_plan(path, plan_cache(12, 4))
     data = bytearray(path.read_bytes())
-    flag = len(b"SPHERELOK-PLAN v2\n") + 8 * (2 + 4)
+    flag = len(b"SPHERELOK-PLAN v3\n") + 8 * (2 + 4)
     data[flag : flag + 8] = np.array([1], dtype="<i8").tobytes()
     path.write_bytes(bytes(data))
     hint = "delete the file and rebuild it with `spherelok plan`"
@@ -487,3 +543,75 @@ def test_plan_cache_with_a_mirror_flag_is_rejected_with_rebuild_hint(tmp_path, p
     assert main(["plan", "--n", "12", "--m", "4", "--out", str(path)]) == 3
     assert hint in capsys.readouterr().err
     assert path.read_bytes() == bytes(data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(band=_bands(top=24), seed=st.integers(0, 2**32 - 1))
+@example(band=(0, 0), seed=0)
+@example(band=(1, 0), seed=1)
+@example(band=(2, 2), seed=2)
+def test_half_eigendata_is_an_exact_mirror_and_applies_the_full_matrices(
+    tmp_path_factory, plan_cache, band, seed
+):
+    # a built plan holds half of each V: its full pair, rebuilt on access, is
+    # bitwise an exact mirror, and analyze/synthesize apply exactly that V
+    plan = plan_cache(*band)
+    params = plan.params
+    rng = np.random.default_rng(seed)
+    c = HarmonicCoeffs.random_unit(params, rng)
+    d = LocalizedCoeffs(params, HarmonicCoeffs.random_unit(params, rng).values)
+    ref_a, ref_s = [], []
+    for k in params.orders():
+        eb = plan.blocks[k]
+        vals, vecs = eb.eigenvalues, eb.vectors
+        r = eb.size // 2
+        parity = np.where(np.arange(eb.size) % 2, -1.0, 1.0)[:, None]
+        assert vals[::-1][:r].tobytes() == (-vals[:r]).tobytes()
+        assert vecs[:, ::-1][:, :r].tobytes() == (parity * vecs[:, :r]).tobytes()
+        ref_a.append(vecs.T @ c.block(k))
+        ref_s.append(vecs @ d.values[params.block_slice(k)])
+    got_a = analyze(plan, c).values
+    assert np.abs(got_a - np.concatenate(ref_a)).max() <= 1e-14
+    assert np.abs(synthesize(plan, d).values - np.concatenate(ref_s)).max() <= 1e-14
+    path = tmp_path_factory.mktemp("half") / "plan.bin"
+    save_plan(path, plan)
+    loaded = load_plan(path)
+    for k in params.orders():
+        for attr in ("values", "even", "odd"):
+            assert getattr(loaded.blocks[k], attr).tobytes() == getattr(plan.blocks[k], attr).tobytes()
+    assert analyze(loaded, c).values.tobytes() == got_a.tobytes()
+
+
+def test_concurrent_transforms_on_one_plan_use_their_own_buffers(plan_cache):
+    # the kernel's work buffers are per thread: threads sharing one plan,
+    # with batch sizes that differ, must each get the sequential results
+    import sys
+    import threading
+
+    plan = plan_cache(24, 3)
+    rng = np.random.default_rng(5)
+    inputs = [
+        rng.standard_normal((b, plan.params.dimension)) * (1 + 0.5j) for b in (1, 2, 1, 3)
+    ]
+    want = [(_apply_blocks(plan, x, True), _apply_blocks(plan, x, False)) for x in inputs]
+    errors = []
+
+    def work(x, ref):
+        for _ in range(50):
+            got = (_apply_blocks(plan, x, True), _apply_blocks(plan, x, False))
+            if not all(np.array_equal(g, r) for g, r in zip(got, ref)):
+                errors.append("mismatch")
+                return
+
+    threads = [threading.Thread(target=work, args=pair) for pair in zip(inputs, want)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
