@@ -125,11 +125,12 @@ class TransformPlan:
     def eigenvalue_vector(self) -> np.ndarray:
         """All eigenvalues in the canonical localized-coefficient order."""
         if self._eigs is None:
-            # the kept values, then their negations, in the rows of the
-            # paired layout's localized side
-            kept = np.concatenate([self.blocks[a].values for a in range(self.params.n + 1)])
-            rows = _paired_layout(self.params).half_inverse // 2
-            eigs = np.concatenate([kept, -kept])[rows]
+            # each |k|'s kept values and their mirror, -x_{N-1-i} for i < N - c
+            full = []
+            for alpha in range(self.params.n + 1):
+                eb = self.blocks[alpha]
+                full.append(np.concatenate([eb.values, -eb.values[: len(eb.odd)][::-1]]))
+            eigs = np.concatenate([full[abs(k)] for k in self.params.orders()])
             eigs.setflags(write=False)
             self._eigs = eigs
         return self._eigs

@@ -172,6 +172,7 @@ def test_check_eigenpairs_rejects_non_orthonormal_vectors():
 def test_band_eigenblocks_shares_mirror_orders():
     blocks = band_eigenblocks(8, 2)
     assert set(blocks) == set(range(-8, 9))
+    assert blocks[3].vectors is blocks[-3].vectors
     for attr in ("values", "even", "odd"):
         assert getattr(blocks[3], attr) is getattr(blocks[-3], attr)
     assert blocks[3].k == 3 and blocks[-3].k == -3

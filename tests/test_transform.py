@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -345,7 +348,7 @@ def test_loaded_plan_shares_identical_mirror_blocks(tmp_path, plan_cache):
     save_plan(path, plan)
     loaded = load_plan(path)
     for k in range(1, 13):
-        for attr in ("values", "even", "odd"):
+        for attr in ("eigenvalues", "vectors", "values", "even", "odd"):
             assert getattr(loaded.blocks[-k], attr) is getattr(loaded.blocks[k], attr)
         assert loaded.blocks[-k].k == -k
 
@@ -361,7 +364,7 @@ def test_plan_reads_only_nonnegative_orders(plan_cache):
     signs = np.where(np.minimum(i, eb.size - 1 - i) % 2, -1.0, 1.0)
     blocks[-5] = sl.EigenBlock(k=-5, eigenvalues=eb.eigenvalues.copy(), vectors=eb.vectors * signs)
     built = TransformPlan(plan.params, blocks)
-    for attr in ("values", "even", "odd"):
+    for attr in ("eigenvalues", "vectors", "values", "even", "odd"):
         assert getattr(built.blocks[-5], attr) is getattr(built.blocks[5], attr)
     assert built.blocks[-5].k == -5
 
@@ -449,12 +452,14 @@ def test_plan_cache_v3_roundtrip_sharing_and_truncation(tmp_path_factory, plan_c
     for k in plan.params.orders():
         got, want = loaded.blocks[k], plan.blocks[k]
         assert got.k == k
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()
         for attr in ("values", "even", "odd"):
             a = getattr(got, attr)
             assert a.tobytes() == getattr(want, attr).tobytes()
             assert not a.flags.writeable and a.ctypes.data % 8 == 0
     for alpha in range(1, plan.params.n + 1):
-        for attr in ("values", "even", "odd"):
+        for attr in ("eigenvalues", "vectors", "values", "even", "odd"):
             assert getattr(loaded.blocks[-alpha], attr) is getattr(loaded.blocks[alpha], attr)
     data = path.read_bytes()
     for cut, message in _truncations(plan.params, len(data)):
@@ -585,9 +590,6 @@ def test_half_eigendata_is_an_exact_mirror_and_applies_the_full_matrices(
 def test_concurrent_transforms_on_one_plan_use_their_own_buffers(plan_cache):
     # the kernel's work buffers are per thread: threads sharing one plan,
     # with batch sizes that differ, must each get the sequential results
-    import sys
-    import threading
-
     plan = plan_cache(24, 3)
     rng = np.random.default_rng(5)
     inputs = [
