@@ -115,6 +115,16 @@ class TransformPlan:
     def eigenblock(self, k: int) -> EigenBlock:
         return self.blocks[k]
 
+    def __getstate__(self):
+        # work buffers are per thread and per process: a copy starts without
+        state = self.__dict__.copy()
+        del state["_local"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._local = threading.local()
+
     def _kernel(self, batch: int) -> "_Kernel":
         """This thread's kernel for batches of ``batch`` vectors."""
         kernel = getattr(self._local, "kernel", None)

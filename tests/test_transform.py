@@ -1,3 +1,4 @@
+import pickle
 import sys
 import threading
 
@@ -617,3 +618,12 @@ def test_concurrent_transforms_on_one_plan_use_their_own_buffers(plan_cache):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def test_plan_pickles_without_its_work_buffers(plan_cache, rng):
+    plan = plan_cache(12, 4)
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    want = analyze(plan, c).values  # builds this thread's kernel
+    copy = pickle.loads(pickle.dumps(plan))
+    assert np.array_equal(analyze(copy, c).values, want)
+    assert np.array_equal(copy.blocks[-3].even, plan.blocks[3].even)
