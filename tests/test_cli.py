@@ -313,8 +313,21 @@ def _scipy_modules_after(code, *args):
 
 @pytest.mark.parametrize("module", ["spherelok", "spherelok.cli"])
 def test_import_loads_no_scipy(module):
-    # scipy loads only when a plan is built or band spectra are computed
+    # only `spherelok bench`'s fast-pipeline timing loads scipy
     assert _scipy_modules_after(f"import {module}") == (0, [])
+
+
+def test_plan_build_loads_no_scipy(tmp_path):
+    path = tmp_path / "p.bin"
+    code = "from spherelok.cli import main\nrc = main(sys.argv[1:])"
+    args = ("plan", "--n", "16", "--m", "4", "--out", str(path))
+    assert _scipy_modules_after(code, *args) == (0, [])
+    assert sl.load_plan(path).params == sl.BandParams(16, 4)
+
+
+def test_band_spectra_load_no_scipy():
+    code = "from spherelok.approximation import SpectralSummary\nSpectralSummary.from_band(16, 4)"
+    assert _scipy_modules_after(code) == (0, [])
 
 
 def test_analyze_on_existing_plan_loads_no_scipy(tmp_path, plan_file, rng):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spherelok.errors import NumericError
 from spherelok.jacobi_blocks import (
@@ -220,3 +222,38 @@ def test_full_pair_whose_mirror_differs_in_one_bit_is_rejected(where):
         vals.view(np.int64)[-1] ^= 1
     with pytest.raises(NumericError, match="block k=5: .* not the exact mirror"):
         EigenBlock(5, vals, vecs)
+
+
+def _tridiagonal_reference(block):
+    """Eigenpairs from scipy's tridiagonal solver, decreasing and signed p_0 > 0."""
+    if block.size == 1:  # not left to eigh_tridiagonal at the scipy floor
+        return np.zeros(1), np.ones((1, 1))
+    from scipy.linalg import eigh_tridiagonal
+
+    vals, vecs = eigh_tridiagonal(np.zeros(block.size), block.offdiag)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    # the sign at the first entry above 1e-14, with p_j(-x) = (-1)^j p_j(x)
+    idx = np.argmax(np.abs(vecs) > 1e-14, axis=0)
+    lead = vecs[idx, np.arange(block.size)]
+    flip = (lead < 0) != ((vals < 0) & (idx % 2 == 1))
+    return vals, vecs * np.where(flip, -1.0, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(band=st.integers(0, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+@example(band=(0, 0))
+@example(band=(1, 0))
+@example(band=(2, 2))
+@example(band=(3, 1))
+def test_bidiagonal_svd_matches_tridiagonal_solver(band):
+    # blocks of every size from 1 up, the bands above holding sizes 1-3
+    n, m = band
+    blocks = band_eigenblocks(n, m)
+    spectra = band_spectra(n, m)
+    for k, block in enumerate(_band_blocks(n, m)):
+        eb = blocks[k]
+        vals, vecs = _tridiagonal_reference(block)
+        assert np.abs(eb.eigenvalues - vals).max() <= 1e-14
+        assert np.abs(eb.vectors - vecs).max() <= 1e-12
+        assert np.all(eb.vectors[0] > 0)
+        assert np.abs(spectra[k] - eb.eigenvalues).max() <= 1e-14

@@ -218,18 +218,18 @@ def test_plan_build_validates_orthogonality(plan_cache):
 
 
 def test_plan_build_checks_the_solved_blocks(monkeypatch):
-    # eigenvectors scaled by 1.001 keep a tiny eigenpair residual: only the
-    # orthogonality condition of the band check, run on every built plan,
-    # catches them
-    import scipy.linalg
+    # singular vectors scaled by 1.001 give eigenvectors with a tiny eigenpair
+    # residual: only the orthogonality condition of the band check, run on
+    # every built plan, catches them
+    from spherelok import jacobi_blocks
 
-    solve = scipy.linalg.eigh_tridiagonal
+    solve = jacobi_blocks.np.linalg.svd
 
-    def scaled(d, e):
-        vals, vecs = solve(d, e)
-        return vals, vecs * 1.001
+    def scaled(a):
+        u, s, wt = solve(a)
+        return u * 1.001, s, wt * 1.001
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", scaled)
+    monkeypatch.setattr(jacobi_blocks.np.linalg, "svd", scaled)
     with pytest.raises(NumericError, match="block k=0: orthogonality"):
         sl.band_eigenblocks(6, 2)
     with pytest.raises(NumericError, match="block k=0: orthogonality"):
