@@ -54,7 +54,7 @@ def cheb_coeffs(values: np.ndarray) -> np.ndarray:
 # divide-and-conquer change of basis into Chebyshev coefficients
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Level:
     grid: int  # working length 2^(r+2) after this combine
     ta: np.ndarray  # each (n_pairs, grid): transfer values on the grid
@@ -63,7 +63,7 @@ class _Level:
     tb2: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CascadePlan:
     alpha: int
     n_coeffs: int
@@ -156,7 +156,7 @@ def apply_cascade(plan: CascadePlan, c: np.ndarray) -> np.ndarray:
 # nonequispaced cosine evaluation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NdctPlan:
     n_coeffs: int
     n_over: int

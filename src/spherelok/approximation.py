@@ -167,10 +167,10 @@ def filter_coeffs(
     # raises glibc's mmap threshold and lets the heap of a long-running
     # process fragment by several MB
     for where in (inside, ~inside):
-        part = np.zeros((1, plan.params.dimension), dtype=complex)
-        np.copyto(part[0], d.values, where=where)
+        part = np.zeros(plan.params.dimension, dtype=complex)
+        np.copyto(part, d.values, where=where)
         _apply_blocks(plan, part, transpose=False, out=part)
-        parts.append(HarmonicCoeffs._adopt(plan.params, part[0]))
+        parts.append(HarmonicCoeffs._adopt(plan.params, part))
     kept, removed = parts
     return kept, removed
 
@@ -245,7 +245,7 @@ def localization_variance(coeffs: HarmonicCoeffs) -> float:
     return (1.0 - eps * eps) / (eps * eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSummary:
     """All (order, index, eigenvalue) triples of a band plus basic statistics."""
 
@@ -260,7 +260,7 @@ class SpectralSummary:
     MAX_MOMENT = 8
 
     @classmethod
-    def _from_eigenvalues(cls, params: BandParams, xs: np.ndarray, bins: int):
+    def _from_eigenvalues(cls, params: BandParams, xs: np.ndarray):
         """Summary of the eigenvalues ``xs``, given in the canonical localized order."""
         orders, indices = _label_columns(params, "localized")
         if len(xs) != params.dimension:
@@ -268,7 +268,7 @@ class SpectralSummary:
         moments = np.array(
             [np.sum(xs**j) for j in range(cls.MAX_MOMENT + 1)]
         )
-        counts, edges = np.histogram(xs, bins=bins, range=(-1.0, 1.0))
+        counts, edges = np.histogram(xs, bins=64, range=(-1.0, 1.0))
         return cls(
             params=params,
             orders=orders,
@@ -280,16 +280,16 @@ class SpectralSummary:
         )
 
     @classmethod
-    def from_plan(cls, plan: TransformPlan, bins: int = 64) -> "SpectralSummary":
-        return cls._from_eigenvalues(plan.params, plan.eigenvalue_vector(), bins)
+    def from_plan(cls, plan: TransformPlan) -> "SpectralSummary":
+        return cls._from_eigenvalues(plan.params, plan.eigenvalue_vector())
 
     @classmethod
-    def from_band(cls, n: int, m: int, bins: int = 64) -> "SpectralSummary":
+    def from_band(cls, n: int, m: int) -> "SpectralSummary":
         """Eigenvalues-only construction (no eigenvectors are computed)."""
         params = BandParams(n, m)
         spectra = band_spectra(n, m)
         xs = np.concatenate([spectra[abs(k)] for k in params.orders()])
-        return cls._from_eigenvalues(params, xs, bins)
+        return cls._from_eigenvalues(params, xs)
 
     def counting(self, a: float, b: float) -> float:
         """Fraction of eigenvalues in the closed interval [a, b]."""

@@ -56,13 +56,13 @@ _WINDOW_HELP = (
 # benchmark helpers (importable; the bench subcommand prints them)
 
 
-def time_call(fn, min_time: float = 1e-3, repeats: int = 3) -> float:
+def time_call(fn) -> float:
     """Best average seconds per call over several timed batches.
 
-    Batch length adapts until a batch lasts at least ``min_time``.  Batches
-    then repeat at least ``repeats`` times and until 0.2 s has been timed in
-    all; the minimum discards scheduler noise, whose phases last up to a few
-    hundred milliseconds on a shared host.
+    Batch length adapts until a batch lasts at least 1 ms.  Batches then
+    repeat at least 3 times and until 0.2 s has been timed in all; the
+    minimum discards scheduler noise, whose phases last up to a few hundred
+    milliseconds on a shared host.
     """
     fn()  # warm up
     n_iter = 1
@@ -71,11 +71,11 @@ def time_call(fn, min_time: float = 1e-3, repeats: int = 3) -> float:
         for _ in range(n_iter):
             fn()
         dt = time.perf_counter() - t0
-        if dt >= min_time:
+        if dt >= 1e-3:
             break
         n_iter *= 4
     best, spent, batches = dt / n_iter, dt, 1
-    while batches < repeats or spent < 0.2:
+    while batches < 3 or spent < 0.2:
         t0 = time.perf_counter()
         for _ in range(n_iter):
             fn()
@@ -91,7 +91,7 @@ def fit_loglog(sizes, times) -> float:
     return float(np.polyfit(np.log(np.asarray(sizes, float)), np.log(times), 1)[0])
 
 
-def bench_dense_band(n: int, m: int, rng=None) -> tuple[float, int]:
+def bench_dense_band(n: int, m: int) -> tuple[float, int]:
     """Seconds per dense analysis of the full band, on a built plan.
 
     The band's plan is built before timing starts, so its eigensolves are
@@ -101,13 +101,12 @@ def bench_dense_band(n: int, m: int, rng=None) -> tuple[float, int]:
     sum_k (2 N_k - 1) N_k of a product with all of each V, a
     dense-equivalent count: the kernel performs about half of it.
     """
-    rng = rng or np.random.default_rng(0)
     plan = TransformPlan.build(n, m)
-    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    c = HarmonicCoeffs.random_unit(plan.params, np.random.default_rng(0))
     return time_call(lambda: analyze(plan, c)), dense_op_count(n, m)
 
 
-def bench_fast_block(size: int, rng=None) -> float:
+def bench_fast_block(size: int) -> float:
     """Seconds per fast pipeline application for one block of the given size.
 
     Uses the deepest (alpha = 0) family: nodes and scaling come straight
@@ -116,7 +115,7 @@ def bench_fast_block(size: int, rng=None) -> float:
     """
     from . import _fastcheb as fc
 
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     nodes, weights = np.polynomial.legendre.leggauss(size)
     theta = np.arccos(nodes[::-1].copy())
     kappa = np.sqrt(weights[::-1] / 2.0)

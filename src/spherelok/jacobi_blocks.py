@@ -42,7 +42,7 @@ def thread_count() -> int:
     return 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobiBlock:
     """One symmetric tridiagonal block: zero diagonal, positive off-diagonal.
 
@@ -64,7 +64,12 @@ class JacobiBlock:
             raise ValueError("off-diagonal entries must be strictly positive")
 
 
-@dataclass(frozen=True, init=False)
+def _mirror(values: np.ndarray, r: int) -> np.ndarray:
+    """A block's full spectrum from its kept half: ``values``, then -x_{r-1} .. -x_0."""
+    return np.concatenate([values, -values[:r][::-1]])
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class EigenBlock:
     """Eigendata of one Jacobi block, held as its nonnegative half.
 
@@ -82,8 +87,10 @@ class EigenBlock:
     NumericError unless its last N - c pairs are that exact mirror of the
     first.  ``eigenvalues`` and ``vectors`` give the full pair back as
     read-only arrays, built on first access and kept (block -k shares them
-    with block +k); no transform, filter, bound, spectrum or plan-cache
-    path reads them.
+    with block +k).  ``eigenvalues`` and :func:`spectrum` both come from
+    :func:`_mirror`; the eigenvalue check and the plan's eigenvalue vector
+    read ``eigenvalues``, and no transform, filter, bound or plan-cache path
+    reads ``vectors``.
     Eigenvalues are strictly decreasing; column i of ``vectors`` is the unit
     eigenvector for ``eigenvalues[i]``, signed so that p_0 > 0: it is
     p(x_i) / |p(x_i)| for the block's shifted recurrence p.  Its first entry
@@ -94,7 +101,7 @@ class EigenBlock:
     values: np.ndarray
     even: np.ndarray
     odd: np.ndarray
-    _full: dict = field(repr=False, compare=False)  # the full pair, once built
+    _full: dict = field(repr=False)  # the full pair, once built
 
     def __init__(self, k: int, eigenvalues, vectors):
         vals = np.asarray(eigenvalues, dtype=float)
@@ -102,20 +109,20 @@ class EigenBlock:
         size = len(vals)
         if vecs.shape != (size, size):
             raise ValueError(f"block k={k}: {vecs.shape} eigenvectors for {size} eigenvalues")
-        c, r = (size + 1) // 2, size // 2
-        parity = np.where(np.arange(size) % 2, -1.0, 1.0)[:, None]
-        mirrored = np.array_equal(vals[c:], -vals[:r][::-1], equal_nan=True) and np.array_equal(
-            vecs[:, c:], parity * vecs[:, :r][:, ::-1], equal_nan=True
-        )
-        if not mirrored:
-            raise NumericError(
-                f"block k={k}: eigenpairs {c}..{size - 1} are not the exact mirror "
-                "(-x, D v) of the first ones"
-            )
+        c = (size + 1) // 2
         half = [a.copy() for a in (vals[:c], vecs[0::2, :c], vecs[1::2, :c])]
         for a in half:
             a.setflags(write=False)
         self._set(k, *half, {})
+        # the full pair rebuilt from the half must be the pair given
+        if not (
+            np.array_equal(self.eigenvalues, vals, equal_nan=True)
+            and np.array_equal(self.vectors, vecs, equal_nan=True)
+        ):
+            raise NumericError(
+                f"block k={k}: eigenpairs {c}..{size - 1} are not the exact mirror "
+                "(-x, D v) of the first ones"
+            )
 
     @classmethod
     def _half(cls, k: int, values, even, odd, full=None) -> "EigenBlock":
@@ -135,8 +142,7 @@ class EigenBlock:
     @property
     def eigenvalues(self) -> np.ndarray:
         if "eigenvalues" not in self._full:
-            r = len(self.odd)  # the number of mirrored pairs, N - c
-            vals = np.concatenate([self.values, -self.values[:r][::-1]])
+            vals = _mirror(self.values, len(self.odd))  # N - c mirrored pairs
             vals.setflags(write=False)
             self._full["eigenvalues"] = vals
         return self._full["eigenvalues"]
@@ -204,10 +210,8 @@ def _check_spectrum(block: JacobiBlock, eb: EigenBlock) -> None:
         raise NumericError(f"{eb.size} eigenpairs for a block of size {block.size}")
     x, e, o = eb.values, eb.even, eb.odd
     if block.size > 1:
-        # the mirror repeats the gaps of the kept half; the one across zero
-        # is x_{c-1} + x_c, with x_c = -x_{c-1} for even N
-        across = x[-1] + (x[-1] if len(o) == len(e) else x[-2])
-        gap = np.append(x[:-1] - x[1:], across).min()
+        xs = eb.eigenvalues
+        gap = (xs[:-1] - xs[1:]).min()
         if not gap > _MIN_EIGENVALUE_GAP:
             raise NumericError(
                 f"eigenvalue gap {gap:.3e} not above {_MIN_EIGENVALUE_GAP}: "
@@ -352,7 +356,7 @@ def spectrum(block: JacobiBlock) -> np.ndarray:
     :func:`_solve`), an exact 0 for odd N, and their mirror -s.
     """
     s = np.linalg.svd(_bidiagonal(block), compute_uv=False)
-    return np.concatenate([s, np.zeros(block.size % 2), -s[::-1]])
+    return _mirror(np.append(s, np.zeros(block.size % 2)), len(s))
 
 
 def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:

@@ -188,7 +188,7 @@ class LocalizedCoeffs(_Coeffs):
         return self.params.block_slice(k).start + (i - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereGrid:
     """Gauss-Legendre x equispaced-azimuth product grid.
 
@@ -225,10 +225,6 @@ class SphereGrid:
         """Discrete surface inner product of two (P, Q) sample arrays."""
         q = len(self.phi)
         return complex(np.sum(self.theta_weights @ (f * np.conj(g))) / (2.0 * q))
-
-    def integrate(self, f: np.ndarray) -> complex:
-        q = len(self.phi)
-        return complex(np.sum(self.theta_weights @ f) / (2.0 * q))
 
 
 def _radial_rows(n: int, alphas: range, theta: np.ndarray):
@@ -325,10 +321,9 @@ def mean_value(coeffs: HarmonicCoeffs) -> float:
     return 2.0 * float(np.real(np.vdot(c[:-1], off * c[1:])))
 
 
-def mean_value_quadrature(coeffs: HarmonicCoeffs, grid: SphereGrid | None = None) -> float:
+def mean_value_quadrature(coeffs: HarmonicCoeffs) -> float:
     """Same score via surface quadrature of cos(theta) |f|^2 (test oracle)."""
-    if grid is None:
-        grid = SphereGrid.for_degree(coeffs.params.n + 1)
+    grid = SphereGrid.for_degree(coeffs.params.n + 1)
     field = evaluate_on_grid(coeffs, grid)
     q = len(grid.phi)
     w = grid.theta_weights * grid.x

@@ -112,9 +112,6 @@ class TransformPlan:
         # band_eigenblocks has checked every block already
         return cls(BandParams(n=n, m=m), band_eigenblocks(n, m), mode=mode, validate=False)
 
-    def eigenblock(self, k: int) -> EigenBlock:
-        return self.blocks[k]
-
     def __getstate__(self):
         # work buffers are per thread and per process: a copy starts without
         state = self.__dict__.copy()
@@ -125,22 +122,17 @@ class TransformPlan:
         self.__dict__.update(state)
         self._local = threading.local()
 
-    def _kernel(self, batch: int) -> "_Kernel":
-        """This thread's kernel for batches of ``batch`` vectors."""
+    def _kernel(self) -> "_Kernel":
+        """This thread's kernel, built on its first pass."""
         kernel = getattr(self._local, "kernel", None)
-        if kernel is None or kernel.batch != batch:
-            kernel = self._local.kernel = _Kernel(self, batch)
+        if kernel is None:
+            kernel = self._local.kernel = _Kernel(self)
         return kernel
 
     def eigenvalue_vector(self) -> np.ndarray:
         """All eigenvalues in the canonical localized-coefficient order."""
         if self._eigs is None:
-            # each |k|'s kept values and their mirror, -x_{N-1-i} for i < N - c
-            full = []
-            for alpha in range(self.params.n + 1):
-                eb = self.blocks[alpha]
-                full.append(np.concatenate([eb.values, -eb.values[: len(eb.odd)][::-1]]))
-            eigs = np.concatenate([full[abs(k)] for k in self.params.orders()])
+            eigs = np.concatenate([self.blocks[abs(k)].eigenvalues for k in self.params.orders()])
             eigs.setflags(write=False)
             self._eigs = eigs
         return self._eigs
@@ -252,26 +244,25 @@ def _plus_minus(x: tuple[np.ndarray, np.ndarray], out: tuple[np.ndarray, np.ndar
 
 
 class _Kernel:
-    """One thread's work buffers for a plan and a batch size, every product bound.
+    """One thread's work buffers for a plan, every product bound.
 
-    One buffer holds a batch in the paired layout and one the operands of
+    One buffer holds a vector in the paired layout and one the operands of
     the other side.  Each product of :func:`_apply_blocks` is a bound
     ``ndarray.dot`` with its input and output slices taken here once, so a
     pass runs nothing per block but the two products.  The smallest blocks
     cost little more than that call overhead.
     """
 
-    def __init__(self, plan: TransformPlan, batch: int):
+    def __init__(self, plan: TransformPlan):
         layout = _paired_layout(plan.params)
         self.layout = layout
-        self.batch = batch
         rows = len(layout.half)  # the longer layout: 2 c_alpha >= N_alpha rows per order
-        work = np.empty((rows, 2, batch), dtype=complex)
-        w = work.view(float).reshape(rows, 4 * batch)
+        work = np.empty((rows, 2), dtype=complex)
+        w = work.view(float)  # rows x 4: real and imaginary parts of +alpha, -alpha
         p = np.empty_like(w)
         self.work = work
         self.work_split = work[: len(layout.split)]
-        self.slots = work.reshape(2 * rows, batch).T
+        self.slots = work.ravel()
         # the two halves [a; b] of each buffer, for the band-wide a + b, a - b
         self.w = (w[: rows // 2], w[rows // 2 :])
         self.prod = (p[: rows // 2], p[rows // 2 :])
@@ -295,12 +286,12 @@ def _apply_blocks(
     transpose: bool,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Multiply every block of a batch of B vectors by V^T (``transpose``) or V.
+    """Multiply every block of one vector by V^T (``transpose``) or V.
 
-    ``x`` is a complex ``(B, dimension)`` array, one vector in the canonical
-    layout per row.  V is applied through its kept half, E (even rows) and
-    O (odd rows) of its c = ceil(N / 2) leading columns, since its other
-    columns are their mirrors D v_i (see :class:`EigenBlock`):
+    ``x`` is a complex ``(dimension,)`` vector in the canonical layout.  V
+    is applied through its kept half, E (even rows) and O (odd rows) of its
+    c = ceil(N / 2) leading columns, since its other columns are their
+    mirrors D v_i (see :class:`EigenBlock`):
 
     - V^T y: a = E^T y_even, b = O^T y_odd; entry i is a_i + b_i and its
       mirror N - 1 - i is a_i - b_i;
@@ -310,7 +301,7 @@ def _apply_blocks(
     One gather into the paired layout (:func:`_paired_layout`) puts blocks
     +k and -k, which share V, side by side and splits the input into the
     two halves its products read; each is read through its float64 view,
-    so each |k| costs two real half-size products on 4B columns (real and
+    so each |k| costs two real half-size products on 4 columns (real and
     imaginary parts of both blocks), with no complex copy of V.  That is
     half the multiply-adds, and half the bytes of V, of one product with
     the full V.  The sums and differences run once over the whole band.
@@ -318,26 +309,26 @@ def _apply_blocks(
     (a new array if None; it may be ``x`` itself).
     """
     x = np.asarray(x, dtype=complex)
-    kernel = plan._kernel(x.shape[0])
+    kernel = plan._kernel()
     layout = kernel.layout
     # every take uses mode="clip": it skips the bounds check that would
     # buffer ``out``, and the layout's indices are in range
     if transpose:
-        np.take(x.T, layout.split, axis=0, out=kernel.work_split, mode="clip")
+        np.take(x, layout.split, out=kernel.work_split, mode="clip")
         for dot_e, y_e, a, dot_o, y_o, b in kernel.analysis:
             dot_e(y_e, a)
             dot_o(y_o, b)
         _plus_minus(kernel.prod, kernel.w)
         inverse = layout.half_inverse
     else:
-        np.take(x.T, layout.half, axis=0, out=kernel.work, mode="clip")
+        np.take(x, layout.half, out=kernel.work, mode="clip")
         kernel.work[layout.middle] = 0.0
         _plus_minus(kernel.w, kernel.prod)
         for dot_e, s, y_e, dot_o, d, y_o in kernel.synthesis:
             dot_e(s, y_e)
             dot_o(d, y_o)
         inverse = layout.split_inverse
-    return np.take(kernel.slots, inverse, axis=1, out=out, mode="clip")
+    return np.take(kernel.slots, inverse, out=out, mode="clip")
 
 
 def analyze(
@@ -345,18 +336,18 @@ def analyze(
 ) -> LocalizedCoeffs:
     """Change of basis into localized coefficients, block-orthogonal multiply."""
     _check_match(plan, coeffs)
-    out = _apply_blocks(plan, coeffs.values[None], transpose=True)
+    out = _apply_blocks(plan, coeffs.values, transpose=True)
     if counter is not None:
         for k in plan.params.orders():
             counter.add_matvec(plan.params.block_size(k))
-    return LocalizedCoeffs._adopt(plan.params, out[0])
+    return LocalizedCoeffs._adopt(plan.params, out)
 
 
 def synthesize(plan: TransformPlan, coeffs: LocalizedCoeffs) -> HarmonicCoeffs:
     """Inverse of :func:`analyze` (exact orthogonal inverse per block)."""
     _check_match(plan, coeffs)
-    out = _apply_blocks(plan, coeffs.values[None], transpose=False)
-    return HarmonicCoeffs._adopt(plan.params, out[0])
+    out = _apply_blocks(plan, coeffs.values, transpose=False)
+    return HarmonicCoeffs._adopt(plan.params, out)
 
 
 def analyze_fast(plan: TransformPlan, coeffs: HarmonicCoeffs) -> LocalizedCoeffs:
@@ -368,8 +359,8 @@ def analyze_fast(plan: TransformPlan, coeffs: HarmonicCoeffs) -> LocalizedCoeffs
     if plan.mode != "fast":
         raise ValueError("analyze_fast requires a plan built with mode='fast'")
     _check_match(plan, coeffs)
-    out = _apply_blocks(plan, coeffs.values[None], transpose=True)
-    return LocalizedCoeffs._adopt(plan.params, out[0])
+    out = _apply_blocks(plan, coeffs.values, transpose=True)
+    return LocalizedCoeffs._adopt(plan.params, out)
 
 
 # ---------------------------------------------------------------------------

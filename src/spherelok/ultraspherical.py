@@ -64,7 +64,7 @@ def recurrence_coefficient(alpha: int, l: int) -> float:
     return float(_coefficients(alpha, l))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UltrasphericalFamily:
     """Recurrence table b_0 .. b_{max_degree+1} for one weight exponent.
 

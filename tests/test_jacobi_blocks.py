@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spherelok import _fastcheb as fc
+from spherelok.approximation import SpectralSummary
 from spherelok.errors import NumericError
 from spherelok.jacobi_blocks import (
     EigenBlock,
@@ -16,6 +18,7 @@ from spherelok.jacobi_blocks import (
     eigendecompose,
     thread_count,
 )
+from spherelok.sphere_basis import SphereGrid
 from spherelok.ultraspherical import UltrasphericalFamily, recurrence_coefficient
 
 
@@ -178,6 +181,27 @@ def test_band_eigenblocks_shares_mirror_orders():
     for attr in ("values", "even", "odd"):
         assert getattr(blocks[3], attr) is getattr(blocks[-3], attr)
     assert blocks[3].k == 3 and blocks[-3].k == -3
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_block(8, 0, 3),
+        lambda: band_eigenblocks(8, 0)[3],
+        lambda: SphereGrid.for_degree(4),
+        lambda: SpectralSummary.from_band(4, 0),
+        lambda: UltrasphericalFamily.build(1, 8),
+        lambda: fc.build_cascade(0, 16).levels[0],
+        lambda: fc.build_cascade(0, 16),
+        lambda: fc.build_ndct(np.linspace(0.1, 3.0, 5), 16),
+    ],
+)
+def test_array_holding_classes_compare_and_hash_by_identity(make):
+    # a field-wise == over numpy arrays would raise instead of answering
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert not a == b and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 @pytest.mark.parametrize("n,m", [(120, 0), (40, 7)])

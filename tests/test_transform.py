@@ -253,21 +253,20 @@ def _bands(draw, top=40):
 @settings(max_examples=40, deadline=None)
 @given(
     band=_bands(),
-    batch=st.sampled_from([1, 2]),
     transpose=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_apply_blocks_matches_per_block_reference(plan_cache, band, batch, transpose, seed):
+def test_apply_blocks_matches_per_block_reference(plan_cache, band, transpose, seed):
     plan = plan_cache(*band)
     rng = np.random.default_rng(seed)
-    shape = (batch, plan.params.dimension)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    dim = plan.params.dimension
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     ref = np.empty_like(x)
     for k in plan.params.orders():
         v = plan.blocks[k].vectors
         a = v.T if transpose else v
         rows = plan.params.block_slice(k)
-        ref[:, rows] = (a @ x[:, rows].real.T + 1j * (a @ x[:, rows].imag.T)).T
+        ref[rows] = a @ x[rows].real + 1j * (a @ x[rows].imag)
     got = _apply_blocks(plan, x, transpose)
     assert np.abs(got - ref).max() <= 1e-14 * np.linalg.norm(x)
     _apply_blocks(plan, x, transpose, out=x)  # in place, as filter_coeffs runs it
@@ -317,12 +316,12 @@ def test_paired_layout_and_layout_offdiag_follow_the_label_columns(band):
 
 
 def test_apply_blocks_keeps_non_finite_inside_its_block(plan_cache):
-    # a bad entry must not leak into the other blocks of the batch
+    # a bad entry must not leak into the other blocks of the vector
     plan = plan_cache(40, 0)
-    x = np.zeros((1, plan.params.dimension), dtype=complex)
-    x[0, plan.params.block_slice(36).start] = np.inf
+    x = np.zeros(plan.params.dimension, dtype=complex)
+    x[plan.params.block_slice(36).start] = np.inf
     with np.errstate(invalid="ignore"):
-        out = _apply_blocks(plan, x, True)[0]
+        out = _apply_blocks(plan, x, True)
     outside = np.ones(plan.params.dimension, dtype=bool)
     outside[plan.params.block_slice(36)] = False
     assert not np.any(out[outside])
@@ -398,13 +397,21 @@ def test_plan_loader_rejects_edited_eigenvalue(tmp_path, plan_cache, rng):
 
 
 @pytest.mark.parametrize(
-    "i,value,message",
-    [(0, np.nan, "gap"), (4, np.nan, "gap"), (0, 1.0, "open interval"), (1, 0.9, "gap")],
+    "k,i,value,message",
+    [
+        # ids name i, value and message; all but the last case edit block 8
+        pytest.param(8, 0, np.nan, "gap", id="0-nan-gap"),
+        pytest.param(8, 4, np.nan, "gap", id="4-nan-gap"),
+        pytest.param(8, 0, 1.0, "open interval", id="0-1.0-open interval"),
+        pytest.param(8, 1, 0.9, "gap", id="1-0.9-gap"),
+        # block 7 has six eigenvalues: the gap across zero is 2 * 4e-14
+        pytest.param(7, 2, 4e-14, "gap", id="2-4e-14-gap"),
+    ],
 )
-def test_plan_validation_rejects_bad_eigenvalues(plan_cache, i, value, message):
+def test_plan_validation_rejects_bad_eigenvalues(plan_cache, k, i, value, message):
     plan = plan_cache(12, 4)
     with pytest.raises(NumericError, match=message):
-        TransformPlan(plan.params, _with_eigenvalue(plan, 8, i, value))
+        TransformPlan(plan.params, _with_eigenvalue(plan, k, i, value))
 
 
 _PLAN_MAGIC_LEN = len(b"SPHERELOK-PLAN v3\n")
@@ -590,12 +597,10 @@ def test_half_eigendata_is_an_exact_mirror_and_applies_the_full_matrices(
 
 def test_concurrent_transforms_on_one_plan_use_their_own_buffers(plan_cache):
     # the kernel's work buffers are per thread: threads sharing one plan,
-    # with batch sizes that differ, must each get the sequential results
+    # each with its own input, must each get the sequential results
     plan = plan_cache(24, 3)
     rng = np.random.default_rng(5)
-    inputs = [
-        rng.standard_normal((b, plan.params.dimension)) * (1 + 0.5j) for b in (1, 2, 1, 3)
-    ]
+    inputs = [rng.standard_normal(plan.params.dimension) * (1 + 0.5j) for _ in range(4)]
     want = [(_apply_blocks(plan, x, True), _apply_blocks(plan, x, False)) for x in inputs]
     errors = []
 
