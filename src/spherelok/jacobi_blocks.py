@@ -8,7 +8,8 @@ truncated (index-shifted) block, larger orders the untruncated one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +70,7 @@ def _mirror(values: np.ndarray, r: int) -> np.ndarray:
     return np.concatenate([values, -values[:r][::-1]])
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class EigenBlock:
     """Eigendata of one Jacobi block, held as its nonnegative half.
 
@@ -81,15 +82,16 @@ class EigenBlock:
     holds their eigenvalues, ``even`` (c x c) and ``odd`` (floor(N / 2) x c)
     the even and odd rows of their eigenvectors.  The rest is their exact
     mirror, x_{N-1-i} = -x_i and v_{N-1-i} = D v_i for i < N - c; the middle
-    pair of an odd N is kept once.
+    pair of an odd N is kept once.  Blocks k and -k are the same matrix, so
+    one object serves both orders.
 
-    ``EigenBlock(k, eigenvalues, vectors)`` takes a full pair and raises
-    NumericError unless its last N - c pairs are that exact mirror of the
-    first.  ``eigenvalues`` and ``vectors`` give the full pair back as
-    read-only arrays, built on first access and kept (block -k shares them
-    with block +k).  ``eigenvalues`` and :func:`spectrum` both come from
-    :func:`_mirror`; the eigenvalue check and the plan's eigenvalue vector
-    read ``eigenvalues``, and no transform, filter, bound or plan-cache path
+    ValueError is raised unless the three shapes are those of one block.  A
+    writable array is copied into a read-only one; a read-only float64
+    array is kept as given.  ``eigenvalues`` and ``vectors`` give the full
+    pair as read-only arrays, built on first access and kept.
+    ``eigenvalues`` and :func:`spectrum` both come from :func:`_mirror`;
+    the eigenvalue check and the plan's eigenvalue vector read
+    ``eigenvalues``, and no transform, filter, bound or plan-cache path
     reads ``vectors``.
     Eigenvalues are strictly decreasing; column i of ``vectors`` is the unit
     eigenvector for ``eigenvalues[i]``, signed so that p_0 > 0: it is
@@ -97,72 +99,44 @@ class EigenBlock:
     p_0(x_i) / |p(x_i)| may underflow to zero at large |k|.
     """
 
-    k: int
     values: np.ndarray
     even: np.ndarray
     odd: np.ndarray
-    _full: dict = field(repr=False)  # the full pair, once built
 
-    def __init__(self, k: int, eigenvalues, vectors):
-        vals = np.asarray(eigenvalues, dtype=float)
-        vecs = np.asarray(vectors, dtype=float)
-        size = len(vals)
-        if vecs.shape != (size, size):
-            raise ValueError(f"block k={k}: {vecs.shape} eigenvectors for {size} eigenvalues")
-        c = (size + 1) // 2
-        half = [a.copy() for a in (vals[:c], vecs[0::2, :c], vecs[1::2, :c])]
-        for a in half:
-            a.setflags(write=False)
-        self._set(k, *half, {})
-        # the full pair rebuilt from the half must be the pair given
-        if not (
-            np.array_equal(self.eigenvalues, vals, equal_nan=True)
-            and np.array_equal(self.vectors, vecs, equal_nan=True)
-        ):
-            raise NumericError(
-                f"block k={k}: eigenpairs {c}..{size - 1} are not the exact mirror "
-                "(-x, D v) of the first ones"
+    def __post_init__(self):
+        for name in ("values", "even", "odd"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.flags.writeable:
+                a = a.copy()
+                a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        c = len(self.values) if self.values.ndim == 1 else -1
+        if self.even.shape != (c, c) or self.odd.shape not in ((c - 1, c), (c, c)):
+            raise ValueError(
+                f"shapes {self.values.shape}, {self.even.shape} and {self.odd.shape} "
+                "are not (c,), (c, c) and (c - 1 or c, c)"
             )
-
-    @classmethod
-    def _half(cls, k: int, values, even, odd, full=None) -> "EigenBlock":
-        """Block from its kept half, taken as given (no copy, no check)."""
-        eb = cls.__new__(cls)
-        eb._set(k, values, even, odd, {} if full is None else full)
-        return eb
-
-    def _set(self, *fields) -> None:
-        for name, value in zip(("k", "values", "even", "odd", "_full"), fields):
-            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
         return len(self.even) + len(self.odd)
 
-    @property
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        if "eigenvalues" not in self._full:
-            vals = _mirror(self.values, len(self.odd))  # N - c mirrored pairs
-            vals.setflags(write=False)
-            self._full["eigenvalues"] = vals
-        return self._full["eigenvalues"]
+        vals = _mirror(self.values, len(self.odd))  # N - c mirrored pairs
+        vals.setflags(write=False)
+        return vals
 
-    @property
+    @cached_property
     def vectors(self) -> np.ndarray:
-        if "vectors" not in self._full:
-            c, r = len(self.even), len(self.odd)
-            vecs = np.empty((c + r, c + r))
-            vecs[0::2, :c] = self.even
-            vecs[1::2, :c] = self.odd
-            vecs[0::2, c:] = self.even[:, :r][:, ::-1]
-            vecs[1::2, c:] = -self.odd[:, :r][:, ::-1]
-            vecs.setflags(write=False)
-            self._full["vectors"] = vecs
-        return self._full["vectors"]
-
-    def with_order(self, k: int) -> "EigenBlock":
-        """Same eigendata relabelled for another order (shares the arrays)."""
-        return EigenBlock._half(k, self.values, self.even, self.odd, self._full)
+        c, r = len(self.even), len(self.odd)
+        vecs = np.empty((c + r, c + r))
+        vecs[0::2, :c] = self.even
+        vecs[1::2, :c] = self.odd
+        vecs[0::2, c:] = self.even[:, :r][:, ::-1]
+        vecs[1::2, c:] = -self.odd[:, :r][:, ::-1]
+        vecs.setflags(write=False)
+        return vecs
 
 
 def _block_shape(params: BandParams, k: int) -> tuple[int, int]:
@@ -308,7 +282,7 @@ def _bidiagonal(block: JacobiBlock) -> np.ndarray:
     return bidiag
 
 
-def _solve(block: JacobiBlock, k: int) -> EigenBlock:
+def _solve(block: JacobiBlock) -> EigenBlock:
     """Kept half of the eigendata of block, sorted and signed but not checked.
 
     It is the SVD B = U diag(s) W^T of the half-size bidiagonal (LAPACK's
@@ -335,16 +309,16 @@ def _solve(block: JacobiBlock, k: int) -> EigenBlock:
     half = [vals, vecs[0::2] * signs, vecs[1::2] * signs]
     for a in half:
         a.setflags(write=False)
-    return EigenBlock._half(k, *half)
+    return EigenBlock(*half)
 
 
-def eigendecompose(block: JacobiBlock, k: int | None = None) -> EigenBlock:
+def eigendecompose(block: JacobiBlock) -> EigenBlock:
     """Full spectrum and orthonormal eigenvectors, sorted by decreasing eigenvalue.
 
     The result passes :func:`check_eigenpairs` (gap, range, residual and
     orthogonality), or NumericError is raised.
     """
-    eb = _solve(block, 0 if k is None else k)
+    eb = _solve(block)
     check_eigenpairs(block, eb)
     return eb
 
@@ -364,14 +338,14 @@ def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:
 
     Blocks for k and -k are identical, so each |k| is solved once, in turn,
     as the SVD of its half-size bidiagonal (:func:`_solve`), and block -k
-    shares block +k's arrays.  Every block is solved before
+    is block +k, the same object.  Every block is solved before
     :func:`_check_band` checks them all, in its two phases.
     """
     jacobi = _band_blocks(n, m)
-    out = {k: _solve(block, k) for k, block in enumerate(jacobi)}
+    out = {k: _solve(block) for k, block in enumerate(jacobi)}
     _check_band(jacobi, out)
     for k in range(1, n + 1):
-        out[-k] = out[k].with_order(-k)
+        out[-k] = out[k]
     return out
 
 

@@ -316,6 +316,8 @@ def mean_value(coeffs: HarmonicCoeffs) -> float:
     The tridiagonal quadratic form 2 Re sum conj(c_j) b_j c_{j+1} over the
     whole layout, O(dimension); the off-diagonals are cached per (n, m).
     """
+    if not isinstance(coeffs, HarmonicCoeffs):
+        raise ValueError(f"expected harmonic coefficients, got {coeffs.kind}")
     c = coeffs.values
     off = _layout_offdiag(coeffs.params)
     return 2.0 * float(np.real(np.vdot(c[:-1], off * c[1:])))

@@ -75,13 +75,12 @@ def dense_op_count(n: int, m: int) -> int:
 class TransformPlan:
     """Reusable per-band eigendata.
 
-    Only ``blocks[k]`` for k = 0..n is read: block -k is block +k relabelled,
-    sharing its arrays, since the Jacobi blocks of k and -k are the same
-    matrix.  Each block holds the kept half of its eigendata
-    (:class:`~spherelok.jacobi_blocks.EigenBlock`); a full pair passed as
-    ``EigenBlock(k, eigenvalues, vectors)`` has already been held to being
-    the exact mirror of that half.  Unless ``validate`` is False, every
-    block k = 0..n must pass :func:`~spherelok.jacobi_blocks.check_eigenpairs`.
+    Only ``blocks[k]`` for k = 0..n is read: block -k is block +k, the same
+    object, since the Jacobi blocks of k and -k are the same matrix.  Each
+    block holds the kept half of its eigendata
+    (:class:`~spherelok.jacobi_blocks.EigenBlock`).  Unless ``validate`` is
+    False, every block k = 0..n must pass
+    :func:`~spherelok.jacobi_blocks.check_eigenpairs`.
     Immutable once built; safe to share across concurrent transforms: each
     thread gets its own work buffers (:class:`_Kernel`).
     """
@@ -98,9 +97,7 @@ class TransformPlan:
         self.params = params
         self.blocks = {}
         for k in range(params.n + 1):
-            self.blocks[k] = blocks[k]
-            if k:
-                self.blocks[-k] = blocks[k].with_order(-k)
+            self.blocks[k] = self.blocks[-k] = blocks[k]
         self.mode = mode
         self._eigs: np.ndarray | None = None
         self._local = threading.local()
@@ -150,7 +147,9 @@ class TransformPlan:
         return False
 
 
-def _check_match(plan: TransformPlan, coeffs) -> None:
+def _check_match(plan: TransformPlan, coeffs, kind: type) -> None:
+    if not isinstance(coeffs, kind):
+        raise ValueError(f"expected {kind.kind} coefficients, got {coeffs.kind}")
     if coeffs.params != plan.params:
         raise ValueError(
             f"coefficients for band {coeffs.params} do not match plan {plan.params}"
@@ -335,7 +334,7 @@ def analyze(
     plan: TransformPlan, coeffs: HarmonicCoeffs, counter: OpCounter | None = None
 ) -> LocalizedCoeffs:
     """Change of basis into localized coefficients, block-orthogonal multiply."""
-    _check_match(plan, coeffs)
+    _check_match(plan, coeffs, HarmonicCoeffs)
     out = _apply_blocks(plan, coeffs.values, transpose=True)
     if counter is not None:
         for k in plan.params.orders():
@@ -345,7 +344,7 @@ def analyze(
 
 def synthesize(plan: TransformPlan, coeffs: LocalizedCoeffs) -> HarmonicCoeffs:
     """Inverse of :func:`analyze` (exact orthogonal inverse per block)."""
-    _check_match(plan, coeffs)
+    _check_match(plan, coeffs, LocalizedCoeffs)
     out = _apply_blocks(plan, coeffs.values, transpose=False)
     return HarmonicCoeffs._adopt(plan.params, out)
 
@@ -358,7 +357,7 @@ def analyze_fast(plan: TransformPlan, coeffs: HarmonicCoeffs) -> LocalizedCoeffs
     """
     if plan.mode != "fast":
         raise ValueError("analyze_fast requires a plan built with mode='fast'")
-    _check_match(plan, coeffs)
+    _check_match(plan, coeffs, HarmonicCoeffs)
     out = _apply_blocks(plan, coeffs.values, transpose=True)
     return LocalizedCoeffs._adopt(plan.params, out)
 
@@ -394,7 +393,7 @@ def load_plan(path, mode: str = "dense") -> TransformPlan:
     """Load a v3 plan cache, verifying layout and every record's eigendata.
 
     The file is read once into one 8-byte-aligned buffer; each block's
-    arrays are read-only views of it, and block -k shares block +k's.  v1
+    arrays are read-only views of it, and block -k is block +k.  v1
     and v2 caches are rejected: v1 may hold eigenvector signs from before
     the p_0 > 0 rule, and both store all of V.  So is a nonzero flag word,
     which would announce a separate record for some -k.
@@ -448,7 +447,7 @@ def load_plan(path, mode: str = "dense") -> TransformPlan:
             )
         vals = data[pos + 2 : pos + 2 + c]
         vecs = data[pos + 2 + c : end].reshape(size, c)
-        blocks[k] = EigenBlock._half(k, vals, vecs[:c], vecs[c:])
+        blocks[k] = EigenBlock(vals, vecs[:c], vecs[c:])
         pos = end
     if pos != len(words) or trailing:
         raise FormatError(f"{path}: trailing bytes after last block")

@@ -1,7 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import spherelok as sl
+
+# hypothesis imports this module (and with it libcst) on a test's first
+# failure.  Under the DeprecationWarning error filter, libcst's import-time
+# warning then aborts the whole run with INTERNALERROR; imported here first,
+# with that warning ignored, it is already loaded when a failure needs it
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 
 @pytest.fixture(scope="session")

@@ -63,3 +63,24 @@ def test_bench_pairs_refuses_an_unpaired_seed(tmp_path):
     with pytest.raises(SystemExit, match="missing runs"):
         bench_pairs.main(argv)
     assert bench_pairs.parse_seeds("1,3-5") == [1, 3, 4, 5]
+
+
+def test_bench_pairs_marks_each_metric_against_its_bound(tmp_path, capsys):
+    # columns: setup_s, ops_per_s, op_p50_s, op_p90_s, peak_rss_mb, per seed
+    parent = [[1.0, 1.0, 1.0, 1.0, 100.0], [1.0, 2.0, 2.0, 1.0, 100.0], [1.0, 3.0, 3.0, 1.0, 100.0]]
+    change = [[1.2, 2.0, 0.1, 1.0, 106.0], [1.2, 2.1, 0.2, 1.0, 106.0], [1.2, 2.2, 0.3, 1.0, 106.0]]
+    for seed, (p, c) in enumerate(zip(parent, change), start=1):
+        _record(tmp_path, f"cli-256-seed{seed}-trace0-{2 * seed}-2026010{seed}T000000Z.json", "aaaa1111", seed, p)
+        _record(tmp_path, f"cli-256-seed{seed}-trace0-{2 * seed + 1}-2026010{seed}T000100Z.json", "bbbb2222", seed, c)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "aaaa", "--change", "bbbb", "--seeds", "1-3", "--results", str(tmp_path), "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    metrics = json.loads(out.read_text())["workloads"]["cli-256"]["metrics"]
+    marks = {name: (m["within_bound"], m["unresolved"]) for name, m in metrics.items()}
+    assert marks["setup_s"] == (True, False)  # 20% slower, inside its 25% bound
+    assert marks["peak_rss_mb"] == (False, False)  # 6% larger, outside its 5% bound
+    # the parent's quartile spread, 1.0, is wider than 25% of its median 2.0
+    assert marks["ops_per_s"] == (True, True)
+    assert marks["op_p50_s"] == (True, False)  # as wide, but every change run is faster
+    printed = capsys.readouterr().out
+    assert "cli-256 peak_rss_mb:" in printed and "within_bound False unresolved False" in printed

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ def test_eigenvalues_match_quadrature_nodes():
 @pytest.mark.parametrize("n,m,k", [(20, 0, 3), (20, 6, 2), (40, 10, 25), (12, 12, 5)])
 def test_eigenblock_invariants(n, m, k):
     blk = build_block(n, m, k)
-    eb = eigendecompose(blk, k)
+    eb = eigendecompose(blk)
     vals, vecs = eb.eigenvalues, eb.vectors
     size = eb.size
     if size > 1:
@@ -157,30 +158,61 @@ def test_edge_monotonicity_truncated_orders():
     assert np.argmin(bots) == 0
 
 
+def _scaled_column(eb, i, scale):
+    """``eb`` with kept column i scaled, and with it its mirror column."""
+    even, odd = eb.even.copy(), eb.odd.copy()
+    even[:, i] *= scale
+    odd[:, i] *= scale
+    return replace(eb, even=even, odd=odd)
+
+
 def test_check_eigenpairs_rejects_non_orthonormal_vectors():
     # a scaled column is still an eigenvector, with a residual far inside
-    # 1e-12 * size; only the orthogonality condition catches it.  Column 1
-    # of the five is scaled with its mirror, column 3, so that the pair
-    # stays an exact mirror
+    # 1e-12 * size; only the orthogonality condition catches it.  Kept
+    # column 1 of the three is scaled, and with it its mirror, column 3 of
+    # the five
     blk = build_block(12, 4, 8)
     eb = eigendecompose(blk)
     for scale in (1 + 5e-12, 1.001):
-        vecs = eb.vectors.copy()
-        vecs[:, [1, 3]] *= scale
         with pytest.raises(NumericError, match="orthogonality residual"):
-            check_eigenpairs(blk, EigenBlock(8, eb.eigenvalues, vecs))
-    vecs = eb.vectors.copy()
-    vecs[:, [1, 3]] *= 1 + 1e-13  # within the 1e-12 gate
-    check_eigenpairs(blk, EigenBlock(8, eb.eigenvalues, vecs))
+            check_eigenpairs(blk, _scaled_column(eb, 1, scale))
+    check_eigenpairs(blk, _scaled_column(eb, 1, 1 + 1e-13))  # within the 1e-12 gate
 
 
 def test_band_eigenblocks_shares_mirror_orders():
     blocks = band_eigenblocks(8, 2)
     assert set(blocks) == set(range(-8, 9))
+    for k in range(1, 9):
+        assert blocks[-k] is blocks[k]
     assert blocks[3].vectors is blocks[-3].vectors
+
+
+def test_eigenblock_takes_one_blocks_halves_and_copies_writable_input():
+    eb = eigendecompose(build_block(12, 4, 5))  # N = 8: c = 4, r = 4
+    c = len(eb.values)
+    for values, even, odd in [
+        (eb.values, eb.even, eb.odd[:-2]),
+        (eb.values[:-1], eb.even, eb.odd),
+        (eb.values, eb.even[:, :-1], eb.odd),
+        (eb.values, eb.even, eb.odd[:, :-1]),
+        (eb.values[None], eb.even, eb.odd),
+        (eb.values, eb.even.T[:, None], eb.odd),
+    ]:
+        with pytest.raises(ValueError, match=r"are not \(c,\)"):
+            EigenBlock(values, even, odd)
+    assert EigenBlock(eb.values, eb.even, eb.odd[:-1]).size == 2 * c - 1
+    # read-only input is kept as given; writable input is copied
+    same = EigenBlock(eb.values, eb.even, eb.odd)
+    assert same.values is eb.values and same.even is eb.even and same.odd is eb.odd
+    mine = [eb.values.copy(), eb.even.copy(), eb.odd.copy()]
+    held = EigenBlock(*mine)
+    for a in mine:
+        a[...] = np.nan
     for attr in ("values", "even", "odd"):
-        assert getattr(blocks[3], attr) is getattr(blocks[-3], attr)
-    assert blocks[3].k == 3 and blocks[-3].k == -3
+        got = getattr(held, attr)
+        assert not got.flags.writeable
+        assert got.tobytes() == getattr(eb, attr).tobytes()
+    assert held.vectors.tobytes() == eb.vectors.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -218,9 +250,9 @@ def test_band_eigenblocks_equals_per_block_solves(n, m):
 @pytest.mark.parametrize("n,m", [(12, 4), (9, 0), (3, 3)])
 def test_built_blocks_hold_half_of_an_exact_mirror(n, m):
     # the kept half is the c = ceil(N / 2) largest eigenpairs, split into even
-    # and odd rows; the full pair rebuilt from it is read-only, and handing
-    # it back in keeps the same half bit for bit
-    for k, eb in band_eigenblocks(n, m).items():
+    # and odd rows; the full pair rebuilt from it is read-only, and its first
+    # c columns, handed back in, are the same half bit for bit
+    for eb in band_eigenblocks(n, m).values():
         size = eb.size
         c = (size + 1) // 2
         assert eb.values.shape == (c,) and eb.even.shape == (c, c)
@@ -230,22 +262,9 @@ def test_built_blocks_hold_half_of_an_exact_mirror(n, m):
         parity = np.where(np.arange(size) % 2, -1.0, 1.0)[:, None]
         assert np.array_equal(vals[::-1][: size // 2], -vals[: size // 2])
         assert np.array_equal(vecs[:, ::-1][:, : size // 2], parity * vecs[:, : size // 2])
-        again = EigenBlock(k, vals, vecs)
+        again = EigenBlock(vals[:c], vecs[0::2, :c], vecs[1::2, :c])
         for attr in ("values", "even", "odd"):
             assert getattr(again, attr).tobytes() == getattr(eb, attr).tobytes()
-
-
-@pytest.mark.parametrize("where", ["vector", "value"])
-def test_full_pair_whose_mirror_differs_in_one_bit_is_rejected(where):
-    # nothing handed in is dropped unchecked: the mirror half must be exact
-    eb = eigendecompose(build_block(12, 4, 5), k=5)
-    vals, vecs = eb.eigenvalues.copy(), eb.vectors.copy()
-    if where == "vector":
-        vecs.view(np.int64)[3, -2] ^= 1  # last bit of an entry of column N - 2
-    else:
-        vals.view(np.int64)[-1] ^= 1
-    with pytest.raises(NumericError, match="block k=5: .* not the exact mirror"):
-        EigenBlock(5, vals, vecs)
 
 
 def _tridiagonal_reference(block):

@@ -1,6 +1,7 @@
 import pickle
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,6 +102,27 @@ def test_dimension_mismatch_rejected(plan_cache, rng):
         analyze(plan, other)
 
 
+def test_transforms_reject_the_other_coefficient_kind(plan_cache, rng):
+    # the same numbers read as the other kind mean nothing: each entry point
+    # names the kind it takes and the kind it got
+    plan = plan_cache(6, 0)
+    fast = plan_cache(6, 0, mode="fast")
+    harmonic = HarmonicCoeffs.random_unit(plan.params, rng)
+    localized = LocalizedCoeffs(plan.params, harmonic.values)
+    window = sl.EigenvalueWindow.upper_tail(0.5)
+    calls = [
+        (lambda: analyze(plan, localized), "harmonic", "localized"),
+        (lambda: analyze_fast(fast, localized), "harmonic", "localized"),
+        (lambda: sl.filter_coeffs(plan, localized, window), "harmonic", "localized"),
+        (lambda: sl.markov_bound(plan, localized, 0.5, "upper"), "harmonic", "localized"),
+        (lambda: sl.mean_value(localized), "harmonic", "localized"),
+        (lambda: synthesize(plan, harmonic), "localized", "harmonic"),
+    ]
+    for call, want, got in calls:
+        with pytest.raises(ValueError, match=f"expected {want} coefficients, got {got}"):
+            call()
+
+
 @pytest.mark.parametrize("n,m", [(6, 4), (16, 0), (32, 7)])
 def test_operation_count_matches_closed_formula(plan_cache, rng, n, m):
     plan = plan_cache(n, m)
@@ -172,28 +194,22 @@ def test_plan_loader_rejects_truncation(tmp_path, plan_cache):
 def test_plan_loader_rejects_nonorthogonal_vectors(tmp_path, plan_cache):
     plan = plan_cache(12, 4)
     path = tmp_path / "plan.bin"
-    scaled = {
-        k: sl.EigenBlock(
-            k=k,
-            eigenvalues=eb.eigenvalues,
-            vectors=eb.vectors * 1.001,
-        )
-        for k, eb in plan.blocks.items()
-    }
+    scaled = {k: replace(eb, even=eb.even * 1.001, odd=eb.odd * 1.001) for k, eb in plan.blocks.items()}
     save_plan(path, TransformPlan(plan.params, scaled, validate=False))
     with pytest.raises(NumericError):
         load_plan(path)
 
 
 def test_loaded_plan_meets_the_same_orthogonality_gate(tmp_path, plan_cache, rng, capsys):
-    # one column of block k=8 scaled by 1 + 5e-12, with its mirror column 3:
-    # orthogonality residual 1e-11, above the 1e-12 that every built, loaded
-    # or passed-in block must meet
+    # kept column 1 of block k=8 scaled by 1 + 5e-12, and so its mirror
+    # column 3: orthogonality residual 1e-11, above the 1e-12 that every
+    # built, loaded or passed-in block must meet
     plan = plan_cache(12, 4)
     blocks = dict(plan.blocks)
-    vecs = blocks[8].vectors.copy()
-    vecs[:, [1, 3]] *= 1 + 5e-12
-    blocks[8] = sl.EigenBlock(k=8, eigenvalues=blocks[8].eigenvalues, vectors=vecs)
+    even, odd = blocks[8].even.copy(), blocks[8].odd.copy()
+    even[:, 1] *= 1 + 5e-12
+    odd[:, 1] *= 1 + 5e-12
+    blocks[8] = replace(blocks[8], even=even, odd=odd)
     path = tmp_path / "plan.bin"
     save_plan(path, TransformPlan(plan.params, blocks, validate=False))
     with pytest.raises(NumericError, match="k=8: orthogonality"):
@@ -209,10 +225,7 @@ def test_loaded_plan_meets_the_same_orthogonality_gate(tmp_path, plan_cache, rng
 
 def test_plan_build_validates_orthogonality(plan_cache):
     plan = plan_cache(6, 2)
-    scaled = {
-        k: sl.EigenBlock(k=k, eigenvalues=eb.eigenvalues, vectors=eb.vectors * 1.001)
-        for k, eb in plan.blocks.items()
-    }
+    scaled = {k: replace(eb, even=eb.even * 1.001, odd=eb.odd * 1.001) for k, eb in plan.blocks.items()}
     with pytest.raises(NumericError):
         TransformPlan(plan.params, scaled)
 
@@ -348,34 +361,31 @@ def test_loaded_plan_shares_identical_mirror_blocks(tmp_path, plan_cache):
     save_plan(path, plan)
     loaded = load_plan(path)
     for k in range(1, 13):
-        for attr in ("eigenvalues", "vectors", "values", "even", "odd"):
-            assert getattr(loaded.blocks[-k], attr) is getattr(loaded.blocks[k], attr)
-        assert loaded.blocks[-k].k == -k
+        assert loaded.blocks[-k] is loaded.blocks[k]
+    assert loaded.blocks[-5].vectors is loaded.blocks[5].vectors
 
 
 def test_plan_reads_only_nonnegative_orders(plan_cache):
-    # block -k is block +k relabelled, whatever the caller passes for it; the
-    # columns flipped here are flipped with their mirrors, so the pair passed
-    # in is an exact mirror
+    # block -k is block +k, whatever the caller passes for it; the block
+    # passed here has every other kept column, and so its mirror, flipped
     plan = plan_cache(12, 4)
     blocks = dict(plan.blocks)
     eb = blocks[-5]
-    i = np.arange(eb.size)
-    signs = np.where(np.minimum(i, eb.size - 1 - i) % 2, -1.0, 1.0)
-    blocks[-5] = sl.EigenBlock(k=-5, eigenvalues=eb.eigenvalues.copy(), vectors=eb.vectors * signs)
+    signs = np.where(np.arange(len(eb.values)) % 2, -1.0, 1.0)
+    blocks[-5] = replace(eb, even=eb.even * signs, odd=eb.odd * signs)
     built = TransformPlan(plan.params, blocks)
-    for attr in ("eigenvalues", "vectors", "values", "even", "odd"):
-        assert getattr(built.blocks[-5], attr) is getattr(built.blocks[5], attr)
-    assert built.blocks[-5].k == -5
+    assert built.blocks[-5] is built.blocks[5] is plan.blocks[5]
 
 
 def _with_eigenvalue(plan, k, i, value):
     """Eigenvalue i of block k set to value, and its mirror to -value."""
     blocks = dict(plan.blocks)
-    vals = blocks[k].eigenvalues.copy()
-    vals[len(vals) - 1 - i] = -value
-    vals[i] = value  # the middle one of an odd block is its own mirror
-    blocks[k] = sl.EigenBlock(k=k, eigenvalues=vals, vectors=blocks[k].vectors)
+    vals = blocks[k].values.copy()
+    if i < len(vals):  # the middle one of an odd block is its own mirror
+        vals[i] = value
+    else:  # set through its kept partner
+        vals[blocks[k].size - 1 - i] = -value
+    blocks[k] = replace(blocks[k], values=vals)
     return blocks
 
 
@@ -459,7 +469,6 @@ def test_plan_cache_v3_roundtrip_sharing_and_truncation(tmp_path_factory, plan_c
     loaded = load_plan(path)
     for k in plan.params.orders():
         got, want = loaded.blocks[k], plan.blocks[k]
-        assert got.k == k
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert got.vectors.tobytes() == want.vectors.tobytes()
         for attr in ("values", "even", "odd"):
@@ -467,8 +476,7 @@ def test_plan_cache_v3_roundtrip_sharing_and_truncation(tmp_path_factory, plan_c
             assert a.tobytes() == getattr(want, attr).tobytes()
             assert not a.flags.writeable and a.ctypes.data % 8 == 0
     for alpha in range(1, plan.params.n + 1):
-        for attr in ("eigenvalues", "vectors", "values", "even", "odd"):
-            assert getattr(loaded.blocks[-alpha], attr) is getattr(loaded.blocks[alpha], attr)
+        assert loaded.blocks[-alpha] is loaded.blocks[alpha]
     data = path.read_bytes()
     for cut, message in _truncations(plan.params, len(data)):
         path.write_bytes(data[:cut])
@@ -629,6 +637,10 @@ def test_plan_pickles_without_its_work_buffers(plan_cache, rng):
     plan = plan_cache(12, 4)
     c = HarmonicCoeffs.random_unit(plan.params, rng)
     want = analyze(plan, c).values  # builds this thread's kernel
+    vectors = plan.blocks[3].vectors  # built before the round trip
     copy = pickle.loads(pickle.dumps(plan))
     assert np.array_equal(analyze(copy, c).values, want)
     assert np.array_equal(copy.blocks[-3].even, plan.blocks[3].even)
+    for k in range(1, 13):
+        assert copy.blocks[-k] is copy.blocks[k]
+    assert np.array_equal(vars(copy.blocks[-3])["vectors"], vectors)  # not rebuilt

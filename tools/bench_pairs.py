@@ -6,8 +6,11 @@ and seed it ran, one run of the parent tree with one run of the changed tree.  E
 side is named by a prefix of its git commit or of its source digest, as the
 records store them.  For every end-to-end metric of BENCHMARK.json it writes
 both sides' values, medians and quartiles, the wins of the change per pair,
-the ratio of the medians and whether the change's median beats the parent's
-by more than the parent's quartile spread.
+the ratio of the medians, whether the change's median beats the parent's by
+more than the parent's quartile spread, whether it is worse than the parent's
+by no more than the metric's bound (a fraction of the parent's median), and
+whether the comparison is unresolved: the parent's quartile spread is wider
+than that bound and not every run of the change beats every run of the parent.
 
     python3 tools/bench_pairs.py --parent 8081540 --change 1a2b3c4 \
         --seeds 501-510 --results .perfbench/results --out BENCH_7.json
@@ -97,6 +100,8 @@ def pair_workload(pairs: dict, seeds: list[int], spec: list[dict]) -> dict:
         values = {side: outputs(side, "metrics", name, "value") for side in SIDES}
         parent, change = summary(values["parent"]), summary(values["change"])
         gain = sign * (change["median"] - parent["median"])
+        allowed = metric["bound"] * abs(parent["median"])
+        beats_all = all(sign * (c - p) > 0 for p in values["parent"] for c in values["change"])
         out["metrics"][name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -107,6 +112,8 @@ def pair_workload(pairs: dict, seeds: list[int], spec: list[dict]) -> dict:
             "pairs": len(seeds),
             "median_ratio": change["median"] / parent["median"],
             "beats_parent_spread": gain > parent["q3"] - parent["q1"],
+            "within_bound": -gain <= allowed,
+            "unresolved": parent["q3"] - parent["q1"] > allowed and not beats_all,
         }
     return out
 
@@ -138,7 +145,8 @@ def main(argv=None) -> int:
     for wl, res in bench["workloads"].items():
         for name, m in res["metrics"].items():
             print(f"{wl} {name}: parent {m['parent']['median']:.4g} change {m['change']['median']:.4g} "
-                  f"ratio {m['median_ratio']:.3f} wins {m['wins']}/{m['pairs']}")
+                  f"ratio {m['median_ratio']:.3f} wins {m['wins']}/{m['pairs']} "
+                  f"within_bound {m['within_bound']} unresolved {m['unresolved']}")
     return 0
 
 
