@@ -265,9 +265,12 @@ class SpectralSummary:
         orders, indices = _label_columns(params, "localized")
         if len(xs) != params.dimension:
             raise AssertionError("eigenvalue count does not match the dimension")
-        moments = np.array(
-            [np.sum(xs**j) for j in range(cls.MAX_MOMENT + 1)]
-        )
+        # running products: x^j as x^(j-1) * x, not a per-element pow
+        moments = np.empty(cls.MAX_MOMENT + 1)
+        power = np.ones_like(xs)
+        for j in range(cls.MAX_MOMENT + 1):
+            moments[j] = np.sum(power)
+            np.multiply(power, xs, out=power)
         counts, edges = np.histogram(xs, bins=64, range=(-1.0, 1.0))
         return cls(
             params=params,

@@ -87,8 +87,9 @@ class EigenBlock:
 
     ValueError is raised unless the three shapes are those of one block.  A
     writable array is copied into a read-only one; a read-only float64
-    array is kept as given.  ``eigenvalues`` and ``vectors`` give the full
-    pair as read-only arrays, built on first access and kept.
+    array is kept as given; an unpickled block goes through the same
+    constructor.  ``eigenvalues`` and ``vectors`` give the full pair as
+    read-only arrays, built on first access and kept.
     ``eigenvalues`` and :func:`spectrum` both come from :func:`_mirror`;
     the eigenvalue check and the plan's eigenvalue vector read
     ``eigenvalues``, and no transform, filter, bound or plan-cache path
@@ -116,6 +117,11 @@ class EigenBlock:
                 f"shapes {self.values.shape}, {self.even.shape} and {self.odd.shape} "
                 "are not (c,), (c, c) and (c - 1 or c, c)"
             )
+
+    def __reduce__(self):
+        # through the constructor: numpy unpickles arrays writable, and the
+        # derived full pair is rebuilt from the half, not taken on trust
+        return type(self), (self.values, self.even, self.odd)
 
     @property
     def size(self) -> int:

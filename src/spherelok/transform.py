@@ -5,13 +5,15 @@ the half of V that a plan holds (:class:`~spherelok.jacobi_blocks.EigenBlock`):
 its even and odd rows of the ceil(N / 2) leading columns, whose mirrors
 are the other columns.  One kernel, two real half-size products per |k|
 (:func:`_apply_blocks`), serves analysis, synthesis, filtering and the
-tail bounds.
+tail bounds.  Each thread keeps its last analysis (:func:`_analysis`), so
+filtering and the bounds of a field that was just analyzed run no pass.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -51,7 +53,9 @@ class OpCounter:
     The count is that of a product with the full N x N matrix, (2N - 1) N
     per block: the dense-equivalent count, which :func:`dense_op_count`
     gives in closed form.  The kernel, which multiplies by half of V (see
-    :func:`_apply_blocks`), performs about half of it.
+    :func:`_apply_blocks`), performs about half of it.  An analysis adds
+    only when a pass ran: one served from the thread's last analysis (see
+    :func:`_analysis`) adds nothing.
     """
 
     ops: int = 0
@@ -80,7 +84,8 @@ class TransformPlan:
     block holds the kept half of its eigendata
     (:class:`~spherelok.jacobi_blocks.EigenBlock`).  Unless ``validate`` is
     False, every block k = 0..n must pass
-    :func:`~spherelok.jacobi_blocks.check_eigenpairs`.
+    :func:`~spherelok.jacobi_blocks.check_eigenpairs`; an unpickled plan
+    always goes through that check.
     Immutable once built; safe to share across concurrent transforms: each
     thread gets its own work buffers (:class:`_Kernel`).
     """
@@ -109,15 +114,11 @@ class TransformPlan:
         # band_eigenblocks has checked every block already
         return cls(BandParams(n=n, m=m), band_eigenblocks(n, m), mode=mode, validate=False)
 
-    def __getstate__(self):
-        # work buffers are per thread and per process: a copy starts without
-        state = self.__dict__.copy()
-        del state["_local"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._local = threading.local()
+    def __reduce__(self):
+        # a copy goes through the constructor: its eigendata is checked, and
+        # it starts without the per-thread work buffers
+        blocks = {k: self.blocks[k] for k in range(self.params.n + 1)}
+        return type(self), (self.params, blocks, self.mode)
 
     def _kernel(self) -> "_Kernel":
         """This thread's kernel, built on its first pass."""
@@ -330,16 +331,59 @@ def _apply_blocks(
     return np.take(kernel.slots, inverse, out=out, mode="clip")
 
 
+_last = threading.local()  # this thread's last analysis: plan, input bits, result
+
+
+def _analysis(
+    plan: TransformPlan, coeffs: HarmonicCoeffs, counter: OpCounter | None
+) -> LocalizedCoeffs:
+    """Analysis of ``coeffs``, or this thread's last one when its input was the same.
+
+    Each thread keeps one entry: a weak reference to the plan, a copy of
+    the input's bits and the read-only result.  A hit needs the same plan
+    object and bitwise-equal values (a short prefix is compared first), so
+    -0.0 against 0.0, an edited input array or another plan with the same
+    band all run the kernel.  A hit's result is the bytes of a fresh pass.
+    Every call returns a new object whose values are a view of the stored
+    result; numpy refuses to make a view of a read-only array writable, so
+    no caller can change what a later hit returns.  The key buffer is
+    reused while the dimension stays the same, so a miss allocates only its
+    output.  The entry keeps no plan alive.
+    """
+    _check_match(plan, coeffs, HarmonicCoeffs)
+    bits = np.ascontiguousarray(coeffs.values).view(np.int64)
+    key = getattr(_last, "key", None)
+    hit = (
+        key is not None
+        and _last.plan() is plan
+        and key[:8].tobytes() == bits[:8].tobytes()  # cheap, and most misses end here
+        and np.array_equal(key, bits)
+    )
+    if not hit:
+        # drop the entry first: a failed pass leaves none, and the old result
+        # is freed before the new one is allocated unless a caller holds it
+        _last.key = _last.result = None
+        result = _apply_blocks(plan, coeffs.values, transpose=True)
+        result.setflags(write=False)
+        if key is None or len(key) != len(bits):
+            key = np.empty_like(bits)
+        np.copyto(key, bits)
+        _last.plan, _last.key, _last.result = weakref.ref(plan), key, result
+        if counter is not None:
+            for k in plan.params.orders():
+                counter.add_matvec(plan.params.block_size(k))
+    return LocalizedCoeffs._adopt(plan.params, _last.result.view())
+
+
 def analyze(
     plan: TransformPlan, coeffs: HarmonicCoeffs, counter: OpCounter | None = None
 ) -> LocalizedCoeffs:
-    """Change of basis into localized coefficients, block-orthogonal multiply."""
-    _check_match(plan, coeffs, HarmonicCoeffs)
-    out = _apply_blocks(plan, coeffs.values, transpose=True)
-    if counter is not None:
-        for k in plan.params.orders():
-            counter.add_matvec(plan.params.block_size(k))
-    return LocalizedCoeffs._adopt(plan.params, out)
+    """Change of basis into localized coefficients, block-orthogonal multiply.
+
+    A field this thread analyzed last with this plan is not analyzed again
+    (see :func:`_analysis`).
+    """
+    return _analysis(plan, coeffs, counter)
 
 
 def synthesize(plan: TransformPlan, coeffs: LocalizedCoeffs) -> HarmonicCoeffs:
@@ -353,13 +397,12 @@ def analyze_fast(plan: TransformPlan, coeffs: HarmonicCoeffs) -> LocalizedCoeffs
     """Analysis through a plan built with ``mode="fast"``; equals :func:`analyze`.
 
     Every block runs the dense kernel, which no factored pipeline beats at
-    the sizes a plan can hold (see :meth:`TransformPlan.fast_eligible`).
+    the sizes a plan can hold (see :meth:`TransformPlan.fast_eligible`), and
+    it shares :func:`analyze`'s memo of the thread's last analysis.
     """
     if plan.mode != "fast":
         raise ValueError("analyze_fast requires a plan built with mode='fast'")
-    _check_match(plan, coeffs, HarmonicCoeffs)
-    out = _apply_blocks(plan, coeffs.values, transpose=True)
-    return LocalizedCoeffs._adopt(plan.params, out)
+    return _analysis(plan, coeffs, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import gc
 import pickle
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -250,11 +252,100 @@ def test_plan_build_checks_the_solved_blocks(monkeypatch):
 
 
 def test_plan_is_reusable(plan_cache, rng):
+    # two fields in turn, so both analyses of c run the kernel
     plan = plan_cache(16, 0)
-    c = HarmonicCoeffs.random_unit(plan.params, rng)
-    first = analyze(plan, c).values
-    second = analyze(plan, c).values
+    c, other = (HarmonicCoeffs.random_unit(plan.params, rng) for _ in range(2))
+    counter = OpCounter()
+    first = analyze(plan, c, counter=counter).values
+    analyze(plan, other)
+    second = analyze(plan, c, counter=counter).values
+    assert counter.ops == 2 * dense_op_count(16, 0)
     assert np.array_equal(first, second)
+
+
+def _twin(plan):
+    """A second plan object over the same blocks."""
+    return TransformPlan(plan.params, {k: plan.blocks[k] for k in range(plan.params.n + 1)})
+
+
+def _passes(plan, coeffs):
+    """(analysis, whether it ran a kernel pass)."""
+    counter = OpCounter()
+    d = analyze(plan, coeffs, counter=counter)
+    return d, counter.ops > 0
+
+
+def test_repeated_analysis_is_the_bytes_of_a_fresh_pass(plan_cache, rng):
+    plan = plan_cache(24, 3)
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    assert _passes(plan, c)[1]
+    d, ran = _passes(plan, c)
+    assert not ran
+    assert d.values.tobytes() == analyze(_twin(plan), c).values.tobytes()
+
+
+def test_fields_in_turn_each_get_their_own_analysis(plan_cache, rng):
+    plan = plan_cache(24, 3)
+    c1, c2 = (HarmonicCoeffs.random_unit(plan.params, rng) for _ in range(2))
+    for c in (c1, c2, c1):
+        d, ran = _passes(plan, c)
+        assert ran
+        assert d.values.tobytes() == _apply_blocks(plan, c.values, True).tobytes()
+
+
+def test_edited_input_array_runs_a_new_pass(plan_cache, rng):
+    plan = plan_cache(24, 3)
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    before = analyze(plan, c).values.copy()
+    c.values.setflags(write=True)  # the field owns its array
+    c.values[5] += 0.25
+    d, ran = _passes(plan, c)
+    assert ran
+    assert d.values.tobytes() == _apply_blocks(plan, c.values, True).tobytes()
+    assert not np.array_equal(d.values, before)
+
+
+def test_negative_zero_field_is_not_the_zero_field(plan_cache):
+    plan = plan_cache(24, 3)
+    zero = HarmonicCoeffs(plan.params)
+    assert np.array_equal(analyze(plan, zero).values, np.zeros(plan.params.dimension))
+    values = np.zeros(plan.params.dimension, dtype=complex)
+    values[0] = complex(-0.0, 0.0)
+    neg = HarmonicCoeffs(plan.params, values)
+    assert neg.values == pytest.approx(zero.values)  # equal as numbers
+    d, ran = _passes(plan, neg)
+    assert ran
+    assert d.values.tobytes() == _apply_blocks(plan, neg.values, True).tobytes()
+
+
+def test_plans_with_the_same_band_do_not_share_an_analysis(plan_cache, rng):
+    plan = plan_cache(24, 3)
+    twin = _twin(plan)
+    assert twin.params == plan.params
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    assert _passes(plan, c)[1]
+    assert _passes(twin, c)[1]
+    assert _passes(plan, c)[1]
+
+
+def test_repeated_analysis_is_a_new_read_only_object(plan_cache, rng):
+    plan = plan_cache(24, 3, mode="fast")
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    results = [analyze(plan, c), analyze(plan, c), analyze_fast(plan, c)]
+    assert len({id(d) for d in results}) == 3
+    for d in results:
+        with pytest.raises(ValueError):
+            d.values.setflags(write=True)
+    assert results[2].values.tobytes() == results[0].values.tobytes()
+
+
+def test_last_analysis_keeps_no_plan_alive(plan_cache, rng):
+    plan = _twin(plan_cache(24, 3))
+    analyze(plan, HarmonicCoeffs.random_unit(plan.params, rng))
+    ref = weakref.ref(plan)
+    del plan
+    gc.collect()
+    assert ref() is None
 
 
 @st.composite
@@ -605,17 +696,27 @@ def test_half_eigendata_is_an_exact_mirror_and_applies_the_full_matrices(
 
 def test_concurrent_transforms_on_one_plan_use_their_own_buffers(plan_cache):
     # the kernel's work buffers are per thread: threads sharing one plan,
-    # each with its own input, must each get the sequential results
+    # each with its own input, must each get the sequential results.  So
+    # must analyze, whose last analysis is kept per thread: each thread
+    # alternates its own field with one that all threads share
     plan = plan_cache(24, 3)
     rng = np.random.default_rng(5)
     inputs = [rng.standard_normal(plan.params.dimension) * (1 + 0.5j) for _ in range(4)]
     want = [(_apply_blocks(plan, x, True), _apply_blocks(plan, x, False)) for x in inputs]
+    shared = HarmonicCoeffs(plan.params, inputs[0][::-1])
+    shared_want = _apply_blocks(plan, shared.values, True)
     errors = []
 
     def work(x, ref):
-        for _ in range(50):
+        own = HarmonicCoeffs(plan.params, x)
+        for i in range(50):
             got = (_apply_blocks(plan, x, True), _apply_blocks(plan, x, False))
-            if not all(np.array_equal(g, r) for g, r in zip(got, ref)):
+            field, field_want = (own, ref[0]) if i % 2 else (shared, shared_want)
+            if not (
+                all(np.array_equal(g, r) for g, r in zip(got, ref))
+                and np.array_equal(analyze(plan, field).values, field_want)
+                and np.array_equal(analyze(plan, field).values, field_want)
+            ):
                 errors.append("mismatch")
                 return
 
@@ -643,4 +744,31 @@ def test_plan_pickles_without_its_work_buffers(plan_cache, rng):
     assert np.array_equal(copy.blocks[-3].even, plan.blocks[3].even)
     for k in range(1, 13):
         assert copy.blocks[-k] is copy.blocks[k]
-    assert np.array_equal(vars(copy.blocks[-3])["vectors"], vectors)  # not rebuilt
+    # the copy's blocks went through the constructor: the full pair is
+    # rebuilt from the half, not carried over
+    assert "vectors" not in vars(copy.blocks[-3])
+    assert np.array_equal(copy.blocks[-3].vectors, vectors)
+
+
+def test_unpickled_plan_holds_read_only_blocks(rng):
+    plan = TransformPlan.build(4, 1)
+    copy = pickle.loads(pickle.dumps(plan))
+    for k in copy.params.orders():
+        for attr in ("values", "even", "odd"):
+            assert not getattr(copy.blocks[k], attr).flags.writeable
+            with pytest.raises(ValueError):
+                getattr(copy.blocks[k], attr)[0] = 0.99
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    assert analyze(copy, c).values.tobytes() == analyze(plan, c).values.tobytes()
+
+
+def test_pickle_with_a_corrupted_eigenvector_entry_is_rejected():
+    plan = TransformPlan.build(4, 1)
+    data = pickle.dumps(plan)
+    even = plan.blocks[2].even
+    assert data.count(even.tobytes()) == 1
+    bad = even.copy()
+    bad[1, 0] += 1e-3
+    data = data.replace(even.tobytes(), bad.tobytes())
+    with pytest.raises(NumericError, match="block k=2"):
+        pickle.loads(data)
