@@ -16,7 +16,7 @@ import numpy as np
 
 from .jacobi_blocks import band_spectra
 from .sphere_basis import BandParams, HarmonicCoeffs, _label_columns, mean_value
-from .transform import TransformPlan, _apply_blocks, analyze
+from .transform import TransformPlan, _apply_blocks, _shared_analysis
 
 __all__ = [
     "Interval",
@@ -159,7 +159,7 @@ def filter_coeffs(
     The two parts reconstruct the input and partition its energy exactly up
     to round-off.
     """
-    d = analyze(plan, coeffs)
+    d = _shared_analysis(plan, coeffs)
     inside = window.mask(plan.eigenvalue_vector())
     parts = []
     # one synthesis per part, each in place: a two-column pass frees a gather
@@ -168,7 +168,7 @@ def filter_coeffs(
     # process fragment by several MB
     for where in (inside, ~inside):
         part = np.zeros(plan.params.dimension, dtype=complex)
-        np.copyto(part, d.values, where=where)
+        np.copyto(part, d, where=where)
         _apply_blocks(plan, part, transpose=False, out=part)
         parts.append(HarmonicCoeffs._adopt(plan.params, part))
     kept, removed = parts
@@ -202,17 +202,17 @@ def markov_bound(
     else:
         window = EigenvalueWindow.upper_tail(a)
         bound = (1.0 - eps) / a
-    d = analyze(plan, coeffs)
+    d = _shared_analysis(plan, coeffs)
     outside = ~window.mask(plan.eigenvalue_vector())
-    actual = float(np.sum(np.abs(d.values[outside]) ** 2))
+    actual = float(np.sum(np.abs(d[outside]) ** 2))
     return bound, actual
 
 
 def _weighted_spread(plan: TransformPlan, coeffs: HarmonicCoeffs):
     """Weights |d|^2, the eigenvalues, and their weighted mean and variance."""
-    d = analyze(plan, coeffs)
+    d = _shared_analysis(plan, coeffs)
     xs = plan.eigenvalue_vector()
-    w = np.abs(d.values) ** 2
+    w = np.abs(d) ** 2
     eps = float(np.sum(w * xs))
     # the centered form is free of the cancellation of x^2 - mean^2
     return w, xs, eps, float(np.sum(w * (xs - eps) ** 2))

@@ -7,7 +7,6 @@ violation.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -96,18 +95,15 @@ def bench_dense_band(n: int, m: int) -> tuple[float, int]:
     """Seconds per dense analysis of the full band, on a built plan.
 
     The band's plan is built before timing starts, so its eigensolves are
-    excluded.  The timed call is :func:`analyze` itself, on two fields in
-    turn, so no call is served from the thread's last analysis: each is a
-    full pass plus that memo's bookkeeping, two real half-size matrix
-    products per |k| on the stacked real and imaginary parts of blocks +k
-    and -k.  The operation count is the closed form sum_k (2 N_k - 1) N_k
-    of a product with all of each V, a dense-equivalent count: the kernel
-    performs about half of it.
+    excluded.  The timed call is :func:`analyze` itself: two real half-size
+    matrix products per |k| on the stacked real and imaginary parts of
+    blocks +k and -k.  The operation count is the closed form
+    sum_k (2 N_k - 1) N_k of a product with all of each V, a
+    dense-equivalent count: the kernel performs about half of it.
     """
     plan = TransformPlan.build(n, m)
-    rng = np.random.default_rng(0)
-    fields = itertools.cycle([HarmonicCoeffs.random_unit(plan.params, rng) for _ in range(2)])
-    return time_call(lambda: analyze(plan, next(fields))), dense_op_count(n, m)
+    c = HarmonicCoeffs.random_unit(plan.params, np.random.default_rng(0))
+    return time_call(lambda: analyze(plan, c)), dense_op_count(n, m)
 
 
 def bench_fast_block(size: int) -> float:

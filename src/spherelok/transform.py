@@ -5,8 +5,8 @@ the half of V that a plan holds (:class:`~spherelok.jacobi_blocks.EigenBlock`):
 its even and odd rows of the ceil(N / 2) leading columns, whose mirrors
 are the other columns.  One kernel, two real half-size products per |k|
 (:func:`_apply_blocks`), serves analysis, synthesis, filtering and the
-tail bounds.  Each thread keeps its last analysis (:func:`_analysis`), so
-filtering and the bounds of a field that was just analyzed run no pass.
+tail bounds.  The filter and the bounds of one field share one analysis
+per thread (:func:`_shared_analysis`).
 """
 
 from __future__ import annotations
@@ -53,9 +53,7 @@ class OpCounter:
     The count is that of a product with the full N x N matrix, (2N - 1) N
     per block: the dense-equivalent count, which :func:`dense_op_count`
     gives in closed form.  The kernel, which multiplies by half of V (see
-    :func:`_apply_blocks`), performs about half of it.  An analysis adds
-    only when a pass ran: one served from the thread's last analysis (see
-    :func:`_analysis`) adds nothing.
+    :func:`_apply_blocks`), performs about half of it.
     """
 
     ops: int = 0
@@ -331,59 +329,53 @@ def _apply_blocks(
     return np.take(kernel.slots, inverse, out=out, mode="clip")
 
 
-_last = threading.local()  # this thread's last analysis: plan, input bits, result
+_last = threading.local()  # this thread's last shared analysis
 
 
-def _analysis(
-    plan: TransformPlan, coeffs: HarmonicCoeffs, counter: OpCounter | None
-) -> LocalizedCoeffs:
-    """Analysis of ``coeffs``, or this thread's last one when its input was the same.
+def _shared_analysis(plan: TransformPlan, coeffs: HarmonicCoeffs) -> np.ndarray:
+    """The values of ``analyze(plan, coeffs)``, one pass per field and thread.
 
-    Each thread keeps one entry: a weak reference to the plan, a copy of
-    the input's bits and the read-only result.  A hit needs the same plan
-    object and bitwise-equal values (a short prefix is compared first), so
-    -0.0 against 0.0, an edited input array or another plan with the same
-    band all run the kernel.  A hit's result is the bytes of a fresh pass.
-    Every call returns a new object whose values are a view of the stored
-    result; numpy refuses to make a view of a read-only array writable, so
-    no caller can change what a later hit returns.  The key buffer is
-    reused while the dimension stays the same, so a miss allocates only its
-    output.  The entry keeps no plan alive.
+    The filter and the tail bounds each need the analysis of their input,
+    and callers run several of them on one field in a row.  Each thread
+    keeps its last: a weak reference to the plan, a copy of the input's
+    bits and the result.  A call with the same plan object and bitwise-equal
+    input reuses it, so -0.0 against 0.0, an input array edited since, or
+    another plan with the same band all run the kernel.  The result is the
+    bytes of a fresh pass; each call returns a new read-only view of it,
+    which numpy will not make writable.  A miss reuses the key buffer of an
+    entry for the same plan.  :func:`analyze` itself keeps nothing.
     """
     _check_match(plan, coeffs, HarmonicCoeffs)
     bits = np.ascontiguousarray(coeffs.values).view(np.int64)
-    key = getattr(_last, "key", None)
-    hit = (
-        key is not None
-        and _last.plan() is plan
-        and key[:8].tobytes() == bits[:8].tobytes()  # cheap, and most misses end here
-        and np.array_equal(key, bits)
-    )
-    if not hit:
-        # drop the entry first: a failed pass leaves none, and the old result
-        # is freed before the new one is allocated unless a caller holds it
-        _last.key = _last.result = None
-        result = _apply_blocks(plan, coeffs.values, transpose=True)
-        result.setflags(write=False)
-        if key is None or len(key) != len(bits):
-            key = np.empty_like(bits)
-        np.copyto(key, bits)
-        _last.plan, _last.key, _last.result = weakref.ref(plan), key, result
-        if counter is not None:
-            for k in plan.params.orders():
-                counter.add_matvec(plan.params.block_size(k))
-    return LocalizedCoeffs._adopt(plan.params, _last.result.view())
+    entry = getattr(_last, "entry", None)
+    key = None
+    if entry is not None and entry[0]() is plan:
+        key = entry[1]
+        # the leading word settles most misses before the whole compare
+        if key[0] == bits[0] and np.array_equal(key, bits):
+            return entry[2].view()
+    # no entry while the pass runs: a failed pass leaves none, and the old
+    # result is freed before the new one is allocated
+    _last.entry = entry = None
+    result = _apply_blocks(plan, coeffs.values, transpose=True)
+    result.setflags(write=False)
+    if key is None:
+        key = np.empty_like(bits)
+    np.copyto(key, bits)
+    _last.entry = (weakref.ref(plan), key, result)
+    return result.view()
 
 
 def analyze(
     plan: TransformPlan, coeffs: HarmonicCoeffs, counter: OpCounter | None = None
 ) -> LocalizedCoeffs:
-    """Change of basis into localized coefficients, block-orthogonal multiply.
-
-    A field this thread analyzed last with this plan is not analyzed again
-    (see :func:`_analysis`).
-    """
-    return _analysis(plan, coeffs, counter)
+    """Change of basis into localized coefficients, block-orthogonal multiply."""
+    _check_match(plan, coeffs, HarmonicCoeffs)
+    out = _apply_blocks(plan, coeffs.values, transpose=True)
+    if counter is not None:
+        for k in plan.params.orders():
+            counter.add_matvec(plan.params.block_size(k))
+    return LocalizedCoeffs._adopt(plan.params, out)
 
 
 def synthesize(plan: TransformPlan, coeffs: LocalizedCoeffs) -> HarmonicCoeffs:
@@ -397,12 +389,13 @@ def analyze_fast(plan: TransformPlan, coeffs: HarmonicCoeffs) -> LocalizedCoeffs
     """Analysis through a plan built with ``mode="fast"``; equals :func:`analyze`.
 
     Every block runs the dense kernel, which no factored pipeline beats at
-    the sizes a plan can hold (see :meth:`TransformPlan.fast_eligible`), and
-    it shares :func:`analyze`'s memo of the thread's last analysis.
+    the sizes a plan can hold (see :meth:`TransformPlan.fast_eligible`).
     """
     if plan.mode != "fast":
         raise ValueError("analyze_fast requires a plan built with mode='fast'")
-    return _analysis(plan, coeffs, None)
+    _check_match(plan, coeffs, HarmonicCoeffs)
+    out = _apply_blocks(plan, coeffs.values, transpose=True)
+    return LocalizedCoeffs._adopt(plan.params, out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spherelok as sl
+from spherelok import transform
 
 # hypothesis imports this module (and with it libcst) on a test's first
 # failure.  Under the DeprecationWarning error filter, libcst's import-time
@@ -34,3 +35,14 @@ def plan_cache():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1337)
+
+
+@pytest.fixture(autouse=True)
+def _no_shared_analysis():
+    """Each test starts without this thread's last shared analysis.
+
+    Session-scoped plans and the fixed ``rng`` seed would otherwise let a
+    test reuse the analysis an earlier test left, so that its pass counts
+    depended on the order the tests ran in.
+    """
+    vars(transform._last).clear()

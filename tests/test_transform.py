@@ -23,11 +23,13 @@ from spherelok.sphere_basis import (
     embed_block,
     save_coeffs,
 )
+from spherelok import transform
 from spherelok.transform import (
     OpCounter,
     TransformPlan,
     _apply_blocks,
     _paired_layout,
+    _shared_analysis,
     analyze,
     analyze_fast,
     dense_op_count,
@@ -252,15 +254,24 @@ def test_plan_build_checks_the_solved_blocks(monkeypatch):
 
 
 def test_plan_is_reusable(plan_cache, rng):
-    # two fields in turn, so both analyses of c run the kernel
     plan = plan_cache(16, 0)
-    c, other = (HarmonicCoeffs.random_unit(plan.params, rng) for _ in range(2))
-    counter = OpCounter()
-    first = analyze(plan, c, counter=counter).values
-    analyze(plan, other)
-    second = analyze(plan, c, counter=counter).values
-    assert counter.ops == 2 * dense_op_count(16, 0)
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    first = analyze(plan, c).values
+    second = analyze(plan, c).values
     assert np.array_equal(first, second)
+
+
+def test_analyze_runs_a_pass_on_every_call(plan_cache, rng, shared):
+    # only the filter and the bounds share an analysis; analyze keeps nothing
+    plan = plan_cache(16, 0, mode="fast")
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    _shared_analysis(plan, c)
+    counter = OpCounter()
+    for _ in range(2):
+        analyze(plan, c, counter=counter)
+        analyze_fast(plan, c)
+    assert counter.ops == 2 * dense_op_count(16, 0)
+    assert shared.passes == 5
 
 
 def _twin(plan):
@@ -268,84 +279,140 @@ def _twin(plan):
     return TransformPlan(plan.params, {k: plan.blocks[k] for k in range(plan.params.n + 1)})
 
 
-def _passes(plan, coeffs):
-    """(analysis, whether it ran a kernel pass)."""
-    counter = OpCounter()
-    d = analyze(plan, coeffs, counter=counter)
-    return d, counter.ops > 0
+class _SharedAnalysis:
+    """A count of the analysis passes run, and calls that report their own."""
+
+    def __init__(self, monkeypatch):
+        self.passes = 0
+        kernel = transform._apply_blocks
+
+        def counted(plan, x, transpose, out=None):
+            self.passes += transpose
+            return kernel(plan, x, transpose, out=out)
+
+        monkeypatch.setattr(transform, "_apply_blocks", counted)
+
+    def ran(self, plan, coeffs):
+        """(the analysis, whether it ran a kernel pass)."""
+        before = self.passes
+        d = _shared_analysis(plan, coeffs)
+        return d, self.passes > before
 
 
-def test_repeated_analysis_is_the_bytes_of_a_fresh_pass(plan_cache, rng):
+@pytest.fixture
+def shared(monkeypatch):
+    return _SharedAnalysis(monkeypatch)
+
+
+def test_shared_analysis_is_the_bytes_of_a_fresh_analysis(plan_cache, rng, shared):
     plan = plan_cache(24, 3)
     c = HarmonicCoeffs.random_unit(plan.params, rng)
-    assert _passes(plan, c)[1]
-    d, ran = _passes(plan, c)
+    assert shared.ran(plan, c)[1]
+    d, ran = shared.ran(plan, c)
     assert not ran
-    assert d.values.tobytes() == analyze(_twin(plan), c).values.tobytes()
+    assert d.tobytes() == analyze(_twin(plan), c).values.tobytes()
 
 
-def test_fields_in_turn_each_get_their_own_analysis(plan_cache, rng):
+def test_fields_in_turn_each_get_their_own_shared_analysis(plan_cache, rng, shared):
     plan = plan_cache(24, 3)
     c1, c2 = (HarmonicCoeffs.random_unit(plan.params, rng) for _ in range(2))
     for c in (c1, c2, c1):
-        d, ran = _passes(plan, c)
+        d, ran = shared.ran(plan, c)
         assert ran
-        assert d.values.tobytes() == _apply_blocks(plan, c.values, True).tobytes()
+        assert d.tobytes() == _apply_blocks(plan, c.values, True).tobytes()
 
 
-def test_edited_input_array_runs_a_new_pass(plan_cache, rng):
+def test_edited_input_array_runs_a_new_shared_pass(plan_cache, rng, shared):
     plan = plan_cache(24, 3)
     c = HarmonicCoeffs.random_unit(plan.params, rng)
-    before = analyze(plan, c).values.copy()
+    before = _shared_analysis(plan, c).copy()
     c.values.setflags(write=True)  # the field owns its array
     c.values[5] += 0.25
-    d, ran = _passes(plan, c)
+    d, ran = shared.ran(plan, c)
     assert ran
-    assert d.values.tobytes() == _apply_blocks(plan, c.values, True).tobytes()
-    assert not np.array_equal(d.values, before)
+    assert d.tobytes() == _apply_blocks(plan, c.values, True).tobytes()
+    assert not np.array_equal(d, before)
 
 
-def test_negative_zero_field_is_not_the_zero_field(plan_cache):
+def test_negative_zero_field_is_not_the_zero_field(plan_cache, shared):
     plan = plan_cache(24, 3)
     zero = HarmonicCoeffs(plan.params)
-    assert np.array_equal(analyze(plan, zero).values, np.zeros(plan.params.dimension))
+    assert np.array_equal(_shared_analysis(plan, zero), np.zeros(plan.params.dimension))
     values = np.zeros(plan.params.dimension, dtype=complex)
     values[0] = complex(-0.0, 0.0)
     neg = HarmonicCoeffs(plan.params, values)
     assert neg.values == pytest.approx(zero.values)  # equal as numbers
-    d, ran = _passes(plan, neg)
+    d, ran = shared.ran(plan, neg)
     assert ran
-    assert d.values.tobytes() == _apply_blocks(plan, neg.values, True).tobytes()
+    assert d.tobytes() == _apply_blocks(plan, neg.values, True).tobytes()
 
 
-def test_plans_with_the_same_band_do_not_share_an_analysis(plan_cache, rng):
+def test_plans_with_the_same_band_do_not_share_an_analysis(plan_cache, rng, shared):
     plan = plan_cache(24, 3)
     twin = _twin(plan)
     assert twin.params == plan.params
     c = HarmonicCoeffs.random_unit(plan.params, rng)
-    assert _passes(plan, c)[1]
-    assert _passes(twin, c)[1]
-    assert _passes(plan, c)[1]
+    assert shared.ran(plan, c)[1]
+    assert shared.ran(twin, c)[1]
+    assert shared.ran(plan, c)[1]
 
 
-def test_repeated_analysis_is_a_new_read_only_object(plan_cache, rng):
-    plan = plan_cache(24, 3, mode="fast")
+def test_each_thread_keeps_its_own_shared_analysis(plan_cache, rng, shared):
+    plan = plan_cache(24, 3)
+    c, other = (HarmonicCoeffs.random_unit(plan.params, rng) for _ in range(2))
+    _shared_analysis(plan, c)
+    worker = threading.Thread(target=_shared_analysis, args=(plan, other))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert shared.passes == 2
+    assert not shared.ran(plan, c)[1]
+
+
+def test_shared_analysis_returns_new_read_only_views(plan_cache, rng, shared):
+    plan = plan_cache(24, 3)
     c = HarmonicCoeffs.random_unit(plan.params, rng)
-    results = [analyze(plan, c), analyze(plan, c), analyze_fast(plan, c)]
+    results = [_shared_analysis(plan, c) for _ in range(3)]
+    assert shared.passes == 1
     assert len({id(d) for d in results}) == 3
     for d in results:
         with pytest.raises(ValueError):
-            d.values.setflags(write=True)
-    assert results[2].values.tobytes() == results[0].values.tobytes()
+            d.setflags(write=True)
+        with pytest.raises(ValueError):
+            d[0] = 1.0
 
 
-def test_last_analysis_keeps_no_plan_alive(plan_cache, rng):
+def test_shared_analysis_keeps_no_plan_alive(plan_cache, rng):
     plan = _twin(plan_cache(24, 3))
-    analyze(plan, HarmonicCoeffs.random_unit(plan.params, rng))
+    _shared_analysis(plan, HarmonicCoeffs.random_unit(plan.params, rng))
     ref = weakref.ref(plan)
     del plan
     gc.collect()
     assert ref() is None
+
+
+def test_filter_and_bounds_of_one_field_run_one_analysis(plan_cache, rng, shared):
+    plan = plan_cache(24, 3)
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    window = sl.EigenvalueWindow.from_string("[-1,-0.6]u[-0.2,0.2]u[0.6,1]")
+    calls = [
+        lambda: sl.filter_coeffs(plan, c, window),
+        lambda: sl.markov_bound(plan, c, 0.4, "lower"),
+        lambda: sl.markov_bound(plan, c, 0.4, "upper"),
+        lambda: sl.chebyshev_bound(plan, c, 0.3),
+        lambda: sl.coefficient_variance(plan, c),
+    ]
+    results = [call() for call in calls]
+    assert shared.passes == 1
+    # each the same as a call with no earlier analysis to reuse
+    for call, got in zip(calls, results):
+        vars(transform._last).clear()
+        want = call()
+        if isinstance(want, tuple) and isinstance(want[0], HarmonicCoeffs):
+            assert [w.values.tobytes() for w in want] == [g.values.tobytes() for g in got]
+        else:
+            assert want == got
+    assert shared.passes == 1 + len(calls)
 
 
 @st.composite
@@ -697,8 +764,9 @@ def test_half_eigendata_is_an_exact_mirror_and_applies_the_full_matrices(
 def test_concurrent_transforms_on_one_plan_use_their_own_buffers(plan_cache):
     # the kernel's work buffers are per thread: threads sharing one plan,
     # each with its own input, must each get the sequential results.  So
-    # must analyze, whose last analysis is kept per thread: each thread
-    # alternates its own field with one that all threads share
+    # must the analysis that the filter and the bounds share, which is kept
+    # per thread: each thread alternates its own field with one that all
+    # threads share
     plan = plan_cache(24, 3)
     rng = np.random.default_rng(5)
     inputs = [rng.standard_normal(plan.params.dimension) * (1 + 0.5j) for _ in range(4)]
@@ -714,8 +782,8 @@ def test_concurrent_transforms_on_one_plan_use_their_own_buffers(plan_cache):
             field, field_want = (own, ref[0]) if i % 2 else (shared, shared_want)
             if not (
                 all(np.array_equal(g, r) for g, r in zip(got, ref))
-                and np.array_equal(analyze(plan, field).values, field_want)
-                and np.array_equal(analyze(plan, field).values, field_want)
+                and np.array_equal(_shared_analysis(plan, field), field_want)
+                and np.array_equal(_shared_analysis(plan, field), field_want)
             ):
                 errors.append("mismatch")
                 return
