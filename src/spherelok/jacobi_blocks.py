@@ -8,8 +8,14 @@ truncated (index-shifted) block, larger orders the untruncated one.
 
 from __future__ import annotations
 
+import importlib
+import os
+import threading
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from typing import TypeVar
 
 import numpy as np
 
@@ -30,17 +36,87 @@ __all__ = [
 
 _MIN_EIGENVALUE_GAP = 1e-13
 
+_T = TypeVar("_T")
+
+
+@cache
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of the OpenBLAS numpy's ``svd`` calls, or None.
+
+    The functions are looked up through ``numpy.linalg._umath_linalg``, whose
+    dependencies include that OpenBLAS: ``scipy_openblas_*`` in the numpy 2.x
+    wheels, ``openblas_*`` in numpy 1.x's and in system builds, each with or
+    without the ``64_`` suffix of the 64-bit integer interface.
+    """
+    import ctypes  # on first use: neither import nor load_plan comes here
+
+    try:
+        lib = ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
+    except (ImportError, OSError, AttributeError):
+        return None
+    for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                 "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+        try:
+            get, set_ = getattr(lib, name % "get"), getattr(lib, name % "set")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 0
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold OpenBLAS at one thread, process-wide, while any solve is inside.
+
+    The first to enter saves the count and sets 1, the last to leave restores
+    it, so builds that overlap in several threads, or nest, restore the count
+    the first one found.  Without a get/set pair it does nothing.
+    """
+    global _blas_depth, _blas_saved
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
+
 
 def thread_count() -> int:
-    """Worker threads used to build a plan: always 1.
+    """Threads a plan build solves its blocks on.
 
-    Blocks are solved one after another.  numpy's ``svd`` releases the GIL,
-    but each solve's BLAS calls already run on OpenBLAS's threads: on a
-    2-vCPU host, two Python threads solved the blocks of (256, 0) in
-    0.55-0.95 s against 0.36-0.47 s for one.  Kept public for callers that
-    record it.
+    It is one per CPU the process may run on when OpenBLAS's thread count
+    can be held at one (see :func:`_one_blas_thread`), and 1 otherwise.
+    numpy's ``svd`` releases the GIL, but over OpenBLAS's default threads
+    Python threads only compete: on a 2-vCPU host, two Python threads
+    solved the blocks of (256, 0) in 318-440 ms against 248-305 ms for one.
+    With OpenBLAS at one thread, ``TransformPlan.build(256, 0)`` in a fresh
+    process took 178-260 ms on two threads against 285-415 ms serially at
+    OpenBLAS's default, and 248-321 ms against 546-1019 ms while a busy
+    loop held one core (10 alternating pairs each).
     """
-    return 1
+    if _blas_threads() is None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,10 +398,13 @@ def eigendecompose(block: JacobiBlock) -> EigenBlock:
     """Full spectrum and orthonormal eigenvectors, sorted by decreasing eigenvalue.
 
     The result passes :func:`check_eigenpairs` (gap, range, residual and
-    orthogonality), or NumericError is raised.
+    orthogonality), or NumericError is raised.  It is solved with OpenBLAS
+    at one thread, as in a band, so it holds the same bytes as the block of
+    :func:`band_eigenblocks`.
     """
-    eb = _solve(block)
-    check_eigenpairs(block, eb)
+    with _one_blas_thread():
+        eb = _solve(block)
+        check_eigenpairs(block, eb)
     return eb
 
 
@@ -339,17 +418,68 @@ def spectrum(block: JacobiBlock) -> np.ndarray:
     return _mirror(np.append(s, np.zeros(block.size % 2)), len(s))
 
 
+def _solve_band(solve: Callable[[JacobiBlock], _T], jacobi: list[JacobiBlock]) -> dict[int, _T]:
+    """{k: solve(block k)} for a band's blocks, on :func:`thread_count` threads.
+
+    OpenBLAS is held at one thread throughout.  The calling thread and
+    ``thread_count() - 1`` more each take the next unsolved block, lowest k
+    and so largest first; with one thread, the calling thread solves them
+    in turn.  Every thread has ended when this returns or raises.  After an
+    error no further block is taken, and the error of the lowest k that
+    failed is raised: every lower k was taken first, so it is the serial
+    loop's.
+    """
+    out: dict[int, _T] = {}
+    errors: dict[int, Exception] = {}
+    todo = list(range(len(jacobi)))[::-1]
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                if not todo:
+                    return
+                k = todo.pop()
+            try:
+                out[k] = solve(jacobi[k])
+            except Exception as exc:
+                with lock:
+                    errors[k] = exc
+                    todo.clear()
+
+    threads = []
+    with _one_blas_thread():
+        try:
+            for _ in range(min(thread_count(), len(jacobi)) - 1):
+                threads.append(threading.Thread(target=work, name="spherelok-solve"))
+                threads[-1].start()
+            work()
+        finally:
+            with lock:
+                todo.clear()
+            for t in threads:
+                t.join()
+    if errors:
+        raise errors[min(errors)]
+    return dict(sorted(out.items()))
+
+
 def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:
     """Eigendecompositions for every order -n <= k <= n.
 
-    Blocks for k and -k are identical, so each |k| is solved once, in turn,
-    as the SVD of its half-size bidiagonal (:func:`_solve`), and block -k
-    is block +k, the same object.  Every block is solved before
-    :func:`_check_band` checks them all, in its two phases.
+    Blocks for k and -k are identical, so each |k| is solved once, as the
+    SVD of its half-size bidiagonal (:func:`_solve`, on the threads of
+    :func:`_solve_band`), and block -k is block +k, the same object.  Every
+    block is solved before :func:`_check_band` checks them all, in its two
+    phases, on the calling thread: its small elementwise steps hold the GIL,
+    and a check spread over the threads was slower.  OpenBLAS stays at one
+    thread until the check is done, so the bytes of a build depend neither
+    on the process's BLAS thread count nor on how many threads solve.
     """
     jacobi = _band_blocks(n, m)
-    out = {k: _solve(block) for k, block in enumerate(jacobi)}
-    _check_band(jacobi, out)
+    with _one_blas_thread():
+        out = _solve_band(_solve, jacobi)
+        _check_band(jacobi, out)
     for k in range(1, n + 1):
         out[-k] = out[k]
     return out
@@ -358,6 +488,7 @@ def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:
 def band_spectra(n: int, m: int) -> dict[int, np.ndarray]:
     """Eigenvalues for every distinct |k|, sorted decreasing (no eigenvectors).
 
-    Each is :func:`spectrum` of the block, from singular values only.
+    Each is :func:`spectrum` of the block, from singular values only, solved
+    by :func:`_solve_band`.
     """
-    return {k: spectrum(block) for k, block in enumerate(_band_blocks(n, m))}
+    return _solve_band(spectrum, _band_blocks(n, m))

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spherelok import _fastcheb as fc
+from spherelok import jacobi_blocks as jb
 from spherelok.approximation import SpectralSummary
 from spherelok.errors import NumericError
 from spherelok.jacobi_blocks import (
@@ -238,13 +241,161 @@ def test_array_holding_classes_compare_and_hash_by_identity(make):
 
 @pytest.mark.parametrize("n,m", [(120, 0), (40, 7)])
 def test_band_eigenblocks_equals_per_block_solves(n, m):
-    # one serial solve per |k|: bit for bit the per-block eigendecomposition
-    assert thread_count() == 1
+    # the solves of a band, on any number of threads, are bit for bit the
+    # per-block eigendecompositions
     blocks = band_eigenblocks(n, m)
     for k in range(n + 1):
         ref = eigendecompose(build_block(n, m, k))
         assert blocks[k].eigenvalues.tobytes() == ref.eigenvalues.tobytes()
         assert blocks[k].vectors.tobytes() == ref.vectors.tobytes()
+
+
+def test_solved_bytes_do_not_depend_on_blas_threads(monkeypatch):
+    # N = 601: OpenBLAS threads this block's products, and at two threads
+    # its SVD differs from one thread's in the last bits.  Solves run at one
+    # thread whatever the count outside, alone or in a band
+    big = build_block(600, 0, 0)
+    get, set_ = jb._blas_threads() or (lambda: None, lambda count: None)
+    before = get()
+    solved = []
+    try:
+        for count in (1, 2, 3):
+            set_(count)
+            solved.append(eigendecompose(big))
+    finally:
+        set_(before)
+    monkeypatch.setattr(jb, "_band_blocks", lambda n, m: [big])
+    solved.append(band_eigenblocks(0, 0)[0])
+    for eb in solved[1:]:
+        for attr in ("values", "even", "odd"):
+            assert getattr(eb, attr).tobytes() == getattr(solved[0], attr).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_failed_solves_raise_the_serial_error_and_leave_no_thread(monkeypatch, workers):
+    # blocks 3, 5 and 7 fail, and 3 fails last: the lowest k's error is
+    # raised, as the serial loop raises it, and every worker has ended
+    monkeypatch.setattr(jb, "thread_count", lambda: workers)
+    solve = jb._solve
+
+    def failing_solve(block):
+        if block.alpha in (3, 5, 7):
+            if block.alpha == 3:
+                time.sleep(0.05)
+            raise NumericError(f"solve of k={block.alpha} failed")
+        return solve(block)
+
+    before = set(threading.enumerate())
+    ok = band_eigenblocks(12, 1)
+    assert set(threading.enumerate()) == before
+    monkeypatch.setattr(jb, "_solve", failing_solve)
+    with pytest.raises(NumericError, match="^solve of k=3 failed$"):
+        band_eigenblocks(12, 1)
+    assert set(threading.enumerate()) == before
+    monkeypatch.setattr(jb, "_solve", solve)
+    again = band_eigenblocks(12, 1)
+    assert list(again) == list(ok)
+    assert all(again[k].vectors.tobytes() == ok[k].vectors.tobytes() for k in ok)
+
+
+@pytest.fixture
+def blas_at_two():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the test."""
+    blas = jb._blas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread-count get/set function found")
+    get, set_ = blas
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def test_build_holds_blas_at_one_thread_and_restores_it(blas_at_two, monkeypatch):
+    get = blas_at_two
+    solve = jb._solve
+    seen = []
+
+    def watched_solve(block):
+        seen.append(get())
+        if block.alpha == 5:
+            raise NumericError("solve failed")
+        return solve(block)
+
+    band_eigenblocks(8, 0)
+    assert get() == 2
+    monkeypatch.setattr(jb, "_solve", watched_solve)
+    with pytest.raises(NumericError):
+        band_eigenblocks(8, 0)
+    assert seen and set(seen) == {1} and get() == 2
+
+
+def test_overlapping_builds_restore_blas_threads_when_the_last_ends(blas_at_two, monkeypatch):
+    # both builds are inside their checks at once; the one still inside after
+    # the other has returned keeps one thread, and the count is 2 again after
+    get = blas_at_two
+    check = jb._check_band
+    both_in = threading.Barrier(2, timeout=30)
+    first_done = threading.Event()
+    seen = []
+
+    def held_check(jacobi, blocks):
+        both_in.wait()
+        if threading.current_thread().name == "second":
+            assert first_done.wait(timeout=30)
+        seen.append(get())
+        check(jacobi, blocks)
+
+    monkeypatch.setattr(jb, "_check_band", held_check)
+    built = {}
+
+    def build(name):
+        built[name] = band_eigenblocks(24, 3)
+        if name == "first":
+            first_done.set()
+
+    threads = [threading.Thread(target=build, args=(name,), name=name) for name in ("first", "second")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(built) == ["first", "second"]
+    assert seen == [1, 1] and get() == 2
+
+
+def test_blocks_are_solved_on_thread_count_threads(monkeypatch):
+    # blocks 0-2 wait until three threads are inside a solve at once, so the
+    # build fails unless it solves on three threads
+    monkeypatch.setattr(jb, "thread_count", lambda: 3)
+    solve = jb._solve
+    all_in = threading.Barrier(3, timeout=30)
+    threads = set()
+
+    def gathered_solve(block):
+        threads.add(threading.get_ident())
+        if block.alpha < 3:
+            all_in.wait()
+        return solve(block)
+
+    monkeypatch.setattr(jb, "_solve", gathered_solve)
+    band_eigenblocks(10, 2)
+    assert len(threads) == 3 and threading.get_ident() in threads
+
+
+def test_without_blas_thread_control_blocks_are_solved_serially(monkeypatch):
+    monkeypatch.setattr(jb, "_blas_threads", lambda: None)
+    assert thread_count() == 1
+    solve = jb._solve
+    threads = set()
+
+    def watched_solve(block):
+        threads.add(threading.get_ident())
+        return solve(block)
+
+    monkeypatch.setattr(jb, "_solve", watched_solve)
+    blocks = band_eigenblocks(10, 2)
+    assert threads == {threading.get_ident()} and len(blocks) == 21
 
 
 @pytest.mark.parametrize("n,m", [(12, 4), (9, 0), (3, 3)])
