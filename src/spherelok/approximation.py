@@ -195,16 +195,15 @@ def markov_bound(
     if tail not in ("lower", "upper"):
         raise ValueError("tail must be 'lower' or 'upper'")
     _check_unit(coeffs)
-    eps = mean_value(coeffs)
+    w, xs, eps, _ = _weighted_spread(plan, coeffs)
     if tail == "lower":
         window = EigenvalueWindow.lower_tail(a)
         bound = (1.0 + eps) / a
     else:
         window = EigenvalueWindow.upper_tail(a)
         bound = (1.0 - eps) / a
-    d = _shared_analysis(plan, coeffs)
-    outside = ~window.mask(plan.eigenvalue_vector())
-    actual = float(np.sum(np.abs(d[outside]) ** 2))
+    outside = ~window.mask(xs)
+    actual = float(np.sum(w[outside]))
     return bound, actual
 
 

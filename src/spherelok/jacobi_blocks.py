@@ -15,7 +15,6 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import TypeVar
 
 import numpy as np
 
@@ -36,8 +35,6 @@ __all__ = [
 
 _MIN_EIGENVALUE_GAP = 1e-13
 
-_T = TypeVar("_T")
-
 
 @cache
 def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
@@ -48,7 +45,7 @@ def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     wheels, ``openblas_*`` in numpy 1.x's and in system builds, each with or
     without the ``64_`` suffix of the 64-bit integer interface.
     """
-    import ctypes  # on first use: neither import nor load_plan comes here
+    import ctypes  # on first use, so that importing the package does not load it
 
     try:
         lib = ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
@@ -73,11 +70,11 @@ _blas_saved = 0
 
 @contextmanager
 def _one_blas_thread() -> Iterator[None]:
-    """Hold OpenBLAS at one thread, process-wide, while any solve is inside.
+    """Hold OpenBLAS at one thread, process-wide, while any solve or check is inside.
 
     The first to enter saves the count and sets 1, the last to leave restores
-    it, so builds that overlap in several threads, or nest, restore the count
-    the first one found.  Without a get/set pair it does nothing.
+    it, so builds and loads that overlap in several threads, or nest, restore
+    the count the first one found.  Without a get/set pair it does nothing.
     """
     global _blas_depth, _blas_saved
     blas = _blas_threads()
@@ -260,8 +257,25 @@ def _absmax(*arrays: np.ndarray) -> float:
     return float(np.max(ends))
 
 
-def _check_spectrum(block: JacobiBlock, eb: EigenBlock) -> None:
-    """Gap, range and residual conditions of :func:`check_eigenpairs`."""
+def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
+    """Raise NumericError unless ``eb`` holds sorted orthonormal eigenpairs of block.
+
+    This is the one definition of valid eigendata, whether it was solved,
+    loaded from a plan cache or passed in, and it has no tolerance to set.
+    It checks the matrix the transforms apply, the kept half and its exact
+    mirror (see :class:`EigenBlock`), against five conditions:
+
+    - the eigenvalues are strictly decreasing, with every gap above 1e-13;
+    - they lie inside (-1, 1);
+    - the residual max |J V - V diag(x)|, one tridiagonal matvec per
+      column, is at most 1e-12 * size;
+    - every column's Rayleigh quotient is within 1e-13 of its eigenvalue:
+      |v^T (J v - x v)| <= 1e-13, which ties each eigenvalue to its block
+      far more tightly than the residual does;
+    - the orthogonality residual max |V^T V - I| is at most 1e-12.
+
+    The comparisons are written so that NaN fails them.
+    """
     if eb.size != block.size:
         raise NumericError(f"{eb.size} eigenpairs for a block of size {block.size}")
     x, e, o = eb.values, eb.even, eb.odd
@@ -278,7 +292,8 @@ def _check_spectrum(block: JacobiBlock, eb: EigenBlock) -> None:
     # J v - x v on the kept columns, even rows and odd rows apart: J couples
     # row 2j with rows 2j +- 1 only.  b_{2j} joins rows 2j and 2j + 1, and
     # b_{2j+1} rows 2j + 1 and 2j + 2.  A mirror's residual is exactly the
-    # negated D-image of its partner's, so it has the same maximum
+    # negated D-image of its partner's, so it has the same maximum, and its
+    # v^T r is its partner's, negated
     res_e = e * -x
     res_o = o * -x
     if block.size > 1:
@@ -290,17 +305,14 @@ def _check_spectrum(block: JacobiBlock, eb: EigenBlock) -> None:
     worst = _absmax(res_e, res_o)
     if not worst <= 1e-12 * block.size:
         raise NumericError(f"eigenpair residual {worst:.3e} too large")
-
-
-def _check_orthogonality(block: JacobiBlock, eb: EigenBlock) -> None:
-    """Orthogonality condition of :func:`check_eigenpairs`, from two half-size Grams.
-
-    With G_e = E^T E and G_o = O^T O, the kept columns have Gram matrix
-    G_e + G_o, each mirror pair the same, and kept column i against mirror
-    D v_j has (G_e - G_o)[i, j]; so max |V^T V - I| is the larger of
-    max |G_e + G_o - I| and max |(G_e - G_o)[:, :N-c]|.
-    """
-    e, o = eb.even, eb.odd
+    rayleigh = np.einsum("ij,ij->j", e, res_e) + np.einsum("ij,ij->j", o, res_o)
+    worst = np.abs(rayleigh).max()
+    if not worst <= 1e-13:
+        raise NumericError(f"Rayleigh quotient off its eigenvalue by {worst:.3e}, above 1e-13")
+    # from two half-size Grams: with G_e = E^T E and G_o = O^T O, the kept
+    # columns have Gram matrix G_e + G_o, each mirror pair the same, and kept
+    # column i against mirror D v_j has (G_e - G_o)[i, j]; so max |V^T V - I|
+    # is the larger of max |G_e + G_o - I| and max |(G_e - G_o)[:, :N-c]|
     g_even = np.dot(e.T, e)
     g_odd = np.dot(o.T, o)
     cross = (g_even - g_odd)[:, : len(o)]
@@ -311,41 +323,18 @@ def _check_orthogonality(block: JacobiBlock, eb: EigenBlock) -> None:
         raise NumericError(f"orthogonality residual {worst:.3e} exceeds 1e-12")
 
 
-def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
-    """Raise NumericError unless ``eb`` holds sorted orthonormal eigenpairs of block.
-
-    This is the one definition of valid eigendata, whether it was solved,
-    loaded from a plan cache or passed in, and it has no tolerance to set.
-    It checks the matrix the transforms apply, the kept half and its exact
-    mirror (see :class:`EigenBlock`), against four conditions:
-
-    - the eigenvalues are strictly decreasing, with every gap above 1e-13;
-    - they lie inside (-1, 1);
-    - the residual max |J V - V diag(x)|, one tridiagonal matvec per
-      column, is at most 1e-12 * size;
-    - the orthogonality residual max |V^T V - I| is at most 1e-12.
-
-    The comparisons are written so that NaN fails them.
-    """
-    _check_spectrum(block, eb)
-    _check_orthogonality(block, eb)
-
-
 def _check_band(jacobi: list[JacobiBlock], blocks: dict[int, EigenBlock]) -> None:
-    """Run :func:`check_eigenpairs` on blocks k = 0..n of a band.
+    """Run :func:`check_eigenpairs` on blocks k = 0..n of a band, OpenBLAS at one thread.
 
     ``jacobi`` is :func:`_band_blocks` of the band.  An error names the
     block it was found in.  Block -k is block +k's eigendata.  The halves
     :func:`_solve` builds from an SVD and those read from a plan cache get
-    the same check, since both are the same :class:`EigenBlock` half.  Every
-    block's elementwise conditions run before any Gram product: a matrix
-    product leaves OpenBLAS's worker threads spinning, which slows the
-    elementwise work that follows it.
+    the same check, since both are the same :class:`EigenBlock` half.
     """
-    for check in (_check_spectrum, _check_orthogonality):
+    with _one_blas_thread():
         for k, block in enumerate(jacobi):
             try:
-                check(block, blocks[k])
+                check_eigenpairs(block, blocks[k])
             except NumericError as exc:
                 raise NumericError(f"block k={k}: {exc}") from None
 
@@ -397,10 +386,10 @@ def _solve(block: JacobiBlock) -> EigenBlock:
 def eigendecompose(block: JacobiBlock) -> EigenBlock:
     """Full spectrum and orthonormal eigenvectors, sorted by decreasing eigenvalue.
 
-    The result passes :func:`check_eigenpairs` (gap, range, residual and
-    orthogonality), or NumericError is raised.  It is solved with OpenBLAS
-    at one thread, as in a band, so it holds the same bytes as the block of
-    :func:`band_eigenblocks`.
+    The result passes :func:`check_eigenpairs` (gap, range, residual,
+    Rayleigh quotient and orthogonality), or NumericError is raised.  It is
+    solved with OpenBLAS at one thread, as in a band, so it holds the same
+    bytes as the block of :func:`band_eigenblocks`.
     """
     with _one_blas_thread():
         eb = _solve(block)
@@ -418,10 +407,10 @@ def spectrum(block: JacobiBlock) -> np.ndarray:
     return _mirror(np.append(s, np.zeros(block.size % 2)), len(s))
 
 
-def _solve_band(solve: Callable[[JacobiBlock], _T], jacobi: list[JacobiBlock]) -> dict[int, _T]:
-    """{k: solve(block k)} for a band's blocks, on :func:`thread_count` threads.
+def _solve_band(jacobi: list[JacobiBlock]) -> list[EigenBlock]:
+    """:func:`_solve` of each of a band's blocks, on :func:`thread_count` threads.
 
-    OpenBLAS is held at one thread throughout.  The calling thread and
+    The caller holds OpenBLAS at one thread.  The calling thread and
     ``thread_count() - 1`` more each take the next unsolved block, lowest k
     and so largest first; with one thread, the calling thread solves them
     in turn.  Every thread has ended when this returns or raises.  After an
@@ -429,7 +418,7 @@ def _solve_band(solve: Callable[[JacobiBlock], _T], jacobi: list[JacobiBlock]) -
     failed is raised: every lower k was taken first, so it is the serial
     loop's.
     """
-    out: dict[int, _T] = {}
+    out: list = [None] * len(jacobi)
     errors: dict[int, Exception] = {}
     todo = list(range(len(jacobi)))[::-1]
     lock = threading.Lock()
@@ -441,27 +430,26 @@ def _solve_band(solve: Callable[[JacobiBlock], _T], jacobi: list[JacobiBlock]) -
                     return
                 k = todo.pop()
             try:
-                out[k] = solve(jacobi[k])
+                out[k] = _solve(jacobi[k])
             except Exception as exc:
                 with lock:
                     errors[k] = exc
                     todo.clear()
 
     threads = []
-    with _one_blas_thread():
-        try:
-            for _ in range(min(thread_count(), len(jacobi)) - 1):
-                threads.append(threading.Thread(target=work, name="spherelok-solve"))
-                threads[-1].start()
-            work()
-        finally:
-            with lock:
-                todo.clear()
-            for t in threads:
-                t.join()
+    try:
+        for _ in range(min(thread_count(), len(jacobi)) - 1):
+            threads.append(threading.Thread(target=work, name="spherelok-solve"))
+            threads[-1].start()
+        work()
+    finally:
+        with lock:
+            todo.clear()
+        for t in threads:
+            t.join()
     if errors:
         raise errors[min(errors)]
-    return dict(sorted(out.items()))
+    return out
 
 
 def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:
@@ -470,15 +458,15 @@ def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:
     Blocks for k and -k are identical, so each |k| is solved once, as the
     SVD of its half-size bidiagonal (:func:`_solve`, on the threads of
     :func:`_solve_band`), and block -k is block +k, the same object.  Every
-    block is solved before :func:`_check_band` checks them all, in its two
-    phases, on the calling thread: its small elementwise steps hold the GIL,
-    and a check spread over the threads was slower.  OpenBLAS stays at one
-    thread until the check is done, so the bytes of a build depend neither
-    on the process's BLAS thread count nor on how many threads solve.
+    block is solved before :func:`_check_band` checks them all on the
+    calling thread: its small elementwise steps hold the GIL, and a check
+    spread over the threads was slower.  OpenBLAS stays at one thread until
+    the check is done, so the bytes of a build depend neither on the
+    process's BLAS thread count nor on how many threads solve.
     """
     jacobi = _band_blocks(n, m)
     with _one_blas_thread():
-        out = _solve_band(_solve, jacobi)
+        out = dict(enumerate(_solve_band(jacobi)))
         _check_band(jacobi, out)
     for k in range(1, n + 1):
         out[-k] = out[k]
@@ -488,7 +476,8 @@ def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:
 def band_spectra(n: int, m: int) -> dict[int, np.ndarray]:
     """Eigenvalues for every distinct |k|, sorted decreasing (no eigenvectors).
 
-    Each is :func:`spectrum` of the block, from singular values only, solved
-    by :func:`_solve_band`.
+    Each is :func:`spectrum` of the block, from singular values only,
+    solved one block after another with OpenBLAS at one thread.
     """
-    return _solve_band(spectrum, _band_blocks(n, m))
+    with _one_blas_thread():
+        return {k: spectrum(block) for k, block in enumerate(_band_blocks(n, m))}

@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -20,9 +21,11 @@ from spherelok.jacobi_blocks import (
     build_block,
     check_eigenpairs,
     eigendecompose,
+    spectrum,
     thread_count,
 )
 from spherelok.sphere_basis import SphereGrid
+from spherelok.transform import TransformPlan, load_plan, save_plan
 from spherelok.ultraspherical import UltrasphericalFamily, recurrence_coefficient
 
 
@@ -182,6 +185,36 @@ def test_check_eigenpairs_rejects_non_orthonormal_vectors():
     check_eigenpairs(blk, _scaled_column(eb, 1, 1 + 1e-13))  # within the 1e-12 gate
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    move=st.integers(0, 24)
+    .flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+    .flatmap(
+        lambda band: st.tuples(
+            st.just(band),
+            st.integers(0, band[0]),
+            st.integers(0, 10**6),
+            st.sampled_from([-1.0, 1.0]),
+            st.floats(2e-13, 1e-9),
+        )
+    )
+)
+@example(move=((3, 0), 3, 0, 1.0, 2e-13))  # size 1: no gap to break
+@example(move=((4, 0), 0, 2, -1.0, 2e-13))  # the middle 0 of N = 5
+@example(move=((256, 0), 8, 3, 1.0, 1e-10))  # a move the residual lets through
+@example(move=((256, 0), 250, 2, -1.0, 2e-13))
+def test_check_eigenpairs_rejects_moved_eigenvalues(move):
+    # a kept eigenvalue moved by eps leaves a residual of eps * v, far
+    # inside 1e-12 * size; the Rayleigh quotient condition catches it
+    (n, m), k, index, sign, eps = move
+    blk = build_block(n, m, k)
+    eb = eigendecompose(blk)
+    vals = eb.values.copy()
+    vals[index % len(vals)] += sign * eps
+    with pytest.raises(NumericError):
+        check_eigenpairs(blk, replace(eb, values=vals))
+
+
 def test_band_eigenblocks_shares_mirror_orders():
     blocks = band_eigenblocks(8, 2)
     assert set(blocks) == set(range(-8, 9))
@@ -311,9 +344,11 @@ def blas_at_two():
     set_(before)
 
 
-def test_build_holds_blas_at_one_thread_and_restores_it(blas_at_two, monkeypatch):
+def test_build_holds_blas_at_one_thread_and_restores_it(blas_at_two, monkeypatch, tmp_path):
+    # a failed build, a load and a load whose check fails all run at one
+    # BLAS thread, and the count is 2 again after each
     get = blas_at_two
-    solve = jb._solve
+    solve, check = jb._solve, jb.check_eigenpairs
     seen = []
 
     def watched_solve(block):
@@ -322,12 +357,31 @@ def test_build_holds_blas_at_one_thread_and_restores_it(blas_at_two, monkeypatch
             raise NumericError("solve failed")
         return solve(block)
 
-    band_eigenblocks(8, 0)
+    def watched_check(block, eb):
+        seen.append(get())
+        check(block, eb)
+
+    plan = TransformPlan.build(8, 0)
     assert get() == 2
     monkeypatch.setattr(jb, "_solve", watched_solve)
     with pytest.raises(NumericError):
         band_eigenblocks(8, 0)
     assert seen and set(seen) == {1} and get() == 2
+
+    path = tmp_path / "plan.bin"
+    save_plan(path, plan)
+    good = path.read_bytes()
+    even = plan.blocks[3].even
+    assert good.count(even.tobytes()) == 1
+    at = good.index(even.tobytes())  # block 3's first eigenvector word
+    bad = good[:at] + (even[0, :1] + 1e-3).tobytes() + good[at + 8 :]
+    monkeypatch.setattr(jb, "check_eigenpairs", watched_check)
+    for data, fails in ((good, nullcontext()), (bad, pytest.raises(NumericError, match="block k=3"))):
+        seen.clear()
+        path.write_bytes(data)
+        with fails:
+            load_plan(path)
+        assert seen and set(seen) == {1} and get() == 2
 
 
 def test_overlapping_builds_restore_blas_threads_when_the_last_ends(blas_at_two, monkeypatch):
@@ -451,3 +505,4 @@ def test_bidiagonal_svd_matches_tridiagonal_solver(band):
         assert np.abs(eb.vectors - vecs).max() <= 1e-12
         assert np.all(eb.vectors[0] > 0)
         assert np.abs(spectra[k] - eb.eigenvalues).max() <= 1e-14
+        assert spectra[k].tobytes() == spectrum(build_block(n, m, k)).tobytes()
