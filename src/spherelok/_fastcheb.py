@@ -1,13 +1,18 @@
-"""FFT-backed kernels behind the fast coefficient transform.
+"""FFT-backed kernels of the factored fast coefficient transform.
 
-Three pieces live here, all internal to :mod:`spherelok.transform`:
+No transform uses them (see :meth:`spherelok.transform.TransformPlan.fast_eligible`);
+:func:`spherelok.cli.bench_fast_block` times them.  Three pieces live here:
 
 * batched conversion between Chebyshev coefficients and values at
-  Chebyshev roots (DCT-II / DCT-III pairs),
+  Chebyshev roots (the DCT-III / DCT-II pair, each one numpy FFT of twice
+  the length),
 * a divide-and-conquer cascade that rewrites an expansion over the
   recurrence family into Chebyshev coefficients in O(N log^2 N),
-* a windowed nonequispaced cosine evaluation (oversampling 2, Gaussian
-  window of half-width 12) plus its direct Clenshaw counterpart.
+* a windowed nonequispaced cosine evaluation (oversampling 2 on a
+  power-of-two FFT grid, Gaussian window of half-width 12) plus its direct
+  Clenshaw counterpart.
+
+Every FFT is numpy's, so the module needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-import scipy.fft as sfft
 
 from .ultraspherical import UltrasphericalFamily, _recurrence
 
@@ -34,20 +38,37 @@ __all__ = [
 
 
 def cheb_values(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Values of the Chebyshev series at the n roots of T_n (batched last axis)."""
-    shape = coeffs.shape[:-1] + (n,)
-    w = np.zeros(shape, dtype=coeffs.dtype)
-    w[..., : coeffs.shape[-1]] = coeffs
-    w[..., 1:] *= 0.5
-    return sfft.dct(w, type=3, axis=-1)
+    """Values of the Chebyshev series at the n roots of T_n (batched last axis).
+
+    y_k = sum_j c_j cos(j t_k), t_k = pi (2k + 1) / (2n), is the first n
+    entries of 2n times the inverse FFT of a length-2n spectrum holding c_0
+    at 0 and c_j e^{+-i pi j / (2n)} / 2 at j and 2n - j.  Real input gives
+    real output.
+    """
+    m = coeffs.shape[-1]
+    half = 0.5 * coeffs[..., 1:]
+    shift = np.exp(0.5j * np.pi / n * np.arange(1, m))
+    spec = np.zeros(coeffs.shape[:-1] + (2 * n,), dtype=complex)
+    spec[..., 0] = coeffs[..., 0]
+    spec[..., 1:m] = half * shift
+    spec[..., : 2 * n - m : -1] = half * shift.conj()
+    out = np.fft.ifft(spec, axis=-1, norm="forward")[..., :n]
+    return out if np.iscomplexobj(coeffs) else out.real
 
 
 def cheb_coeffs(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients from values at the roots of T_n (batched last axis)."""
+    """Chebyshev coefficients from values at the roots of T_n (batched last axis).
+
+    The FFT of the even extension [v, v reversed] is 2 e^{i pi k / (2n)}
+    sum_j v_j cos(k t_j); turning that phase back and dividing by n gives
+    the coefficients, entry 0 halved.  Real input gives real output.
+    """
     n = values.shape[-1]
-    out = sfft.dct(values, type=2, axis=-1) / (2.0 * n)
-    out[..., 1:] *= 2.0
-    return out
+    even = np.concatenate((values, values[..., ::-1]), axis=-1)
+    spec = np.fft.fft(even, axis=-1, norm="forward")[..., :n]
+    out = spec * (2.0 * np.exp(-0.5j * np.pi / n * np.arange(n)))
+    out[..., 0] *= 0.5
+    return out if np.iscomplexobj(values) else out.real
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +151,15 @@ def apply_cascade(plan: CascadePlan, c: np.ndarray) -> np.ndarray:
         raise ValueError("coefficient length does not match the plan")
     buf = np.zeros(plan.padded, dtype=complex)
     buf[: plan.n_coeffs] = c
-    gam = buf[0::2][:, None].copy()
-    del_ = buf[1::2][:, None].copy()
+    # gamma and delta, the even and odd entries, stacked: each level then
+    # makes one batched transform of each kind for both
+    gd = buf.reshape(-1, 2).T[:, :, None].copy()
     for lv in plan.levels:
-        g_even, g_odd = gam[0::2], gam[1::2]
-        d_even, d_odd = del_[0::2], del_[1::2]
-        vg = cheb_values(g_odd, lv.grid)
-        vd = cheb_values(d_odd, lv.grid)
-        new_g = cheb_coeffs(lv.ta * vg + lv.ta2 * vd)
-        new_d = cheb_coeffs(lv.tb * vg + lv.tb2 * vd)
-        new_g[:, : g_even.shape[1]] += g_even
-        new_d[:, : d_even.shape[1]] += d_even
-        gam, del_ = new_g, new_d
-    g, d = gam[0], del_[0]
+        even, odd = gd[:, 0::2], gd[:, 1::2]
+        vg, vd = cheb_values(odd, lv.grid)
+        gd = cheb_coeffs(np.stack((lv.ta * vg + lv.ta2 * vd, lv.tb * vg + lv.tb2 * vd)))
+        gd[..., : even.shape[-1]] += even
+    g, d = gd[:, 0]
     out = np.zeros(plan.padded + 1, dtype=complex)
     out[: len(g)] = plan.inv_b0 * g
     # delta multiplies p_1 = x / (b0 b1); fold the x factor in Chebyshev form
@@ -175,7 +192,7 @@ def build_ndct(theta: np.ndarray, n_coeffs: int) -> NdctPlan:
     if n_coeffs < 2:
         raise ValueError("need at least two coefficients")
     k_max = n_coeffs - 1
-    n_over = sfft.next_fast_len(max(2 * _OVERSAMPLING * k_max, 16))
+    n_over = 1 << (max(2 * _OVERSAMPLING * k_max, 16) - 1).bit_length()
     w = _WINDOW_HALF_WIDTH
     # balance window truncation against spectral aliasing
     tau = (np.pi * w / n_over) / np.sqrt((n_over - k_max) ** 2 - k_max**2)

@@ -67,21 +67,21 @@ class EigenvalueWindow:
     @classmethod
     def lower_tail(cls, a: float) -> "EigenvalueWindow":
         """[-1, -1+a): eigenvalues within distance a of the bottom edge."""
-        if a <= 0:
+        if not a > 0:
             raise ValueError("tail width must be positive")
         return cls((Interval(-1.0, -1.0 + a, True, False),))
 
     @classmethod
     def upper_tail(cls, a: float) -> "EigenvalueWindow":
         """(1-a, 1]: eigenvalues within distance a of the top edge."""
-        if a <= 0:
+        if not a > 0:
             raise ValueError("tail width must be positive")
         return cls((Interval(1.0 - a, 1.0, False, True),))
 
     @classmethod
     def centered(cls, center: float, a: float) -> "EigenvalueWindow":
         """(center-a, center+a), clipped to [-1, 1]."""
-        if a <= 0:
+        if not a > 0:
             raise ValueError("half-width must be positive")
         lo, lo_closed = center - a, False
         hi, hi_closed = center + a, False
@@ -177,7 +177,7 @@ def filter_coeffs(
 
 def _check_unit(coeffs: HarmonicCoeffs) -> None:
     norm = coeffs.norm()
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"input must be unit norm, got {norm}")
 
 
@@ -190,7 +190,7 @@ def markov_bound(
     top-edge window (1-a, 1] ("upper").  Returns (bound, actual) with
     actual <= bound guaranteed.
     """
-    if a <= 0:
+    if not a > 0:
         raise ValueError("a must be positive")
     if tail not in ("lower", "upper"):
         raise ValueError("tail must be 'lower' or 'upper'")
@@ -226,7 +226,7 @@ def chebyshev_bound(
     plan: TransformPlan, coeffs: HarmonicCoeffs, a: float
 ) -> tuple[float, float]:
     """Centered-window residual bound var/a^2 and the realized residual."""
-    if a <= 0:
+    if not a > 0:
         raise ValueError("a must be positive")
     _check_unit(coeffs)
     w, xs, eps, var = _weighted_spread(plan, coeffs)

@@ -111,7 +111,7 @@ def bench_fast_block(size: int) -> float:
 
     Uses the deepest (alpha = 0) family: nodes and scaling come straight
     from the Gauss-Legendre rule of matching order.  ``_fastcheb`` is
-    imported here, so only this benchmark loads ``scipy.fft``.
+    imported here, so the import stays out of every other CLI call.
     """
     from . import _fastcheb as fc
 

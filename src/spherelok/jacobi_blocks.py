@@ -251,12 +251,6 @@ def _band_blocks(n: int, m: int) -> list[JacobiBlock]:
     return blocks
 
 
-def _absmax(*arrays: np.ndarray) -> float:
-    """Largest |entry| of the arrays (0 if all are empty, NaN if any entry is NaN)."""
-    ends = [(a.max(initial=0.0), -a.min(initial=0.0)) for a in arrays]
-    return float(np.max(ends))
-
-
 def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
     """Raise NumericError unless ``eb`` holds sorted orthonormal eigenpairs of block.
 
@@ -302,7 +296,7 @@ def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
         res_e[1:] += b_odd * o[: len(e) - 1]
         res_o[: len(e) - 1] += b_odd * e[1:]
         res_o += b_even * e[: len(o)]
-    worst = _absmax(res_e, res_o)
+    worst = np.maximum(np.abs(res_e).max(initial=0.0), np.abs(res_o).max(initial=0.0))
     if not worst <= 1e-12 * block.size:
         raise NumericError(f"eigenpair residual {worst:.3e} too large")
     rayleigh = np.einsum("ij,ij->j", e, res_e) + np.einsum("ij,ij->j", o, res_o)
@@ -318,7 +312,7 @@ def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
     cross = (g_even - g_odd)[:, : len(o)]
     g_even += g_odd
     g_even.flat[:: len(e) + 1] -= 1.0
-    worst = _absmax(g_even, cross)
+    worst = np.maximum(np.abs(g_even).max(initial=0.0), np.abs(cross).max(initial=0.0))
     if not worst <= 1e-12:
         raise NumericError(f"orthogonality residual {worst:.3e} exceeds 1e-12")
 

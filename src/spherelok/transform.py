@@ -139,9 +139,10 @@ class TransformPlan:
         The Chebyshev cascade plus windowed NDCT of ``_fastcheb`` loses to
         the kernel's two paired half-size products at every block size a
         plan can hold: at |k| = 1, both +-k, best of 7 on a 2-vCPU x86
-        host, 0.62 ms against 0.007 ms at N = 256 and 2.3 ms against
-        1.7 ms at N = 2048.  It wins only near N = 4096 (4.7 ms against
-        9.5 ms), whose plan would take about 92 GB.
+        host (least of 5 fresh processes), 0.57 ms against 0.006 ms at
+        N = 256 and 2.6 ms against 1.6 ms at N = 2048.  It still loses at
+        N = 3072 (5.1 ms against 3.5 ms) and wins at N = 4096 (5.7 ms
+        against 10.0 ms), whose plan would take about 92 GB.
         """
         return False
 

@@ -128,6 +128,11 @@ def test_window_factories_match_strings():
     assert w.contains(1.0) and not w.contains(0.4)
     with pytest.raises(ValueError):
         EigenvalueWindow.lower_tail(0.0)
+    for make in (EigenvalueWindow.lower_tail, EigenvalueWindow.upper_tail):
+        with pytest.raises(ValueError, match="tail width must be positive"):
+            make(math.nan)
+    with pytest.raises(ValueError, match="half-width must be positive"):
+        EigenvalueWindow.centered(0.0, math.nan)
 
 
 def test_filter_full_window_keeps_everything(plan_cache, rng):
@@ -204,6 +209,15 @@ def test_markov_bound_validates_input(plan_cache, rng):
     big = HarmonicCoeffs(plan.params, 2.0 * c.values)
     with pytest.raises(ValueError):
         markov_bound(plan, big, 0.5, "lower")
+    # NaN fails every check, with the message of the check it fails
+    nan_field = HarmonicCoeffs(plan.params, np.full_like(c.values, np.nan))
+    for bound in (lambda *a: markov_bound(*a, "upper"), chebyshev_bound):
+        with pytest.raises(ValueError, match="a must be positive"):
+            bound(plan, c, math.nan)
+        with pytest.raises(ValueError, match="input must be unit norm, got nan"):
+            bound(plan, nan_field, 0.5)
+    with pytest.raises(ValueError, match="a must be positive"):
+        chebyshev_bound(plan, c, -1.0)
 
 
 def test_chebyshev_bound_pure_eigenfunction(plan_cache):

@@ -313,7 +313,6 @@ def _scipy_modules_after(code, *args):
 
 @pytest.mark.parametrize("module", ["spherelok", "spherelok.cli"])
 def test_import_loads_no_scipy(module):
-    # only `spherelok bench`'s fast-pipeline timing loads scipy
     assert _scipy_modules_after(f"import {module}") == (0, [])
 
 
@@ -323,6 +322,12 @@ def test_plan_build_loads_no_scipy(tmp_path):
     args = ("plan", "--n", "16", "--m", "4", "--out", str(path))
     assert _scipy_modules_after(code, *args) == (0, [])
     assert sl.load_plan(path).params == sl.BandParams(16, 4)
+
+
+def test_bench_blocks_loads_no_scipy():
+    # the fast pipeline's Chebyshev transforms run on numpy's FFT
+    code = "from spherelok.cli import main\nrc = main(sys.argv[1:])"
+    assert _scipy_modules_after(code, "bench", "--blocks", "64", "--json") == (0, [])
 
 
 def test_band_spectra_load_no_scipy():

@@ -29,6 +29,34 @@ def test_cheb_transforms_handle_complex(rng):
     assert np.abs(back - c).max() < 1e-13
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 64, 100])
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_cheb_transforms_match_scipy_dct(rng, n, complex_input):
+    # scipy is only the oracle here: DCT-III and DCT-II, as the transforms
+    # were computed before they ran on numpy's FFT
+    from scipy.fft import dct
+
+    def batch(m):
+        x = rng.standard_normal((3, m))
+        return x + 1j * rng.standard_normal((3, m)) if complex_input else x
+
+    for m in sorted({1, (n + 1) // 2, n}):
+        c = batch(m)
+        w = np.zeros((3, n), dtype=c.dtype)
+        w[:, :m] = c
+        w[:, 1:] *= 0.5
+        ref = dct(w, type=3, axis=-1)
+        got = fc.cheb_values(c, n)
+        assert got.dtype == ref.dtype
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+    v = batch(n)
+    ref = dct(v, type=2, axis=-1) / (2.0 * n)
+    ref[:, 1:] *= 2.0
+    got = fc.cheb_coeffs(v)
+    assert got.dtype == ref.dtype
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize(
     "alpha,size,tol",
     [(0, 16, 1e-12), (0, 100, 1e-11), (0, 513, 1e-10), (1, 129, 1e-10), (2, 65, 1e-9), (3, 64, 1e-8)],

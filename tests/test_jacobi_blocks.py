@@ -185,6 +185,18 @@ def test_check_eigenpairs_rejects_non_orthonormal_vectors():
     check_eigenpairs(blk, _scaled_column(eb, 1, 1 + 1e-13))  # within the 1e-12 gate
 
 
+@pytest.mark.parametrize("half", ["even", "odd"])
+def test_check_eigenpairs_rejects_nan_vector_entry(half):
+    # one NaN entry of a kept column makes its residual NaN, which the
+    # residual condition rejects before any later condition runs
+    blk = build_block(12, 4, 8)
+    eb = eigendecompose(blk)
+    rows = getattr(eb, half).copy()
+    rows[1, 2] = np.nan
+    with pytest.raises(NumericError, match="eigenpair residual"):
+        check_eigenpairs(blk, replace(eb, **{half: rows}))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     move=st.integers(0, 24)
