@@ -312,5 +312,5 @@ def moment_deviation_bound(j: int, n: int, m: int) -> float:
         raise ValueError("j must be >= 1")
     rank_a = max(0, (2 * n + 1 - j) * (j - 1))
     rank_bc = max(0, (2 * m - 1) * (n + 1) - m * m + m)
-    dim = (n + 1) ** 2 - m * m
+    dim = BandParams(n, m).dimension  # ValueError unless 0 <= m <= n
     return 2.0 * (rank_a + 2 * rank_bc) / dim

@@ -37,8 +37,8 @@ from .sphere_basis import (
 )
 from .transform import (
     TransformPlan,
+    _check_match,
     analyze,
-    analyze_fast,
     dense_op_count,
     load_plan,
     save_plan,
@@ -169,12 +169,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    plan = load_plan(args.plan, mode=args.mode)
-    coeffs = _load_harmonic(args.input)
-    if args.mode == "fast":
-        result = analyze_fast(plan, coeffs)
-    else:
-        result = analyze(plan, coeffs)
+    plan = load_plan(args.plan)
+    result = analyze(plan, _load_harmonic(args.input))
     save_coeffs(args.out, result)
     print(f"analyzed {args.input} -> {args.out} (norm {result.norm():.12g})")
     return 0
@@ -262,7 +258,9 @@ def cmd_grid(args) -> int:
         k, i = args.psi
         field = evaluate_basis_on_grid(params, plan.blocks, k, i, grid)
     else:
-        field = evaluate_on_grid(_load_harmonic(args.input), grid)
+        coeffs = _load_harmonic(args.input)
+        _check_match(plan, coeffs, HarmonicCoeffs)  # the grid is exact to degree n only
+        field = evaluate_on_grid(coeffs, grid)
     p, q = grid.shape
     columns = (
         np.repeat(grid.theta, q),
@@ -429,7 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="input", required=True)
         p.add_argument("--out", required=True)
         if name == "analyze":
-            p.add_argument("--mode", choices=("dense", "fast"), default="dense")
+            p.add_argument(
+                "--mode",
+                choices=("dense", "fast"),
+                default="dense",
+                help="accepted for compatibility: both values run the same pass",
+            )
         p.set_defaults(func=fn)
 
     p = sub.add_parser("filter", help="split by an eigenvalue window")

@@ -393,7 +393,7 @@ def _write_rows(path, header: str, row_format: str, columns) -> None:
     its own with the same conversions.
     """
     rows = len(columns[0])
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for start in range(0, rows, _ROWS_PER_CHUNK):
             chunk = [col[start : start + _ROWS_PER_CHUNK].tolist() for col in columns]
@@ -433,9 +433,12 @@ def load_coeffs(path) -> HarmonicCoeffs | LocalizedCoeffs:
     ``np.loadtxt`` reads the entries first, as an acceptance path only; when
     it fails or its values would not be accepted, the per-line parser
     :func:`_parse_entries` runs, which defines the format and names every
-    error.
+    error.  The file is UTF-8 text; undecodable bytes are a FormatError.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     lines = text.splitlines()
     if not lines:
         raise FormatError(f"{path}: empty file")

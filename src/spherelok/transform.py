@@ -343,8 +343,9 @@ def _shared_analysis(plan: TransformPlan, coeffs: HarmonicCoeffs) -> np.ndarray:
     input reuses it, so -0.0 against 0.0, an input array edited since, or
     another plan with the same band all run the kernel.  The result is the
     bytes of a fresh pass; each call returns a new read-only view of it,
-    which numpy will not make writable.  A miss reuses the key buffer of an
-    entry for the same plan.  :func:`analyze` itself keeps nothing.
+    which numpy will not make writable.  A miss runs :func:`analyze`, which
+    itself keeps nothing, and reuses the key buffer of an entry for the same
+    plan.
     """
     _check_match(plan, coeffs, HarmonicCoeffs)
     bits = np.ascontiguousarray(coeffs.values).view(np.int64)
@@ -358,8 +359,7 @@ def _shared_analysis(plan: TransformPlan, coeffs: HarmonicCoeffs) -> np.ndarray:
     # no entry while the pass runs: a failed pass leaves none, and the old
     # result is freed before the new one is allocated
     _last.entry = entry = None
-    result = _apply_blocks(plan, coeffs.values, transpose=True)
-    result.setflags(write=False)
+    result = analyze(plan, coeffs).values
     if key is None:
         key = np.empty_like(bits)
     np.copyto(key, bits)
@@ -387,16 +387,14 @@ def synthesize(plan: TransformPlan, coeffs: LocalizedCoeffs) -> HarmonicCoeffs:
 
 
 def analyze_fast(plan: TransformPlan, coeffs: HarmonicCoeffs) -> LocalizedCoeffs:
-    """Analysis through a plan built with ``mode="fast"``; equals :func:`analyze`.
+    """:func:`analyze` through a plan built with ``mode="fast"``.
 
-    Every block runs the dense kernel, which no factored pipeline beats at
-    the sizes a plan can hold (see :meth:`TransformPlan.fast_eligible`).
+    No factored pipeline beats the dense kernel at the sizes a plan can
+    hold (see :meth:`TransformPlan.fast_eligible`).
     """
     if plan.mode != "fast":
         raise ValueError("analyze_fast requires a plan built with mode='fast'")
-    _check_match(plan, coeffs, HarmonicCoeffs)
-    out = _apply_blocks(plan, coeffs.values, transpose=True)
-    return LocalizedCoeffs._adopt(plan.params, out)
+    return analyze(plan, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +424,7 @@ def save_plan(path, plan: TransformPlan) -> None:
                 a.astype("<f8").tofile(fh)
 
 
-def load_plan(path, mode: str = "dense") -> TransformPlan:
+def load_plan(path) -> TransformPlan:
     """Load a v3 plan cache, verifying layout and every record's eigendata.
 
     The file is read once into one 8-byte-aligned buffer; each block's
@@ -489,6 +487,6 @@ def load_plan(path, mode: str = "dense") -> TransformPlan:
     if pos != len(words) or trailing:
         raise FormatError(f"{path}: trailing bytes after last block")
     try:
-        return TransformPlan(params, blocks, mode=mode)
+        return TransformPlan(params, blocks)
     except NumericError as exc:
         raise NumericError(f"{path}: {exc}") from None

@@ -306,6 +306,12 @@ def test_moment_bound_is_positive_and_holds():
         assert abs(summary.moment(2) / dim - 1.0 / 3.0) <= bound
 
 
+def test_moment_bound_rejects_invalid_band():
+    for n, m in ((3, 5), (3, 4)):
+        with pytest.raises(ValueError, match="0 <= m <= n"):
+            moment_deviation_bound(2, n, m)
+
+
 def test_weak_limit_trend_toward_uniform():
     # deviation of the counting fraction from 1/4 shrinks with the band limit
     devs = []

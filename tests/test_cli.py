@@ -74,9 +74,8 @@ def test_analyze_fast_mode(tmp_path, rng):
     out_fast = tmp_path / "df.coeff"
     assert main(["analyze", "--plan", str(plan_path), "--in", str(cpath), "--out", str(out_dense)]) == 0
     assert main(["analyze", "--plan", str(plan_path), "--in", str(cpath), "--out", str(out_fast), "--mode", "fast"]) == 0
-    dd = load_coeffs(out_dense)
-    df = load_coeffs(out_fast)
-    assert np.abs(dd.values - df.values).max() < 1e-8
+    # both values of --mode run the same pass
+    assert out_fast.read_bytes() == out_dense.read_bytes()
 
 
 def test_filter_command(tmp_path, plan_file, rng, capsys):
@@ -150,6 +149,34 @@ def test_corrupt_coeff_file_is_format_error(tmp_path, plan_file):
     cpath.write_text("garbage\n")
     rc = main(["analyze", "--plan", str(plan_file), "--in", str(cpath), "--out", str(tmp_path / "o.coeff")])
     assert rc == 3
+
+
+def test_non_utf8_coefficients_are_format_error(tmp_path, plan_file, rng, capsys):
+    cpath = tmp_path / "c.coeff"
+    save_coeffs(cpath, HarmonicCoeffs.random_unit(sl.BandParams(12, 3), rng))
+    data = cpath.read_bytes()
+    cpath.write_bytes(data[:-2] + b"\xff" + data[-1:])  # header and entry count intact
+    for bad in (plan_file, cpath):
+        rc = main(["analyze", "--plan", str(plan_file), "--in", str(bad), "--out", str(tmp_path / "o.coeff")])
+        assert rc == 3
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_text_files_never_use_the_locale_encoding(tmp_path, plan_file):
+    code = (
+        "import numpy as np, spherelok as s\n"
+        "from spherelok.cli import main\n"
+        "s.save_coeffs('c.coeff', s.HarmonicCoeffs.random_unit(s.BandParams(12, 3), np.random.default_rng(0)))\n"
+        "assert s.load_coeffs('c.coeff').params == s.BandParams(12, 3)\n"
+        f"raise SystemExit(main(['grid', '--plan', {str(plan_file)!r}, '--in', 'c.coeff', '--out', 'g.csv']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", code],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "g.csv").exists()
 
 
 def test_non_finite_coefficients_are_format_error(tmp_path, plan_file, rng):
@@ -227,6 +254,18 @@ def test_grid_zero_coefficients_gives_zero_grid(tmp_path, plan_file):
     rows = out_csv.read_text().splitlines()[1:]
     data = np.array([[float(v) for v in r.split(",")] for r in rows])
     assert np.abs(data[:, 2:]).max() == 0.0
+
+
+def test_grid_rejects_coefficients_of_another_band(tmp_path, rng, capsys):
+    plan_path = tmp_path / "plan.bin"
+    assert main(["plan", "--n", "4", "--m", "1", "--out", str(plan_path)]) == 0
+    cpath = tmp_path / "c.coeff"
+    save_coeffs(cpath, HarmonicCoeffs.random_unit(sl.BandParams(12, 0), rng))
+    out_csv = tmp_path / "f.csv"
+    rc = main(["grid", "--plan", str(plan_path), "--in", str(cpath), "--out", str(out_csv)])
+    assert rc == 2
+    assert "do not match plan" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_grid_unknown_basis_index_is_usage_error(tmp_path, plan_file):
