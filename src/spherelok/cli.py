@@ -86,9 +86,16 @@ def time_call(fn) -> float:
     return best
 
 
+def _log_sizes(sizes) -> np.ndarray:
+    """log(sizes); ValueError unless they are positive and two or more distinct."""
+    if len(set(sizes)) < 2 or min(sizes) <= 0:
+        raise ValueError(f"a log-log fit needs two or more distinct positive sizes, not {sizes}")
+    return np.log(np.asarray(sizes, float))
+
+
 def fit_loglog(sizes, times) -> float:
-    """Least-squares slope of log(time) against log(size)."""
-    return float(np.polyfit(np.log(np.asarray(sizes, float)), np.log(times), 1)[0])
+    """Least-squares slope of log(time) against log(size); see :func:`_log_sizes`."""
+    return float(np.polyfit(_log_sizes(sizes), np.log(times), 1)[0])
 
 
 def bench_dense_band(n: int, m: int) -> tuple[float, int]:
@@ -275,11 +282,13 @@ def cmd_grid(args) -> int:
 
 def cmd_bench(args) -> int:
     payload: dict = {}
-    if args.blocks:
-        sizes = [int(s) for s in args.blocks.split(",")]
+    sizes, ns = ([int(s) for s in a.split(",")] if a else [] for a in (args.blocks, args.n_list))
+    for fitted in (sizes, ns):
+        if len(fitted) > 1:
+            _log_sizes(fitted)  # before any timing
+    if sizes:
         times = [bench_fast_block(sz) for sz in sizes]
-        payload["block_sizes"] = sizes
-        payload["block_seconds"] = times
+        payload.update(block_sizes=sizes, block_seconds=times)
         if len(sizes) > 1:
             payload["block_exponent"] = fit_loglog(sizes, times)
         if not args.json:
@@ -287,19 +296,12 @@ def cmd_bench(args) -> int:
                 print(f"fast block N={sz:6d}: {t * 1e3:10.4f} ms")
             if len(sizes) > 1:
                 print(f"fast per-block exponent: {payload['block_exponent']:.3f}")
-    if args.n_list:
-        ns = [int(s) for s in args.n_list.split(",")]
-        dense_t, ops = [], []
-        for n in ns:
-            t, op = bench_dense_band(n, args.m)
-            dense_t.append(t)
-            ops.append(op)
-            if not args.json:
+    if ns:
+        dense_t, ops = map(list, zip(*(bench_dense_band(n, args.m) for n in ns)))
+        if not args.json:
+            for n, t, op in zip(ns, dense_t, ops):
                 print(f"dense n={n:4d}: {t * 1e3:10.4f} ms  ops={op}")
-        payload["n_list"] = ns
-        payload["m"] = args.m
-        payload["dense_seconds"] = dense_t
-        payload["dense_ops"] = ops
+        payload.update(n_list=ns, m=args.m, dense_seconds=dense_t, dense_ops=ops)
         if len(ns) > 1:
             payload["dense_exponent"] = fit_loglog(ns, dense_t)
             if not args.json:

@@ -97,17 +97,11 @@ def _one_blas_thread() -> Iterator[None]:
 
 
 def thread_count() -> int:
-    """Threads a plan build solves its blocks on.
+    """Threads a plan build solves and checks its blocks on, and a load checks them on.
 
-    It is one per CPU the process may run on when OpenBLAS's thread count
-    can be held at one (see :func:`_one_blas_thread`), and 1 otherwise.
-    numpy's ``svd`` releases the GIL, but over OpenBLAS's default threads
-    Python threads only compete: on a 2-vCPU host, two Python threads
-    solved the blocks of (256, 0) in 318-440 ms against 248-305 ms for one.
-    With OpenBLAS at one thread, ``TransformPlan.build(256, 0)`` in a fresh
-    process took 178-260 ms on two threads against 285-415 ms serially at
-    OpenBLAS's default, and 248-321 ms against 546-1019 ms while a busy
-    loop held one core (10 alternating pairs each).
+    It is one per CPU the process may run on if OpenBLAS can be held at
+    one thread (:func:`_one_blas_thread`), and 1 otherwise: over OpenBLAS's
+    default threads, Python threads only compete (see the README).
     """
     if _blas_threads() is None:
         return 1
@@ -318,19 +312,22 @@ def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
 
 
 def _check_band(jacobi: list[JacobiBlock], blocks: dict[int, EigenBlock]) -> None:
-    """Run :func:`check_eigenpairs` on blocks k = 0..n of a band, OpenBLAS at one thread.
+    """:func:`check_eigenpairs` of blocks k = 0..n by :func:`_each_block`, OpenBLAS at one thread.
 
     ``jacobi`` is :func:`_band_blocks` of the band.  An error names the
     block it was found in.  Block -k is block +k's eigendata.  The halves
     :func:`_solve` builds from an SVD and those read from a plan cache get
     the same check, since both are the same :class:`EigenBlock` half.
     """
+
+    def check(k: int, block: JacobiBlock) -> None:
+        try:
+            check_eigenpairs(block, blocks[k])
+        except NumericError as exc:
+            raise NumericError(f"block k={k}: {exc}") from None
+
     with _one_blas_thread():
-        for k, block in enumerate(jacobi):
-            try:
-                check_eigenpairs(block, blocks[k])
-            except NumericError as exc:
-                raise NumericError(f"block k={k}: {exc}") from None
+        _each_block(check, jacobi)
 
 
 def _bidiagonal(block: JacobiBlock) -> np.ndarray:
@@ -401,16 +398,16 @@ def spectrum(block: JacobiBlock) -> np.ndarray:
     return _mirror(np.append(s, np.zeros(block.size % 2)), len(s))
 
 
-def _solve_band(jacobi: list[JacobiBlock]) -> list[EigenBlock]:
-    """:func:`_solve` of each of a band's blocks, on :func:`thread_count` threads.
+def _each_block(fn: Callable[[int, JacobiBlock], object], jacobi: list[JacobiBlock]) -> list:
+    """``[fn(k, block) for k, block in enumerate(jacobi)]`` on :func:`thread_count` threads.
 
-    The caller holds OpenBLAS at one thread.  The calling thread and
-    ``thread_count() - 1`` more each take the next unsolved block, lowest k
-    and so largest first; with one thread, the calling thread solves them
-    in turn.  Every thread has ended when this returns or raises.  After an
-    error no further block is taken, and the error of the lowest k that
-    failed is raised: every lower k was taken first, so it is the serial
-    loop's.
+    A band's solves and checks both run here, with OpenBLAS held at one
+    thread by the caller.  The calling thread and ``thread_count() - 1``
+    more each take the next block, lowest k and so largest first; with one
+    thread, the calling thread takes them in turn.  Every thread has ended
+    when this returns or raises.  After an error no further block is
+    taken, and the error of the lowest k that failed is raised: every
+    lower k was taken first, so it is the serial loop's.
     """
     out: list = [None] * len(jacobi)
     errors: dict[int, Exception] = {}
@@ -424,7 +421,7 @@ def _solve_band(jacobi: list[JacobiBlock]) -> list[EigenBlock]:
                     return
                 k = todo.pop()
             try:
-                out[k] = _solve(jacobi[k])
+                out[k] = fn(k, jacobi[k])
             except Exception as exc:
                 with lock:
                     errors[k] = exc
@@ -433,7 +430,7 @@ def _solve_band(jacobi: list[JacobiBlock]) -> list[EigenBlock]:
     threads = []
     try:
         for _ in range(min(thread_count(), len(jacobi)) - 1):
-            threads.append(threading.Thread(target=work, name="spherelok-solve"))
+            threads.append(threading.Thread(target=work, name="spherelok-band"))
             threads[-1].start()
         work()
     finally:
@@ -450,17 +447,18 @@ def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:
     """Eigendecompositions for every order -n <= k <= n.
 
     Blocks for k and -k are identical, so each |k| is solved once, as the
-    SVD of its half-size bidiagonal (:func:`_solve`, on the threads of
-    :func:`_solve_band`), and block -k is block +k, the same object.  Every
-    block is solved before :func:`_check_band` checks them all on the
-    calling thread: its small elementwise steps hold the GIL, and a check
-    spread over the threads was slower.  OpenBLAS stays at one thread until
-    the check is done, so the bytes of a build depend neither on the
-    process's BLAS thread count nor on how many threads solve.
+    SVD of its half-size bidiagonal (:func:`_solve`), and block -k is
+    block +k, the same object.  All blocks are solved, then checked by
+    :func:`_check_band`, both on the threads of :func:`_each_block`.  The
+    check's small elementwise steps hold the GIL, so its threads gain at
+    large blocks only: 245-274 ms against 407-420 ms serially at (512, 0),
+    67 against 61 ms at (256, 0) (see the README).  OpenBLAS stays at one
+    thread until the check is done, so the bytes of a build depend neither
+    on the process's BLAS thread count nor on how many threads solve.
     """
     jacobi = _band_blocks(n, m)
     with _one_blas_thread():
-        out = dict(enumerate(_solve_band(jacobi)))
+        out = dict(enumerate(_each_block(lambda k, block: _solve(block), jacobi)))
         _check_band(jacobi, out)
     for k in range(1, n + 1):
         out[-k] = out[k]

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import spherelok as sl
-from spherelok import sphere_basis
-from spherelok.cli import main
+from spherelok import cli, sphere_basis
+from spherelok.cli import fit_loglog, main
 from spherelok.sphere_basis import HarmonicCoeffs, load_coeffs, save_coeffs
 from spherelok.transform import dense_op_count
 
@@ -334,6 +334,31 @@ def test_bench_both_modes_and_blocks(capsys):
 
 def test_bench_without_work_is_usage_error():
     assert main(["bench"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n-list", "4,4"], ["--blocks", "2,2"], ["--n-list", "0,4"], ["--n-list", "8,16", "--blocks", "64,64"]],
+)
+def test_bench_fit_without_two_distinct_positive_sizes_is_usage_error(monkeypatch, capsys, argv):
+    # the sizes are refused before anything is timed, with one message
+    def timed(*args):
+        raise AssertionError("timed before the sizes were checked")
+
+    monkeypatch.setattr(cli, "bench_dense_band", timed)
+    monkeypatch.setattr(cli, "bench_fast_block", timed)
+    assert main(["bench", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: a log-log fit needs two or more distinct positive sizes")
+    assert err.count("\n") == 1
+
+
+def test_fit_loglog_needs_two_distinct_positive_sizes():
+    assert fit_loglog([2, 4, 8], [1.0, 4.0, 16.0]) == pytest.approx(2.0)
+    for sizes in ([4, 4], [4], [0, 4], [-2, 4]):
+        with pytest.raises(ValueError, match="two or more distinct positive sizes"):
+            fit_loglog(sizes, np.ones(len(sizes)))
 
 
 def _scipy_modules_after(code, *args):

@@ -343,6 +343,39 @@ def test_failed_solves_raise_the_serial_error_and_leave_no_thread(monkeypatch, w
     assert all(again[k].vectors.tobytes() == ok[k].vectors.tobytes() for k in ok)
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_failed_checks_raise_the_serial_error_and_leave_no_thread(
+    monkeypatch, tmp_path, plan_cache, workers
+):
+    # a cache corrupted at blocks 3 and 200, where 3 fails last: the load
+    # raises block 3's error, as the serial loop raised it, every check
+    # thread has ended, and the BLAS count is what it was
+    monkeypatch.setattr(jb, "thread_count", lambda: workers)
+    check = jb.check_eigenpairs
+
+    def slow_check(block, eb):
+        if block.alpha == 3:
+            time.sleep(0.05)
+        check(block, eb)
+
+    plan = plan_cache(208, 0)
+    path = tmp_path / "plan.bin"
+    save_plan(path, plan)
+    data = path.read_bytes()
+    for k in (3, 200):
+        even = plan.blocks[k].even
+        assert data.count(even.tobytes()) == 1
+        at = data.index(even.tobytes())  # block k's first eigenvector word
+        data = data[:at] + (even[0, :1] + 1e-3).tobytes() + data[at + 8 :]
+    path.write_bytes(data)
+    get = (jb._blas_threads() or (lambda: None,))[0]
+    blas_before, before = get(), set(threading.enumerate())
+    monkeypatch.setattr(jb, "check_eigenpairs", slow_check)
+    with pytest.raises(NumericError, match=r"plan\.bin: block k=3: eigenpair residual"):
+        load_plan(path)
+    assert set(threading.enumerate()) == before and get() == blas_before
+
+
 @pytest.fixture
 def blas_at_two():
     """OpenBLAS's thread-count getter, with the count set to 2 for the test."""
@@ -430,22 +463,30 @@ def test_overlapping_builds_restore_blas_threads_when_the_last_ends(blas_at_two,
     assert seen == [1, 1] and get() == 2
 
 
-def test_blocks_are_solved_on_thread_count_threads(monkeypatch):
-    # blocks 0-2 wait until three threads are inside a solve at once, so the
-    # build fails unless it solves on three threads
+@pytest.mark.parametrize("job", ["solve", "check"])
+def test_blocks_are_solved_on_thread_count_threads(monkeypatch, tmp_path, job):
+    # blocks 0-2 wait until three threads are inside a solve, or a load's
+    # check, at once, so the build or load fails unless it runs on three threads
     monkeypatch.setattr(jb, "thread_count", lambda: 3)
-    solve = jb._solve
+    path = tmp_path / "plan.bin"
+    if job == "check":
+        save_plan(path, TransformPlan.build(10, 2))
+    name = {"solve": "_solve", "check": "check_eigenpairs"}[job]
+    run = getattr(jb, name)
     all_in = threading.Barrier(3, timeout=30)
     threads = set()
 
-    def gathered_solve(block):
+    def gathered(block, *eb):
         threads.add(threading.get_ident())
         if block.alpha < 3:
             all_in.wait()
-        return solve(block)
+        return run(block, *eb)
 
-    monkeypatch.setattr(jb, "_solve", gathered_solve)
-    band_eigenblocks(10, 2)
+    monkeypatch.setattr(jb, name, gathered)
+    if job == "solve":
+        band_eigenblocks(10, 2)
+    else:
+        load_plan(path)
     assert len(threads) == 3 and threading.get_ident() in threads
 
 
