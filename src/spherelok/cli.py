@@ -1,5 +1,11 @@
 """Command-line interface: plans, transforms, filtering, reports, benchmarks.
 
+A command checks its arguments, computes, then prints; a report's text and
+``--json`` forms print one payload.  Every command holds OpenBLAS at one
+thread: at its default threads an isolated level-1 call, such as a printed
+norm, wakes its pool (about 15 ms at (256, 0)).  So ``bench`` times at one
+thread too.
+
 Exit codes: 0 success, 2 usage, 3 malformed file, 4 numeric-contract
 violation.
 """
@@ -22,7 +28,7 @@ from .approximation import (
     markov_bound,
 )
 from .errors import FormatError, NumericError
-from .jacobi_blocks import build_block, eigendecompose
+from .jacobi_blocks import _one_blas_thread, build_block, eigendecompose
 from .sphere_basis import (
     BandParams,
     HarmonicCoeffs,
@@ -141,17 +147,11 @@ def bench_fast_block(size: int) -> float:
 # subcommands
 
 
-def _load_harmonic(path) -> HarmonicCoeffs:
+def _load(path, cls):
+    """Coefficients read from ``path``; FormatError unless they are a ``cls``."""
     coeffs = load_coeffs(path)
-    if not isinstance(coeffs, HarmonicCoeffs):
-        raise FormatError(f"{path}: expected kind=harmonic coefficients")
-    return coeffs
-
-
-def _load_localized(path) -> LocalizedCoeffs:
-    coeffs = load_coeffs(path)
-    if not isinstance(coeffs, LocalizedCoeffs):
-        raise FormatError(f"{path}: expected kind=localized coefficients")
+    if not isinstance(coeffs, cls):
+        raise FormatError(f"{path}: expected kind={cls.kind} coefficients")
     return coeffs
 
 
@@ -175,35 +175,27 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_transform(args) -> int:
+    """``analyze`` (harmonic to localized) or ``synthesize`` (back), by subcommand."""
+    analyzing = args.subcommand == "analyze"
     plan = load_plan(args.plan)
-    result = analyze(plan, _load_harmonic(args.input))
+    coeffs = _load(args.input, HarmonicCoeffs if analyzing else LocalizedCoeffs)
+    result = (analyze if analyzing else synthesize)(plan, coeffs)
     save_coeffs(args.out, result)
-    print(f"analyzed {args.input} -> {args.out} (norm {result.norm():.12g})")
-    return 0
-
-
-def cmd_synthesize(args) -> int:
-    plan = load_plan(args.plan)
-    coeffs = _load_localized(args.input)
-    result = synthesize(plan, coeffs)
-    save_coeffs(args.out, result)
-    print(f"synthesized {args.input} -> {args.out} (norm {result.norm():.12g})")
+    print(f"{args.subcommand}d {args.input} -> {args.out} (norm {result.norm():.12g})")
     return 0
 
 
 def cmd_filter(args) -> int:
     plan = load_plan(args.plan)
-    coeffs = _load_harmonic(args.input)
+    coeffs = _load(args.input, HarmonicCoeffs)
     window = EigenvalueWindow.from_string(args.window)
     kept, removed = filter_coeffs(plan, coeffs, window)
     save_coeffs(args.out_kept, kept)
     save_coeffs(args.out_removed, removed)
-    kept_sq = kept.norm() ** 2
-    removed_sq = removed.norm() ** 2
     print(f"window: {window}")
-    print(f"|kept|^2 = {kept_sq:.15g}")
-    print(f"|removed|^2 = {removed_sq:.15g}")
+    print(f"|kept|^2 = {kept.norm() ** 2:.15g}")
+    print(f"|removed|^2 = {removed.norm() ** 2:.15g}")
     print(f"|input|^2 = {coeffs.norm() ** 2:.15g}")
     print(f"mean(kept) = {mean_value(kept):.12g}")
     print(f"mean(removed) = {mean_value(removed):.12g}")
@@ -237,21 +229,8 @@ def cmd_spectrum(args) -> int:
         "histogram_counts": [int(c) for c in summary.hist_counts],
         "histogram_edges": [float(e) for e in summary.hist_edges],
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for key in (
-            "n",
-            "m",
-            "dimension",
-            "count",
-            "sum_x",
-            "mean_x2",
-            "min",
-            "max",
-            "fraction_in_0_0.5",
-        ):
-            print(f"{key} = {payload[key]}")
+    lines = (f"{key} = {value}" for key, value in payload.items() if not isinstance(value, list))
+    print(json.dumps(payload) if args.json else "\n".join(lines))
     return 0
 
 
@@ -265,7 +244,7 @@ def cmd_grid(args) -> int:
         k, i = args.psi
         field = evaluate_basis_on_grid(params, plan.blocks, k, i, grid)
     else:
-        coeffs = _load_harmonic(args.input)
+        coeffs = _load(args.input, HarmonicCoeffs)
         _check_match(plan, coeffs, HarmonicCoeffs)  # the grid is exact to degree n only
         field = evaluate_on_grid(coeffs, grid)
     p, q = grid.shape
@@ -281,35 +260,36 @@ def cmd_grid(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    payload: dict = {}
     sizes, ns = ([int(s) for s in a.split(",")] if a else [] for a in (args.blocks, args.n_list))
+    if not sizes and not ns:
+        raise ValueError("bench needs --n-list and/or --blocks")
+    # every size is refused or accepted before anything is timed
     for fitted in (sizes, ns):
         if len(fitted) > 1:
-            _log_sizes(fitted)  # before any timing
+            _log_sizes(fitted)
+    if any(sz < 2 for sz in sizes):
+        raise ValueError("cascade needs at least two coefficients")
+    for n in ns:
+        BandParams(n, args.m)
+    times = [bench_fast_block(sz) for sz in sizes]
+    dense = [bench_dense_band(n, args.m) for n in ns]
+    payload: dict = {}
     if sizes:
-        times = [bench_fast_block(sz) for sz in sizes]
         payload.update(block_sizes=sizes, block_seconds=times)
         if len(sizes) > 1:
             payload["block_exponent"] = fit_loglog(sizes, times)
-        if not args.json:
-            for sz, t in zip(sizes, times):
-                print(f"fast block N={sz:6d}: {t * 1e3:10.4f} ms")
-            if len(sizes) > 1:
-                print(f"fast per-block exponent: {payload['block_exponent']:.3f}")
     if ns:
-        dense_t, ops = map(list, zip(*(bench_dense_band(n, args.m) for n in ns)))
-        if not args.json:
-            for n, t, op in zip(ns, dense_t, ops):
-                print(f"dense n={n:4d}: {t * 1e3:10.4f} ms  ops={op}")
+        dense_t, ops = map(list, zip(*dense))
         payload.update(n_list=ns, m=args.m, dense_seconds=dense_t, dense_ops=ops)
         if len(ns) > 1:
             payload["dense_exponent"] = fit_loglog(ns, dense_t)
-            if not args.json:
-                print(f"dense exponent: {payload['dense_exponent']:.3f}")
-    if not args.blocks and not args.n_list:
-        raise ValueError("bench needs --n-list and/or --blocks")
-    if args.json:
-        print(json.dumps(payload))
+    lines = [f"fast block N={sz:6d}: {t * 1e3:10.4f} ms" for sz, t in zip(sizes, times)]
+    if "block_exponent" in payload:
+        lines.append(f"fast per-block exponent: {payload['block_exponent']:.3f}")
+    lines += [f"dense n={n:4d}: {t * 1e3:10.4f} ms  ops={op}" for n, (t, op) in zip(ns, dense)]
+    if "dense_exponent" in payload:
+        lines.append(f"dense exponent: {payload['dense_exponent']:.3f}")
+    print(json.dumps(payload) if args.json else "\n".join(lines))
     return 0
 
 
@@ -423,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plan)
 
-    for name, fn in (("analyze", cmd_analyze), ("synthesize", cmd_synthesize)):
+    for name in ("analyze", "synthesize"):
         p = sub.add_parser(name, help=f"{name} coefficients through a plan")
         p.add_argument("--plan", required=True)
         p.add_argument("--in", dest="input", required=True)
@@ -435,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default="dense",
                 help="accepted for compatibility: both values run the same pass",
             )
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("filter", help="split by an eigenvalue window")
     p.add_argument("--plan", required=True)
@@ -479,10 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spherelok as sl
-from spherelok import transform
+from spherelok import jacobi_blocks, transform
 
 # hypothesis imports this module (and with it libcst) on a test's first
 # failure.  Under the DeprecationWarning error filter, libcst's import-time
@@ -46,3 +46,16 @@ def _no_shared_analysis():
     depended on the order the tests ran in.
     """
     vars(transform._last).clear()
+
+
+@pytest.fixture
+def blas_at_two():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the test."""
+    blas = jacobi_blocks._blas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread-count get/set function found")
+    get, set_ = blas
+    before = get()
+    set_(2)
+    yield get
+    set_(before)

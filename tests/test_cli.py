@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -210,6 +211,15 @@ def test_spectrum_command(tmp_path, plan_file, capsys):
     assert sum(payload["histogram_counts"]) == payload["count"]
 
 
+def test_spectrum_text_lines_are_the_json_scalars(plan_file, capsys):
+    assert main(["spectrum", "--plan", str(plan_file), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(["spectrum", "--plan", str(plan_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    keys = ["n", "m", "dimension", "count", "sum_x", "mean_x2", "min", "max", "fraction_in_0_0.5"]
+    assert [line.split(" = ") for line in lines] == [[key, str(payload[key])] for key in keys]
+
+
 def test_grid_psi_constant_modulus_in_phi(tmp_path, capsys):
     plan_path = tmp_path / "plan.bin"
     assert main(["plan", "--n", "32", "--m", "0", "--out", str(plan_path)]) == 0
@@ -332,6 +342,17 @@ def test_bench_both_modes_and_blocks(capsys):
     assert payload["block_seconds"][0] > 0
 
 
+@pytest.fixture
+def untimed(monkeypatch):
+    """Replace the bench timing helpers with ones that fail if called."""
+
+    def timed(*args):
+        raise AssertionError("timed before the sizes were checked")
+
+    monkeypatch.setattr(cli, "bench_dense_band", timed)
+    monkeypatch.setattr(cli, "bench_fast_block", timed)
+
+
 def test_bench_without_work_is_usage_error():
     assert main(["bench"]) == 2
 
@@ -340,18 +361,58 @@ def test_bench_without_work_is_usage_error():
     "argv",
     [["--n-list", "4,4"], ["--blocks", "2,2"], ["--n-list", "0,4"], ["--n-list", "8,16", "--blocks", "64,64"]],
 )
-def test_bench_fit_without_two_distinct_positive_sizes_is_usage_error(monkeypatch, capsys, argv):
+def test_bench_fit_without_two_distinct_positive_sizes_is_usage_error(untimed, capsys, argv):
     # the sizes are refused before anything is timed, with one message
-    def timed(*args):
-        raise AssertionError("timed before the sizes were checked")
-
-    monkeypatch.setattr(cli, "bench_dense_band", timed)
-    monkeypatch.setattr(cli, "bench_fast_block", timed)
     assert main(["bench", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: a log-log fit needs two or more distinct positive sizes")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n-list", "128,8", "--m", "12"], "need 0 <= m <= n"),
+        (["--n-list", "16,4", "--m", "6"], "need 0 <= m <= n"),
+        (["--blocks", "512,1"], "cascade needs at least two coefficients"),
+        (["--n-list", "8", "--blocks", "1"], "cascade needs at least two coefficients"),
+    ],
+    ids=["band", "band-of-two", "block", "block-and-band"],
+)
+def test_bench_refuses_a_bad_size_before_timing_any(untimed, capsys, argv, message):
+    assert main(["bench", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n-list", "8,16,32", "--m", "2", "--blocks", "64,256"], ["--blocks", "64"], ["--n-list", "12"]],
+)
+def test_bench_text_and_json_report_one_payload(monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "bench_fast_block", lambda size: 2e-6 * size**1.5)
+    monkeypatch.setattr(cli, "bench_dense_band", lambda n, m: (3e-7 * n**3, dense_op_count(n, m)))
+    assert main(["bench", *argv, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(["bench", *argv]) == 0
+    text = capsys.readouterr().out
+    blocks = re.findall(r"^fast block N= *(\d+): +(\S+) ms$", text, re.M)
+    dense = re.findall(r"^dense n= *(\d+): +(\S+) ms  ops=(\d+)$", text, re.M)
+    exponents = re.findall(r"^(fast per-block|dense) exponent: (\S+)$", text, re.M)
+    assert len(text.splitlines()) == len(blocks) + len(dense) + len(exponents)
+    assert [int(sz) for sz, _ in blocks] == payload.get("block_sizes", [])
+    assert [float(t) for _, t in blocks] == pytest.approx(
+        [1e3 * t for t in payload.get("block_seconds", [])], abs=1e-4
+    )
+    assert [int(n) for n, _, _ in dense] == payload.get("n_list", [])
+    assert [float(t) for _, t, _ in dense] == pytest.approx(
+        [1e3 * t for t in payload.get("dense_seconds", [])], abs=1e-4
+    )
+    assert [int(op) for _, _, op in dense] == payload.get("dense_ops", [])
+    fitted = {"fast per-block": payload.get("block_exponent"), "dense": payload.get("dense_exponent")}
+    assert {name: float(e) for name, e in exponents} == pytest.approx(
+        {name: e for name, e in fitted.items() if e is not None}, abs=5e-4
+    )
 
 
 def test_fit_loglog_needs_two_distinct_positive_sizes():
@@ -407,6 +468,21 @@ def test_analyze_on_existing_plan_loads_no_scipy(tmp_path, plan_file, rng):
     args = ("analyze", "--plan", str(plan_file), "--in", str(cpath), "--out", str(dpath))
     assert _scipy_modules_after(code, *args) == (0, [])
     assert isinstance(load_coeffs(dpath), sl.LocalizedCoeffs)
+
+
+def test_commands_hold_one_blas_thread_and_restore_the_count(blas_at_two, monkeypatch, tmp_path, plan_file):
+    # a command that succeeds and one that fails both run at one BLAS thread
+    get = blas_at_two
+    load_plan, seen = cli.load_plan, []
+
+    def watched_load_plan(path):
+        seen.append(get())
+        return load_plan(path)
+
+    monkeypatch.setattr(cli, "load_plan", watched_load_plan)
+    assert main(["spectrum", "--plan", str(plan_file)]) == 0
+    assert main(["spectrum", "--plan", str(tmp_path / "missing.bin")]) == 3
+    assert seen == [1, 1] and get() == 2
 
 
 def test_selftest_passes(capsys):

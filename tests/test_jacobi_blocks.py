@@ -376,19 +376,6 @@ def test_failed_checks_raise_the_serial_error_and_leave_no_thread(
     assert set(threading.enumerate()) == before and get() == blas_before
 
 
-@pytest.fixture
-def blas_at_two():
-    """OpenBLAS's thread-count getter, with the count set to 2 for the test."""
-    blas = jb._blas_threads()
-    if blas is None:
-        pytest.skip("no OpenBLAS thread-count get/set function found")
-    get, set_ = blas
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
-
-
 def test_build_holds_blas_at_one_thread_and_restores_it(blas_at_two, monkeypatch, tmp_path):
     # a failed build, a load and a load whose check fails all run at one
     # BLAS thread, and the count is 2 again after each
