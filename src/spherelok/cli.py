@@ -306,41 +306,46 @@ def _selftest_checks():
 
     rng = np.random.default_rng(1234)
 
+    def require(ok) -> None:
+        # raised, not asserted: python -O strips assert statements
+        if not ok:
+            raise AssertionError
+
     def check_recurrence():
-        assert abs(recurrence_coefficient(0, 0) - 1.0) < 1e-15
-        assert abs(recurrence_coefficient(0, 1) - 1.0 / math.sqrt(3)) < 1e-15
-        assert abs(recurrence_coefficient(16, 1) - 1.0 / math.sqrt(35)) < 1e-15
+        require(abs(recurrence_coefficient(0, 0) - 1.0) < 1e-15)
+        require(abs(recurrence_coefficient(0, 1) - 1.0 / math.sqrt(3)) < 1e-15)
+        require(abs(recurrence_coefficient(16, 1) - 1.0 / math.sqrt(35)) < 1e-15)
 
     def check_eigen():
         eb = eigendecompose(build_block(2, 0, 1))
         target = recurrence_coefficient(1, 1)
-        assert np.allclose(np.abs(eb.eigenvalues), target)
+        require(np.allclose(np.abs(eb.eigenvalues), target))
 
     def check_cd_identity():
         fam = UltrasphericalFamily.build(1, 16)
         direct = christoffel_darboux_sum(fam, 3, 6, 0.2, 0.8)
         closed = christoffel_darboux_closed(fam, 3, 6, 0.2, 0.8)
-        assert abs(direct - closed) <= 1e-10 * max(1.0, abs(direct))
+        require(abs(direct - closed) <= 1e-10 * max(1.0, abs(direct)))
 
     def check_roundtrip():
         plan = TransformPlan.build(12, 3)
         c = HarmonicCoeffs.random_unit(plan.params, rng)
         back = synthesize(plan, analyze(plan, c))
-        assert np.abs(back.values - c.values).max() < 1e-12
+        require(np.abs(back.values - c.values).max() < 1e-12)
 
     def check_parseval():
         plan = TransformPlan.build(10, 0)
         c = HarmonicCoeffs.random_unit(plan.params, rng)
-        assert abs(analyze(plan, c).norm() - 1.0) < 1e-12
+        require(abs(analyze(plan, c).norm() - 1.0) < 1e-12)
 
     def check_bounds():
         plan = TransformPlan.build(8, 0)
         for _ in range(25):
             c = HarmonicCoeffs.random_unit(plan.params, rng)
             bound, actual = markov_bound(plan, c, 0.5, "upper")
-            assert actual <= bound + 1e-12
+            require(actual <= bound + 1e-12)
             bound, actual = chebyshev_bound(plan, c, 0.4)
-            assert actual <= bound + 1e-12
+            require(actual <= bound + 1e-12)
 
     def check_eigenbasis():
         plan = TransformPlan.build(6, 2)
@@ -350,14 +355,14 @@ def _selftest_checks():
         idx = d.index_of(3, 1)
         ref = np.zeros(plan.params.dimension)
         ref[idx] = 1.0
-        assert np.abs(d.values - ref).max() < 1e-12
+        require(np.abs(d.values - ref).max() < 1e-12)
 
     def check_mean_value():
         params = BandParams(4, 0)
         c = HarmonicCoeffs.from_blocks(
             params, {0: np.array([1.0, 1.0, 0, 0, 0]) / np.sqrt(2)}
         )
-        assert abs(mean_value(c) - 1.0 / math.sqrt(3)) < 1e-14
+        require(abs(mean_value(c) - 1.0 / math.sqrt(3)) < 1e-14)
 
     return [
         ("recurrence coefficients", check_recurrence),

@@ -146,13 +146,14 @@ class EigenBlock:
     x, then D v is that of -x (the even/odd split of Golub and Kahan).  The
     p_0 > 0 sign rule holds for both.  Of the N eigenpairs, sorted by
     decreasing eigenvalue, the c = ceil(N / 2) largest are kept: ``values``
-    holds their eigenvalues, ``even`` (c x c) and ``odd`` (floor(N / 2) x c)
-    the even and odd rows of their eigenvectors.  The rest is their exact
-    mirror, x_{N-1-i} = -x_i and v_{N-1-i} = D v_i for i < N - c; the middle
-    pair of an odd N is kept once.  Blocks k and -k are the same matrix, so
-    one object serves both orders.
+    holds their eigenvalues, and ``half`` (N x c) their eigenvectors, the c
+    even rows over the floor(N / 2) odd rows, as a plan record stores them.
+    ``even`` and ``odd`` are read-only views of those two parts of ``half``.
+    The rest is their exact mirror, x_{N-1-i} = -x_i and v_{N-1-i} = D v_i
+    for i < N - c; the middle pair of an odd N is kept once.  Blocks k and
+    -k are the same matrix, so one object serves both orders.
 
-    ValueError is raised unless the three shapes are those of one block.  A
+    ValueError is raised unless the two shapes are those of one block.  A
     writable array is copied into a read-only one; a read-only float64
     array is kept as given; an unpickled block goes through the same
     constructor.  ``eigenvalues`` and ``vectors`` give the full pair as
@@ -168,31 +169,32 @@ class EigenBlock:
     """
 
     values: np.ndarray
-    even: np.ndarray
-    odd: np.ndarray
+    half: np.ndarray
 
     def __post_init__(self):
-        for name in ("values", "even", "odd"):
+        for name in ("values", "half"):
             a = np.asarray(getattr(self, name), dtype=float)
             if a.flags.writeable:
                 a = a.copy()
                 a.setflags(write=False)
             object.__setattr__(self, name, a)
         c = len(self.values) if self.values.ndim == 1 else -1
-        if self.even.shape != (c, c) or self.odd.shape not in ((c - 1, c), (c, c)):
+        if self.half.shape not in ((2 * c - 1, c), (2 * c, c)):
             raise ValueError(
-                f"shapes {self.values.shape}, {self.even.shape} and {self.odd.shape} "
-                "are not (c,), (c, c) and (c - 1 or c, c)"
+                f"shapes {self.values.shape} and {self.half.shape} "
+                "are not (c,) and (2c - 1 or 2c, c)"
             )
+        object.__setattr__(self, "even", self.half[:c])
+        object.__setattr__(self, "odd", self.half[c:])
 
     def __reduce__(self):
         # through the constructor: numpy unpickles arrays writable, and the
         # derived full pair is rebuilt from the half, not taken on trust
-        return type(self), (self.values, self.even, self.odd)
+        return type(self), (self.values, self.half)
 
     @property
     def size(self) -> int:
-        return len(self.even) + len(self.odd)
+        return len(self.half)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -210,6 +212,28 @@ class EigenBlock:
         vecs[1::2, c:] = -self.odd[:, :r][:, ::-1]
         vecs.setflags(write=False)
         return vecs
+
+
+def _leading_entries(half: np.ndarray) -> np.ndarray:
+    """Each kept column's first entry above 1e-14 in magnitude, in block-row order.
+
+    Block row 2i is even row i of ``half`` and 2i + 1 its odd row i; a column
+    with no such entry reads row 0.  :func:`_solve` sets the p_0 > 0 sign rule
+    by this reading and :func:`check_eigenpairs` checks it.  Row 0 settles all
+    but some leading columns (the largest eigenvalues), so columns 0 .. j, j
+    the last one open, are scanned in a block-row-ordered copy, where a column
+    row 0 settled reads row 0 again.
+    """
+    c = half.shape[1]
+    lead = half[0]
+    hit = np.abs(lead) > 1e-14
+    if not hit.all():
+        lead = lead.copy()
+        end = c - hit[::-1].argmin()
+        cols = np.empty((end, len(half)))
+        cols[:, 0::2], cols[:, 1::2] = half[:c, :end].T, half[c:, :end].T
+        lead[:end] = cols[np.arange(end), (np.abs(cols) > 1e-14).argmax(axis=1)]
+    return lead
 
 
 def _block_shape(params: BandParams, k: int) -> tuple[int, int]:
@@ -251,7 +275,9 @@ def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
     This is the one definition of valid eigendata, whether it was solved,
     loaded from a plan cache or passed in, and it has no tolerance to set.
     It checks the matrix the transforms apply, the kept half and its exact
-    mirror (see :class:`EigenBlock`), against five conditions:
+    mirror (see :class:`EigenBlock`), against six conditions, in this
+    order.  The residual and the Rayleigh quotients are taken on ``half``,
+    the orthogonality on its even and odd parts:
 
     - the eigenvalues are strictly decreasing, with every gap above 1e-13;
     - they lie inside (-1, 1);
@@ -260,7 +286,11 @@ def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
     - every column's Rayleigh quotient is within 1e-13 of its eigenvalue:
       |v^T (J v - x v)| <= 1e-13, which ties each eigenvalue to its block
       far more tightly than the residual does;
-    - the orthogonality residual max |V^T V - I| is at most 1e-12.
+    - the orthogonality residual max |V^T V - I| is at most 1e-12;
+    - the sign rule p_0 > 0 holds: each kept column's first entry above
+      1e-14 in magnitude, read by :func:`_leading_entries` as in
+      :func:`_solve`, is positive.  A mirror column D v follows from its
+      partner, so it needs no reading of its own.
 
     The comparisons are written so that NaN fails them.
     """
@@ -277,24 +307,23 @@ def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
             )
     if not np.abs(x).max() < 1.0:
         raise NumericError("eigenvalues escaped the open interval (-1, 1)")
-    # J v - x v on the kept columns, even rows and odd rows apart: J couples
-    # row 2j with rows 2j +- 1 only.  b_{2j} joins rows 2j and 2j + 1, and
-    # b_{2j+1} rows 2j + 1 and 2j + 2.  A mirror's residual is exactly the
-    # negated D-image of its partner's, so it has the same maximum, and its
-    # v^T r is its partner's, negated
-    res_e = e * -x
-    res_o = o * -x
+    # J v - x v on the kept columns, in one array split as ``half`` is: J
+    # couples row 2j with rows 2j +- 1 only.  b_{2j} joins rows 2j and
+    # 2j + 1, and b_{2j+1} rows 2j + 1 and 2j + 2.  A mirror's residual is
+    # exactly the negated D-image of its partner's, so it has the same
+    # maximum, and its v^T r is its partner's, negated
+    res = eb.half * -x
     if block.size > 1:
+        res_e, res_o = res[: len(e)], res[len(e) :]
         b_even, b_odd = block.offdiag[0::2, None], block.offdiag[1::2, None]
         res_e[: len(o)] += b_even * o
         res_e[1:] += b_odd * o[: len(e) - 1]
         res_o[: len(e) - 1] += b_odd * e[1:]
         res_o += b_even * e[: len(o)]
-    worst = np.maximum(np.abs(res_e).max(initial=0.0), np.abs(res_o).max(initial=0.0))
+    worst = np.abs(res).max()
     if not worst <= 1e-12 * block.size:
         raise NumericError(f"eigenpair residual {worst:.3e} too large")
-    rayleigh = np.einsum("ij,ij->j", e, res_e) + np.einsum("ij,ij->j", o, res_o)
-    worst = np.abs(rayleigh).max()
+    worst = np.abs(np.einsum("ij,ij->j", eb.half, res)).max()
     if not worst <= 1e-13:
         raise NumericError(f"Rayleigh quotient off its eigenvalue by {worst:.3e}, above 1e-13")
     # from two half-size Grams: with G_e = E^T E and G_o = O^T O, the kept
@@ -309,6 +338,13 @@ def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
     worst = np.maximum(np.abs(g_even).max(initial=0.0), np.abs(cross).max(initial=0.0))
     if not worst <= 1e-12:
         raise NumericError(f"orthogonality residual {worst:.3e} exceeds 1e-12")
+    lead = _leading_entries(eb.half)
+    if not lead.min() > 0:
+        i = (lead > 0).argmin()
+        raise NumericError(
+            f"kept column {i} breaks the sign rule p_0 > 0: "
+            f"its first entry above 1e-14 is {lead[i]:.3e}"
+        )
 
 
 def _check_band(jacobi: list[JacobiBlock], blocks: dict[int, EigenBlock]) -> None:
@@ -352,33 +388,33 @@ def _solve(block: JacobiBlock) -> EigenBlock:
     eigenvalue with unit eigenvector u_i / sqrt(2) in the even rows and
     w_i / sqrt(2) in the odd rows, and the singular values are the c largest
     eigenvalues.  An odd N adds x = 0, whose eigenvector is U's last column
-    (B^T u = 0) in the even rows and zero in the odd ones.
+    (B^T u = 0) in the even rows and zero in the odd ones.  U and W^T /
+    sqrt(2) are written straight into the block's ``half``, whose columns
+    are then signed by :func:`_leading_entries`.
     """
     c, r = (block.size + 1) // 2, block.size // 2
     u, s, wt = np.linalg.svd(_bidiagonal(block))
     vals = np.zeros(c)
     vals[:r] = s
-    vecs = np.zeros((block.size, c))
-    vecs[0::2] = u
-    vecs[1::2, :r] = wt.T
-    vecs[:, :r] /= np.sqrt(2.0)
-    # sign convention p_0 > 0: column i is p(x_i) / |p(x_i)| for the block's
+    half = np.zeros((block.size, c))
+    half[:c] = u
+    half[c:, :r] = wt.T
+    half[:, :r] /= np.sqrt(2.0)
+    # sign rule p_0 > 0: column i is p(x_i) / |p(x_i)| for the block's
     # shifted recurrence p.  At large |k| the leading entries underflow, so
     # the sign is read at the first entry above 1e-14: p_j(x) > 0 up to
     # there, since every kept x is >= 0
-    idx = np.argmax(np.abs(vecs) > 1e-14, axis=0)
-    signs = np.where(vecs[idx, np.arange(c)] < 0, -1.0, 1.0)
-    half = [vals, vecs[0::2] * signs, vecs[1::2] * signs]
-    for a in half:
+    half *= np.where(_leading_entries(half) < 0, -1.0, 1.0)
+    for a in (vals, half):
         a.setflags(write=False)
-    return EigenBlock(*half)
+    return EigenBlock(vals, half)
 
 
 def eigendecompose(block: JacobiBlock) -> EigenBlock:
     """Full spectrum and orthonormal eigenvectors, sorted by decreasing eigenvalue.
 
     The result passes :func:`check_eigenpairs` (gap, range, residual,
-    Rayleigh quotient and orthogonality), or NumericError is raised.  It is
+    Rayleigh quotient, orthogonality and sign), or NumericError is raised.  It is
     solved with OpenBLAS at one thread, as in a band, so it holds the same
     bytes as the block of :func:`band_eigenblocks`.
     """

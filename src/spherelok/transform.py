@@ -407,7 +407,7 @@ def save_plan(path, plan: TransformPlan) -> None:
     After the 18-byte magic line come ``n m``, n flag words written as 0,
     then one record per block in the order k = n .. 0: ``k, N_k``, the
     c = ceil(N_k / 2) kept eigenvalues and the N_k x c kept eigenvectors,
-    their even rows then their odd rows, row-major (see
+    row-major: the block's ``values`` and ``half`` (see
     :class:`~spherelok.jacobi_blocks.EigenBlock`).  Block -k is block +k's
     eigendata and the other N_k - c eigenpairs are the kept ones' mirrors,
     so each |k| is stored once, as half of V, and the file ends in
@@ -420,7 +420,7 @@ def save_plan(path, plan: TransformPlan) -> None:
         for k in range(params.n, -1, -1):
             eb = plan.blocks[k]
             np.array([k, eb.size], dtype="<i8").tofile(fh)
-            for a in (eb.values, eb.even, eb.odd):
+            for a in (eb.values, eb.half):
                 a.astype("<f8").tofile(fh)
 
 
@@ -428,10 +428,10 @@ def load_plan(path) -> TransformPlan:
     """Load a v3 plan cache, verifying layout and every record's eigendata.
 
     The file is read once into one 8-byte-aligned buffer; each block's
-    arrays are read-only views of it, and block -k is block +k.  v1
-    and v2 caches are rejected: v1 may hold eigenvector signs from before
-    the p_0 > 0 rule, and both store all of V.  So is a nonzero flag word,
-    which would announce a separate record for some -k.
+    ``values`` and ``half`` are read-only views of its record, and block
+    -k is block +k.  v1 and v2 caches are rejected: v1 may hold eigenvector
+    signs from before the p_0 > 0 rule, and both store all of V.  So is a
+    nonzero flag word, which would announce a separate record for some -k.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -480,9 +480,8 @@ def load_plan(path) -> TransformPlan:
                 f"{path}: block record ({k_read}, {size_read}) out of order; "
                 f"expected ({k}, {size})"
             )
-        vals = data[pos + 2 : pos + 2 + c]
-        vecs = data[pos + 2 + c : end].reshape(size, c)
-        blocks[k] = EigenBlock(vals, vecs[:c], vecs[c:])
+        half = data[pos + 2 + c : end].reshape(size, c)
+        blocks[k] = EigenBlock(data[pos + 2 : pos + 2 + c], half)
         pos = end
     if pos != len(words) or trailing:
         raise FormatError(f"{path}: trailing bytes after last block")

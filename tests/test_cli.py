@@ -489,3 +489,16 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "selftest passed 8/8" in out
+
+
+def test_selftest_fails_under_python_o():
+    # python -O strips assert statements; a failed check must still fail
+    code = (
+        "import sys; from spherelok import cli; "
+        "cli.mean_value = lambda coeffs: 42.0; sys.exit(cli.main(['selftest']))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 4, run.stdout + run.stderr
+    assert "FAIL mean value quadratic form: \n" in run.stdout
+    assert "selftest passed 7/8" in run.stdout

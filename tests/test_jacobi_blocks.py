@@ -166,10 +166,9 @@ def test_edge_monotonicity_truncated_orders():
 
 def _scaled_column(eb, i, scale):
     """``eb`` with kept column i scaled, and with it its mirror column."""
-    even, odd = eb.even.copy(), eb.odd.copy()
-    even[:, i] *= scale
-    odd[:, i] *= scale
-    return replace(eb, even=even, odd=odd)
+    half = eb.half.copy()
+    half[:, i] *= scale
+    return replace(eb, half=half)
 
 
 def test_check_eigenpairs_rejects_non_orthonormal_vectors():
@@ -185,16 +184,16 @@ def test_check_eigenpairs_rejects_non_orthonormal_vectors():
     check_eigenpairs(blk, _scaled_column(eb, 1, 1 + 1e-13))  # within the 1e-12 gate
 
 
-@pytest.mark.parametrize("half", ["even", "odd"])
-def test_check_eigenpairs_rejects_nan_vector_entry(half):
+@pytest.mark.parametrize("part", ["even", "odd"])
+def test_check_eigenpairs_rejects_nan_vector_entry(part):
     # one NaN entry of a kept column makes its residual NaN, which the
     # residual condition rejects before any later condition runs
     blk = build_block(12, 4, 8)
     eb = eigendecompose(blk)
-    rows = getattr(eb, half).copy()
-    rows[1, 2] = np.nan
+    half = eb.half.copy()
+    half[{"even": 1, "odd": len(eb.even) + 1}[part], 2] = np.nan
     with pytest.raises(NumericError, match="eigenpair residual"):
-        check_eigenpairs(blk, replace(eb, **{half: rows}))
+        check_eigenpairs(blk, replace(eb, half=half))
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,28 +237,34 @@ def test_band_eigenblocks_shares_mirror_orders():
 def test_eigenblock_takes_one_blocks_halves_and_copies_writable_input():
     eb = eigendecompose(build_block(12, 4, 5))  # N = 8: c = 4, r = 4
     c = len(eb.values)
-    for values, even, odd in [
-        (eb.values, eb.even, eb.odd[:-2]),
-        (eb.values[:-1], eb.even, eb.odd),
-        (eb.values, eb.even[:, :-1], eb.odd),
-        (eb.values, eb.even, eb.odd[:, :-1]),
-        (eb.values[None], eb.even, eb.odd),
-        (eb.values, eb.even.T[:, None], eb.odd),
+    for values, half in [
+        (eb.values, eb.half[:-2]),
+        (eb.values, np.vstack([eb.half, eb.half[:1]])),
+        (eb.values, eb.half[:c]),
+        (eb.values[:-1], eb.half),
+        (eb.values, eb.half[:, :-1]),
+        (eb.values, eb.half.T),
+        (eb.values[None], eb.half),
+        (eb.values, eb.half[None]),
     ]:
         with pytest.raises(ValueError, match=r"are not \(c,\)"):
-            EigenBlock(values, even, odd)
-    assert EigenBlock(eb.values, eb.even, eb.odd[:-1]).size == 2 * c - 1
+            EigenBlock(values, half)
+    odd_size = EigenBlock(eb.values, eb.half[:-1])
+    assert odd_size.size == 2 * c - 1 and odd_size.odd.shape == (c - 1, c)
     # read-only input is kept as given; writable input is copied
-    same = EigenBlock(eb.values, eb.even, eb.odd)
-    assert same.values is eb.values and same.even is eb.even and same.odd is eb.odd
-    mine = [eb.values.copy(), eb.even.copy(), eb.odd.copy()]
+    same = EigenBlock(eb.values, eb.half)
+    assert same.values is eb.values and same.half is eb.half
+    mine = [eb.values.copy(), eb.half.copy()]
     held = EigenBlock(*mine)
     for a in mine:
         a[...] = np.nan
-    for attr in ("values", "even", "odd"):
+    for attr in ("values", "half", "even", "odd"):
         got = getattr(held, attr)
         assert not got.flags.writeable
         assert got.tobytes() == getattr(eb, attr).tobytes()
+    # even and odd are the two parts of half, not copies
+    assert np.shares_memory(held.even, held.half) and np.shares_memory(held.odd, held.half)
+    assert np.array_equal(np.vstack([held.even, held.odd]), held.half)
     assert held.vectors.tobytes() == eb.vectors.tobytes()
 
 
@@ -500,15 +505,15 @@ def test_built_blocks_hold_half_of_an_exact_mirror(n, m):
     for eb in band_eigenblocks(n, m).values():
         size = eb.size
         c = (size + 1) // 2
-        assert eb.values.shape == (c,) and eb.even.shape == (c, c)
-        assert eb.odd.shape == (size // 2, c)
+        assert eb.values.shape == (c,) and eb.half.shape == (size, c)
+        assert eb.even.shape == (c, c) and eb.odd.shape == (size // 2, c)
         vals, vecs = eb.eigenvalues, eb.vectors
         assert not vals.flags.writeable and not vecs.flags.writeable
         parity = np.where(np.arange(size) % 2, -1.0, 1.0)[:, None]
         assert np.array_equal(vals[::-1][: size // 2], -vals[: size // 2])
         assert np.array_equal(vecs[:, ::-1][:, : size // 2], parity * vecs[:, : size // 2])
-        again = EigenBlock(vals[:c], vecs[0::2, :c], vecs[1::2, :c])
-        for attr in ("values", "even", "odd"):
+        again = EigenBlock(vals[:c], np.vstack([vecs[0::2, :c], vecs[1::2, :c]]))
+        for attr in ("values", "half", "even", "odd"):
             assert getattr(again, attr).tobytes() == getattr(eb, attr).tobytes()
 
 

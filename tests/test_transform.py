@@ -198,10 +198,65 @@ def test_plan_loader_rejects_truncation(tmp_path, plan_cache):
 def test_plan_loader_rejects_nonorthogonal_vectors(tmp_path, plan_cache):
     plan = plan_cache(12, 4)
     path = tmp_path / "plan.bin"
-    scaled = {k: replace(eb, even=eb.even * 1.001, odd=eb.odd * 1.001) for k, eb in plan.blocks.items()}
+    scaled = {k: replace(eb, half=eb.half * 1.001) for k, eb in plan.blocks.items()}
     save_plan(path, TransformPlan(plan.params, scaled, validate=False))
     with pytest.raises(NumericError):
         load_plan(path)
+
+
+@st.composite
+def _kept_column(draw):
+    """(n, m, k, j): a band, an order k of it and a kept column j of block k."""
+    n = draw(st.integers(0, 24))
+    m = draw(st.integers(0, n))
+    k = draw(st.integers(0, n))
+    return n, m, k, draw(st.integers(0, (sl.BandParams(n, m).block_size(k) - 1) // 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(column=_kept_column())
+@example(column=(16, 4, 3, 1))  # a column whose negation loads used to accept
+def test_plan_loader_rejects_a_negated_kept_column(plan_cache, tmp_path_factory, column):
+    # a negated column, and with it its mirror, is still an orthonormal
+    # eigenvector, so it passes the first five conditions exactly; only the
+    # sign rule p_0 > 0 catches it
+    n, m, k, j = column
+    plan = plan_cache(n, m)
+    path = tmp_path_factory.mktemp("negated") / "plan.bin"
+    save_plan(path, plan)
+    raw = path.read_bytes()
+    words = np.frombuffer(raw[18:], dtype="<f8").copy()
+    pos = 2 + n  # block records run k = n .. 0 after n m and n flag words
+    for kk in range(n, k, -1):
+        size = plan.params.block_size(kk)
+        pos += 2 + (size + 1) // 2 * (size + 1)
+    size = plan.params.block_size(k)
+    c = (size + 1) // 2
+    start = pos + 2 + c  # the block's half, N x c row-major
+    words[start + j : start + size * c : c] *= -1
+    path.write_bytes(raw[:18] + words.tobytes())
+    with pytest.raises(NumericError, match=rf"block k={k}: kept column {j} breaks the sign rule"):
+        load_plan(path)
+
+
+def test_loaded_blocks_are_views_of_one_file_buffer(tmp_path, plan_cache):
+    plan = plan_cache(12, 4)
+    path = tmp_path / "plan.bin"
+    save_plan(path, plan)
+    loaded = load_plan(path)
+
+    def owner(a):
+        while a.base is not None:
+            a = a.base
+        return a
+
+    buffer = owner(loaded.blocks[0].half)
+    assert buffer.nbytes == path.stat().st_size - 18  # every word after the magic line
+    for k in range(13):
+        eb = loaded.blocks[k]
+        assert not eb.half.flags.owndata and np.shares_memory(eb.half, buffer)
+        for a in (eb.values, eb.half, eb.even, eb.odd):
+            assert owner(a) is buffer
 
 
 def test_loaded_plan_meets_the_same_orthogonality_gate(tmp_path, plan_cache, rng, capsys):
@@ -210,10 +265,9 @@ def test_loaded_plan_meets_the_same_orthogonality_gate(tmp_path, plan_cache, rng
     # built, loaded or passed-in block must meet
     plan = plan_cache(12, 4)
     blocks = dict(plan.blocks)
-    even, odd = blocks[8].even.copy(), blocks[8].odd.copy()
-    even[:, 1] *= 1 + 5e-12
-    odd[:, 1] *= 1 + 5e-12
-    blocks[8] = replace(blocks[8], even=even, odd=odd)
+    half = blocks[8].half.copy()
+    half[:, 1] *= 1 + 5e-12
+    blocks[8] = replace(blocks[8], half=half)
     path = tmp_path / "plan.bin"
     save_plan(path, TransformPlan(plan.params, blocks, validate=False))
     with pytest.raises(NumericError, match="k=8: orthogonality"):
@@ -229,7 +283,7 @@ def test_loaded_plan_meets_the_same_orthogonality_gate(tmp_path, plan_cache, rng
 
 def test_plan_build_validates_orthogonality(plan_cache):
     plan = plan_cache(6, 2)
-    scaled = {k: replace(eb, even=eb.even * 1.001, odd=eb.odd * 1.001) for k, eb in plan.blocks.items()}
+    scaled = {k: replace(eb, half=eb.half * 1.001) for k, eb in plan.blocks.items()}
     with pytest.raises(NumericError):
         TransformPlan(plan.params, scaled)
 
@@ -530,7 +584,7 @@ def test_plan_reads_only_nonnegative_orders(plan_cache):
     blocks = dict(plan.blocks)
     eb = blocks[-5]
     signs = np.where(np.arange(len(eb.values)) % 2, -1.0, 1.0)
-    blocks[-5] = replace(eb, even=eb.even * signs, odd=eb.odd * signs)
+    blocks[-5] = replace(eb, half=eb.half * signs)
     built = TransformPlan(plan.params, blocks)
     assert built.blocks[-5] is built.blocks[5] is plan.blocks[5]
 
@@ -822,7 +876,7 @@ def test_unpickled_plan_holds_read_only_blocks(rng):
     plan = TransformPlan.build(4, 1)
     copy = pickle.loads(pickle.dumps(plan))
     for k in copy.params.orders():
-        for attr in ("values", "even", "odd"):
+        for attr in ("values", "half", "even", "odd"):
             assert not getattr(copy.blocks[k], attr).flags.writeable
             with pytest.raises(ValueError):
                 getattr(copy.blocks[k], attr)[0] = 0.99
