@@ -299,6 +299,9 @@ class SpectralSummary:
         return float(np.count_nonzero((xs >= a) & (xs <= b))) / len(xs)
 
     def moment(self, j: int) -> float:
+        """Raw sum of x^j over the eigenvalues, for 0 <= j <= MAX_MOMENT."""
+        if not 0 <= j <= self.MAX_MOMENT:
+            raise ValueError(f"moment order {j} outside 0..{self.MAX_MOMENT}")
         return float(self.moments[j])
 
 

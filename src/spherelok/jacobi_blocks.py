@@ -165,7 +165,9 @@ class EigenBlock:
     Eigenvalues are strictly decreasing; column i of ``vectors`` is the unit
     eigenvector for ``eigenvalues[i]``, signed so that p_0 > 0: it is
     p(x_i) / |p(x_i)| for the block's shifted recurrence p.  Its first entry
-    p_0(x_i) / |p(x_i)| may underflow to zero at large |k|.
+    p_0(x_i) / |p(x_i)| may underflow to zero at large |k|; its last entry
+    has the sign (-1)^i, since the zeros of p_{N-1} interlace the
+    eigenvalues, and that is where the sign is read (:func:`_sign_reading`).
     """
 
     values: np.ndarray
@@ -214,26 +216,18 @@ class EigenBlock:
         return vecs
 
 
-def _leading_entries(half: np.ndarray) -> np.ndarray:
-    """Each kept column's first entry above 1e-14 in magnitude, in block-row order.
+def _sign_reading(half: np.ndarray) -> np.ndarray:
+    """Each kept column's last entry, block row N - 1, times (-1)^i for column i.
 
-    Block row 2i is even row i of ``half`` and 2i + 1 its odd row i; a column
-    with no such entry reads row 0.  :func:`_solve` sets the p_0 > 0 sign rule
-    by this reading and :func:`check_eigenpairs` checks it.  Row 0 settles all
-    but some leading columns (the largest eigenvalues), so columns 0 .. j, j
-    the last one open, are scanned in a block-row-ordered copy, where a column
-    row 0 settled reads row 0 again.
+    The zeros of p_{N-1} strictly interlace the block's N eigenvalues
+    (Szego, Orthogonal Polynomials, Thm 3.3.2; Golub and Welsch 1969), so
+    p_{N-1}(x_i) has the sign (-1)^i, and the reading is positive for every
+    column that keeps the sign rule p_0 > 0.  Block row N - 1 is even row
+    c - 1 of ``half`` for odd N, and its last row, odd row c - 1, for even N.
     """
     c = half.shape[1]
-    lead = half[0]
-    hit = np.abs(lead) > 1e-14
-    if not hit.all():
-        lead = lead.copy()
-        end = c - hit[::-1].argmin()
-        cols = np.empty((end, len(half)))
-        cols[:, 0::2], cols[:, 1::2] = half[:c, :end].T, half[c:, :end].T
-        lead[:end] = cols[np.arange(end), (np.abs(cols) > 1e-14).argmax(axis=1)]
-    return lead
+    last = half[c - 1] if len(half) % 2 else half[-1]
+    return np.where(np.arange(c) % 2, -last, last)
 
 
 def _block_shape(params: BandParams, k: int) -> tuple[int, int]:
@@ -287,10 +281,10 @@ def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
       |v^T (J v - x v)| <= 1e-13, which ties each eigenvalue to its block
       far more tightly than the residual does;
     - the orthogonality residual max |V^T V - I| is at most 1e-12;
-    - the sign rule p_0 > 0 holds: each kept column's first entry above
-      1e-14 in magnitude, read by :func:`_leading_entries` as in
-      :func:`_solve`, is positive.  A mirror column D v follows from its
-      partner, so it needs no reading of its own.
+    - the sign rule p_0 > 0 holds: each kept column i ends in an entry of
+      sign (-1)^i, read by :func:`_sign_reading` as in :func:`_solve`.  A
+      mirror column D v follows from its partner, so it needs no reading of
+      its own.
 
     The comparisons are written so that NaN fails them.
     """
@@ -338,12 +332,12 @@ def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
     worst = np.maximum(np.abs(g_even).max(initial=0.0), np.abs(cross).max(initial=0.0))
     if not worst <= 1e-12:
         raise NumericError(f"orthogonality residual {worst:.3e} exceeds 1e-12")
-    lead = _leading_entries(eb.half)
-    if not lead.min() > 0:
-        i = (lead > 0).argmin()
+    sign = _sign_reading(eb.half)
+    if not sign.min() > 0:
+        i = (sign > 0).argmin()
         raise NumericError(
             f"kept column {i} breaks the sign rule p_0 > 0: "
-            f"its first entry above 1e-14 is {lead[i]:.3e}"
+            f"its last entry times (-1)^{i} is {sign[i]:.3e}"
         )
 
 
@@ -390,7 +384,7 @@ def _solve(block: JacobiBlock) -> EigenBlock:
     eigenvalues.  An odd N adds x = 0, whose eigenvector is U's last column
     (B^T u = 0) in the even rows and zero in the odd ones.  U and W^T /
     sqrt(2) are written straight into the block's ``half``, whose columns
-    are then signed by :func:`_leading_entries`.
+    are then signed by :func:`_sign_reading`.
     """
     c, r = (block.size + 1) // 2, block.size // 2
     u, s, wt = np.linalg.svd(_bidiagonal(block))
@@ -402,9 +396,8 @@ def _solve(block: JacobiBlock) -> EigenBlock:
     half[:, :r] /= np.sqrt(2.0)
     # sign rule p_0 > 0: column i is p(x_i) / |p(x_i)| for the block's
     # shifted recurrence p.  At large |k| the leading entries underflow, so
-    # the sign is read at the first entry above 1e-14: p_j(x) > 0 up to
-    # there, since every kept x is >= 0
-    half *= np.where(_leading_entries(half) < 0, -1.0, 1.0)
+    # the sign is read at the last entry, p_{N-1}(x_i) of sign (-1)^i
+    half *= np.where(_sign_reading(half) < 0, -1.0, 1.0)
     for a in (vals, half):
         a.setflags(write=False)
     return EigenBlock(vals, half)
@@ -487,10 +480,9 @@ def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:
     block +k, the same object.  All blocks are solved, then checked by
     :func:`_check_band`, both on the threads of :func:`_each_block`.  The
     check's small elementwise steps hold the GIL, so its threads gain at
-    large blocks only: 245-274 ms against 407-420 ms serially at (512, 0),
-    67 against 61 ms at (256, 0) (see the README).  OpenBLAS stays at one
-    thread until the check is done, so the bytes of a build depend neither
-    on the process's BLAS thread count nor on how many threads solve.
+    large blocks only (see the README).  OpenBLAS stays at one thread until
+    the check is done, so the bytes of a build depend neither on the
+    process's BLAS thread count nor on how many threads solve.
     """
     jacobi = _band_blocks(n, m)
     with _one_blas_thread():

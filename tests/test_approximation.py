@@ -286,6 +286,9 @@ def test_spectral_summary_invariants(plan_cache):
     assert summary.counting(-1.0, 1.0) == 1.0
     assert summary.hist_counts.sum() == dim
     assert summary.moment(0) == pytest.approx(dim)
+    for j in (-1, -9, SpectralSummary.MAX_MOMENT + 1):  # -1 and -9 used to wrap around
+        with pytest.raises(ValueError, match=f"moment order {j} outside 0..8"):
+            summary.moment(j)
     assert np.array_equal(summary.eigenvalues, plan.eigenvalue_vector())
     by_band = SpectralSummary.from_band(16, 3)
     assert by_band.eigenvalues == pytest.approx(summary.eigenvalues, abs=1e-12)

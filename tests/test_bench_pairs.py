@@ -63,6 +63,10 @@ def test_bench_pairs_refuses_an_unpaired_seed(tmp_path):
     with pytest.raises(SystemExit, match="missing runs"):
         bench_pairs.main(argv)
     assert bench_pairs.parse_seeds("1,3-5") == [1, 3, 4, 5]
+    with pytest.raises(SystemExit, match="seed 502 given twice"):
+        bench_pairs.parse_seeds("501-503,502")
+    with pytest.raises(SystemExit, match="reversed seed range 510-501"):
+        bench_pairs.parse_seeds("510-501")
 
 
 def test_bench_pairs_marks_each_metric_against_its_bound(tmp_path, capsys):

@@ -123,12 +123,16 @@ def test_eigenblock_invariants(n, m, k):
 
 
 @pytest.mark.parametrize(
-    "n,m,k", [(24, 0, 2), (20, 6, 2), (16, 5, 9), (256, 0, 50), (256, 0, 120)]
+    "n,m,k",
+    [(24, 0, 2), (20, 6, 2), (16, 5, 9), (256, 0, 50), (256, 0, 120), (256, 200, 50),
+     (256, 100, 90)],
 )
 def test_eigenvectors_match_shifted_recurrence(n, m, k):
     # column i is the shifted-recurrence vector at the root x_i, normalized
-    # and signed so that p_0 > 0; at |k| = 50 and 120 the leading entries
-    # underflow, so the sign cannot be read off the first entry
+    # and signed so that p_0 > 0, whatever entry the solve reads the sign
+    # at.  At (256, 0, 50), (256, 0, 120) and in the truncated block
+    # (256, 100, 90) the leading entries underflow, so the sign cannot be
+    # read off the first entry; (256, 200, 50) is truncated at large |k|
     blk = build_block(n, m, k)
     eb = eigendecompose(blk)
     fam = UltrasphericalFamily.build(blk.alpha, blk.truncation_offset + blk.size + 1)

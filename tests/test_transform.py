@@ -216,6 +216,10 @@ def _kept_column(draw):
 @settings(max_examples=40, deadline=None)
 @given(column=_kept_column())
 @example(column=(16, 4, 3, 1))  # a column whose negation loads used to accept
+# kept columns whose row-0 entry is below 1e-14: the first of any m = 0
+# band (n = 98), and one at n = 100
+@example(column=(98, 0, 34, 0))
+@example(column=(100, 0, 28, 0))
 def test_plan_loader_rejects_a_negated_kept_column(plan_cache, tmp_path_factory, column):
     # a negated column, and with it its mirror, is still an orthonormal
     # eigenvector, so it passes the first five conditions exactly; only the

@@ -30,11 +30,21 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Seeds from "1,2,5-8" notation, in the order given."""
-    seeds = []
+    """Seeds from "1,2,5-8" notation, in the order given.
+
+    A reversed range or a seed named twice exits with a message, since each
+    seed must count once in the values, medians and wins.
+    """
+    seeds: list[int] = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        span = range(int(lo), int(hi or lo) + 1)
+        if not span:
+            raise SystemExit(f"reversed seed range {part}")
+        for seed in span:
+            if seed in seeds:
+                raise SystemExit(f"seed {seed} given twice in {text}")
+            seeds.append(seed)
     return seeds
 
 

@@ -1,0 +1,53 @@
+#!/usr/bin/env bash
+# End-to-end check of the `spherelok` console script and the package behind
+# it.  Run it with `bash -eo pipefail`, so that any failing command or
+# assertion fails the check:
+#
+#     python -m pip install . && bash -eo pipefail tools/console_script_check.sh
+#
+# It writes p.bin, bad.bin, c.coeff, l.coeff, lf.coeff, h.coeff, kept.coeff,
+# removed.coeff, f.txt and g.csv in the current directory.  To run it on a
+# source tree without installing, put on PATH a `spherelok` script that runs
+# `python -m spherelok.cli "$@"`, and export PYTHONPATH=src.
+#
+# A build's solve threads have all ended when it returns; the printed thread
+# count is 1 where numpy's OpenBLAS thread-count functions were not found
+# (numpy 1.24 names them openblas_*, numpy 2.x scipy_openblas_*).  A plan
+# load checks at one BLAS thread, its check threads have all ended when it
+# returns, and it restores the count.  `spectrum` prints as text lines the
+# scalar fields of its JSON payload.  The package writes and reads a plan
+# cache and takes coefficients through analyze and synthesize and back, with
+# analyze --mode fast writing the same bytes as analyze, through two window
+# filters, and onto a grid.  The upper-tail filter also runs markov_bound,
+# which reuses the filter's analysis of the same field; its printed residual
+# must not exceed its bound.  Basis function (k, i) = (-3, 2) reads block -3,
+# which is block +3, and builds its full eigenvector matrix.  Blocks of size
+# 1-3 go through numpy's svd.  `bench --blocks` times the fast pipeline,
+# whose Chebyshev transforms run on numpy's FFT, and `bench` refuses a band
+# with m > n (exit 2) before it times the others.  A copy of the plan with
+# block 3's kept column 1 negated, in the file's words, breaks only the
+# p_0 > 0 sign rule, and `spectrum` must refuse it (exit 4).  `selftest`
+# also runs under python -O, which strips assert statements.
+
+python -c "import threading, spherelok as s; [s.TransformPlan.build(n, m) for n, m in ((0, 0), (1, 0), (2, 2), (16, 4))]; assert threading.active_count() == 1, threading.enumerate(); print('solve threads:', s.jacobi_blocks.thread_count())"
+spherelok selftest
+spherelok plan --n 16 --m 4 --out p.bin
+python -c "import threading, spherelok as s; get = (s.jacobi_blocks._blas_threads() or (lambda: None,))[0]; before = get(); s.load_plan('p.bin'); assert threading.active_count() == 1, threading.enumerate(); assert get() == before, (before, get())"
+python -c "import json, subprocess as sp; run = lambda *a: sp.run(['spherelok', 'spectrum', '--plan', 'p.bin', *a], check=True, capture_output=True, text=True).stdout; p = json.loads(run('--json')); keys = ('n', 'm', 'dimension', 'count', 'sum_x', 'mean_x2', 'min', 'max', 'fraction_in_0_0.5'); assert run().splitlines() == [f'{k} = {p[k]}' for k in keys]"
+python -c "import numpy as np, spherelok as s; s.save_coeffs('c.coeff', s.HarmonicCoeffs.random_unit(s.BandParams(16, 4), np.random.default_rng(0)))"
+spherelok analyze --plan p.bin --in c.coeff --out l.coeff
+spherelok analyze --mode fast --plan p.bin --in c.coeff --out lf.coeff
+cmp l.coeff lf.coeff
+spherelok synthesize --plan p.bin --in l.coeff --out h.coeff
+python -c "import numpy as np, spherelok as s; a, b = s.load_coeffs('c.coeff'), s.load_coeffs('h.coeff'); assert np.abs(a.values - b.values).max() <= 1e-12"
+spherelok filter --plan p.bin --in c.coeff --window "[0.5,1]" --out-kept kept.coeff --out-removed removed.coeff
+python -c "import numpy as np, spherelok as s; a, b, c = (s.load_coeffs(f) for f in ('kept.coeff', 'removed.coeff', 'c.coeff')); assert np.abs(a.values + b.values - c.values).max() <= 1e-12"
+spherelok filter --plan p.bin --in c.coeff --window "(0.5,1]" --out-kept kept.coeff --out-removed removed.coeff > f.txt
+python -c "import re; a, b = map(float, re.search(r'residual (\S+) <= (\S+)', open('f.txt').read()).groups()); assert a <= b"
+spherelok grid --plan p.bin --psi -3 2 --out g.csv
+python -c "import numpy as np, spherelok as s; p = s.load_plan('p.bin'); f = s.evaluate_basis_on_grid(p.params, p.blocks, -3, 2, s.SphereGrid.for_degree(16)); g = np.loadtxt('g.csv', delimiter=',', skiprows=1); assert g.shape == (f.size, 4) and np.abs(g[:, 2] + 1j * g[:, 3] - f.ravel()).max() <= 1e-12"
+spherelok bench --blocks 64,128 --json
+rc=0; spherelok bench --n-list 16,4 --m 6 || rc=$?; test "$rc" -eq 2
+python -c "import numpy as np, spherelok as s; p = s.BandParams(16, 4); raw = open('p.bin', 'rb').read(); w = np.frombuffer(raw[18:], '<f8').copy(); rec = lambda k: 2 + (p.block_size(k) + 1) // 2 * (p.block_size(k) + 1); size = p.block_size(3); c = (size + 1) // 2; at = 2 + 16 + sum(rec(k) for k in range(16, 3, -1)) + 2 + c; w[at + 1 : at + size * c : c] *= -1; open('bad.bin', 'wb').write(raw[:18] + w.tobytes())"
+rc=0; spherelok spectrum --plan bad.bin || rc=$?; test "$rc" -eq 4
+python -O -m spherelok.cli selftest
