@@ -97,7 +97,7 @@ def _one_blas_thread() -> Iterator[None]:
 
 
 def thread_count() -> int:
-    """Threads a plan build solves and checks its blocks on, and a load checks them on.
+    """Threads of the band loop, :func:`_each_block`, that builds and loads run.
 
     It is one per CPU the process may run on if OpenBLAS can be held at
     one thread (:func:`_one_blas_thread`), and 1 otherwise: over OpenBLAS's
@@ -341,23 +341,13 @@ def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
         )
 
 
-def _check_band(jacobi: list[JacobiBlock], blocks: dict[int, EigenBlock]) -> None:
-    """:func:`check_eigenpairs` of blocks k = 0..n by :func:`_each_block`, OpenBLAS at one thread.
-
-    ``jacobi`` is :func:`_band_blocks` of the band.  An error names the
-    block it was found in.  Block -k is block +k's eigendata.  The halves
-    :func:`_solve` builds from an SVD and those read from a plan cache get
-    the same check, since both are the same :class:`EigenBlock` half.
-    """
-
-    def check(k: int, block: JacobiBlock) -> None:
-        try:
-            check_eigenpairs(block, blocks[k])
-        except NumericError as exc:
-            raise NumericError(f"block k={k}: {exc}") from None
-
-    with _one_blas_thread():
-        _each_block(check, jacobi)
+def _check_block(k: int, block: JacobiBlock, eb: EigenBlock) -> EigenBlock:
+    """``eb``, once :func:`check_eigenpairs` passes it as block k; errors name k."""
+    try:
+        check_eigenpairs(block, eb)
+    except NumericError as exc:
+        raise NumericError(f"block k={k}: {exc}") from None
+    return eb
 
 
 def _bidiagonal(block: JacobiBlock) -> np.ndarray:
@@ -430,13 +420,14 @@ def spectrum(block: JacobiBlock) -> np.ndarray:
 def _each_block(fn: Callable[[int, JacobiBlock], object], jacobi: list[JacobiBlock]) -> list:
     """``[fn(k, block) for k, block in enumerate(jacobi)]`` on :func:`thread_count` threads.
 
-    A band's solves and checks both run here, with OpenBLAS held at one
-    thread by the caller.  The calling thread and ``thread_count() - 1``
-    more each take the next block, lowest k and so largest first; with one
-    thread, the calling thread takes them in turn.  Every thread has ended
-    when this returns or raises.  After an error no further block is
-    taken, and the error of the lowest k that failed is raised: every
-    lower k was taken first, so it is the serial loop's.
+    The one band loop: a build solves and checks each block here, a load
+    checks each, and OpenBLAS is held at one thread throughout.  The
+    calling thread and ``thread_count() - 1`` more each take the next
+    block, lowest k and so largest first; with one thread, the calling
+    thread takes them in turn.  Every thread has ended when this returns
+    or raises.  After an error no further block is taken, and the error of
+    the lowest k that failed is raised: every lower k was taken first, so
+    it is the serial loop's.
     """
     out: list = [None] * len(jacobi)
     errors: dict[int, Exception] = {}
@@ -457,16 +448,17 @@ def _each_block(fn: Callable[[int, JacobiBlock], object], jacobi: list[JacobiBlo
                     todo.clear()
 
     threads = []
-    try:
-        for _ in range(min(thread_count(), len(jacobi)) - 1):
-            threads.append(threading.Thread(target=work, name="spherelok-band"))
-            threads[-1].start()
-        work()
-    finally:
-        with lock:
-            todo.clear()
-        for t in threads:
-            t.join()
+    with _one_blas_thread():
+        try:
+            for _ in range(min(thread_count(), len(jacobi)) - 1):
+                threads.append(threading.Thread(target=work, name="spherelok-band"))
+                threads[-1].start()
+            work()
+        finally:
+            with lock:
+                todo.clear()
+            for t in threads:
+                t.join()
     if errors:
         raise errors[min(errors)]
     return out
@@ -477,20 +469,16 @@ def band_eigenblocks(n: int, m: int) -> dict[int, EigenBlock]:
 
     Blocks for k and -k are identical, so each |k| is solved once, as the
     SVD of its half-size bidiagonal (:func:`_solve`), and block -k is
-    block +k, the same object.  All blocks are solved, then checked by
-    :func:`_check_band`, both on the threads of :func:`_each_block`.  The
-    check's small elementwise steps hold the GIL, so its threads gain at
-    large blocks only (see the README).  OpenBLAS stays at one thread until
-    the check is done, so the bytes of a build depend neither on the
+    block +k, the same object.  Each block is solved and then checked
+    (:func:`_check_block`) by the same thread of :func:`_each_block`, so
+    the error raised is that of a serial "solve, then check" loop over k.
+    The check's small elementwise steps hold the GIL, so its threads gain
+    at large blocks only (see the README).  OpenBLAS stays at one thread
+    for the whole loop, so the bytes of a build depend neither on the
     process's BLAS thread count nor on how many threads solve.
     """
-    jacobi = _band_blocks(n, m)
-    with _one_blas_thread():
-        out = dict(enumerate(_each_block(lambda k, block: _solve(block), jacobi)))
-        _check_band(jacobi, out)
-    for k in range(1, n + 1):
-        out[-k] = out[k]
-    return out
+    solved = _each_block(lambda k, b: _check_block(k, b, _solve(b)), _band_blocks(n, m))
+    return {k: solved[abs(k)] for k in range(-n, n + 1)}
 
 
 def band_spectra(n: int, m: int) -> dict[int, np.ndarray]:

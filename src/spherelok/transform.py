@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, NumericError
-from .jacobi_blocks import EigenBlock, _band_blocks, _check_band, band_eigenblocks
+from .jacobi_blocks import EigenBlock, _band_blocks, _check_block, _each_block, band_eigenblocks
 from .sphere_basis import (
     BandParams,
     HarmonicCoeffs,
@@ -105,7 +105,8 @@ class TransformPlan:
         self._eigs: np.ndarray | None = None
         self._local = threading.local()
         if validate:
-            _check_band(_band_blocks(params.n, params.m), self.blocks)
+            jacobi = _band_blocks(params.n, params.m)
+            _each_block(lambda k, block: _check_block(k, block, self.blocks[k]), jacobi)
 
     @classmethod
     def build(cls, n: int, m: int, mode: str = "dense") -> "TransformPlan":
@@ -411,17 +412,27 @@ def save_plan(path, plan: TransformPlan) -> None:
     :class:`~spherelok.jacobi_blocks.EigenBlock`).  Block -k is block +k's
     eigendata and the other N_k - c eigenpairs are the kept ones' mirrors,
     so each |k| is stored once, as half of V, and the file ends in
-    eigenvector bytes.
+    eigenvector bytes.  A temporary file beside ``path`` replaces it once
+    complete, and is removed on any error: no partial cache is left.
     """
     params = plan.params
-    with open(path, "wb") as fh:
-        fh.write(_PLAN_MAGIC)
-        np.array([params.n, params.m, *[0] * params.n], dtype="<i8").tofile(fh)
-        for k in range(params.n, -1, -1):
-            eb = plan.blocks[k]
-            np.array([k, eb.size], dtype="<i8").tofile(fh)
-            for a in (eb.values, eb.half):
-                a.astype("<f8").tofile(fh)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_PLAN_MAGIC)
+            np.array([params.n, params.m, *[0] * params.n], dtype="<i8").tofile(fh)
+            for k in range(params.n, -1, -1):
+                eb = plan.blocks[k]
+                np.array([k, eb.size], dtype="<i8").tofile(fh)
+                for a in (eb.values, eb.half):
+                    a.astype("<f8").tofile(fh)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):  # name the file asked for
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+        raise
 
 
 def load_plan(path) -> TransformPlan:

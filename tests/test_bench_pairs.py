@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,9 @@ def test_bench_pairs_refuses_an_unpaired_seed(tmp_path):
         bench_pairs.parse_seeds("501-503,502")
     with pytest.raises(SystemExit, match="reversed seed range 510-501"):
         bench_pairs.parse_seeds("510-501")
+    for text, part in (("", ""), ("5,x", "x"), ("1,,2", ""), ("-5", "-5")):
+        with pytest.raises(SystemExit, match=re.escape(f"bad seed {part!r} in {text!r}")):
+            bench_pairs.parse_seeds(text)
 
 
 def test_bench_pairs_marks_each_metric_against_its_bound(tmp_path, capsys):

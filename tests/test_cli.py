@@ -43,6 +43,29 @@ def test_plan_band32_block_count(tmp_path, capsys):
     assert sizes[0] == "1" and sizes[32] == "33" and sizes[-1] == "1"
 
 
+def test_failed_plan_write_leaves_no_file_and_a_rerun_writes_the_plan(tmp_path):
+    # a plan of (64, 0) outgrows a 100,000-byte file size limit; the write
+    # fails, and neither the partial cache nor its temporary file is left
+    resource = pytest.importorskip("resource")
+    import signal
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+
+    path = tmp_path / "p.bin"
+    code = "import sys\nfrom spherelok.cli import main\nsys.exit(main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", code, "plan", "--n", "64", "--m", "0", "--out", str(path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, preexec_fn=limit_file_size)
+    assert run.returncode == 3 and run.stderr.startswith("io error: "), run.stderr
+    assert list(tmp_path.iterdir()) == []
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and "wrote plan cache" in run.stdout, run.stderr
+    assert list(tmp_path.iterdir()) == [path]
+    assert sl.load_plan(path).params == sl.BandParams(64, 0)
+
+
 def test_analyze_synthesize_roundtrip_files(tmp_path, plan_file, rng):
     params = sl.BandParams(12, 3)
     c = HarmonicCoeffs.random_unit(params, rng)

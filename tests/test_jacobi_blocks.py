@@ -1,4 +1,5 @@
 import math
+import pickle
 import threading
 import time
 from contextlib import nullcontext
@@ -386,8 +387,9 @@ def test_failed_checks_raise_the_serial_error_and_leave_no_thread(
 
 
 def test_build_holds_blas_at_one_thread_and_restores_it(blas_at_two, monkeypatch, tmp_path):
-    # a failed build, a load and a load whose check fails all run at one
-    # BLAS thread, and the count is 2 again after each
+    # a failed build, a load, a load whose check fails, a plan built from
+    # eigendata and an unpickled plan all run at one BLAS thread, and the
+    # count is 2 again after each
     get = blas_at_two
     solve, check = jb._solve, jb.check_eigenpairs
     seen = []
@@ -424,24 +426,33 @@ def test_build_holds_blas_at_one_thread_and_restores_it(blas_at_two, monkeypatch
             load_plan(path)
         assert seen and set(seen) == {1} and get() == 2
 
+    blocks = {k: plan.blocks[k] for k in range(9)}
+    for checked in (lambda: TransformPlan(plan.params, blocks), lambda: pickle.loads(pickle.dumps(plan))):
+        seen.clear()
+        checked()
+        assert seen and set(seen) == {1} and get() == 2
+
 
 def test_overlapping_builds_restore_blas_threads_when_the_last_ends(blas_at_two, monkeypatch):
-    # both builds are inside their checks at once; the one still inside after
-    # the other has returned keeps one thread, and the count is 2 again after
+    # both builds are inside their first check at once; the one still inside
+    # after the other has returned keeps one thread, and the count is 2 again
+    # after.  Each build runs its band loop on its own thread alone
     get = blas_at_two
-    check = jb._check_band
+    monkeypatch.setattr(jb, "thread_count", lambda: 1)
+    check = jb.check_eigenpairs
     both_in = threading.Barrier(2, timeout=30)
     first_done = threading.Event()
     seen = []
 
-    def held_check(jacobi, blocks):
-        both_in.wait()
-        if threading.current_thread().name == "second":
-            assert first_done.wait(timeout=30)
-        seen.append(get())
-        check(jacobi, blocks)
+    def held_check(block, eb):
+        if block.alpha == 0:
+            both_in.wait()
+            if threading.current_thread().name == "second":
+                assert first_done.wait(timeout=30)
+            seen.append(get())
+        check(block, eb)
 
-    monkeypatch.setattr(jb, "_check_band", held_check)
+    monkeypatch.setattr(jb, "check_eigenpairs", held_check)
     built = {}
 
     def build(name):
@@ -484,6 +495,53 @@ def test_blocks_are_solved_on_thread_count_threads(monkeypatch, tmp_path, job):
     else:
         load_plan(path)
     assert len(threads) == 3 and threading.get_ident() in threads
+
+
+def test_a_build_checks_each_block_on_the_thread_that_solved_it(monkeypatch):
+    # blocks 0-2 wait until three threads are inside a solve at once, so the
+    # build runs on three threads; each block's check follows its solve there
+    monkeypatch.setattr(jb, "thread_count", lambda: 3)
+    solve, check = jb._solve, jb.check_eigenpairs
+    all_in = threading.Barrier(3, timeout=30)
+    solved_on, checked_on = {}, {}
+
+    def gathered_solve(block):
+        solved_on[block.alpha] = threading.get_ident()
+        if block.alpha < 3:
+            all_in.wait()
+        return solve(block)
+
+    def watched_check(block, eb):
+        checked_on[block.alpha] = threading.get_ident()
+        check(block, eb)
+
+    monkeypatch.setattr(jb, "_solve", gathered_solve)
+    monkeypatch.setattr(jb, "check_eigenpairs", watched_check)
+    band_eigenblocks(10, 2)
+    assert solved_on == checked_on and len(solved_on) == 11
+    assert len(set(solved_on.values())) == 3
+
+
+def test_a_build_raises_the_lowest_block_error_of_solve_then_check(monkeypatch):
+    # block 2's check fails and block 6's solve fails: a serial "solve, then
+    # check" loop over k stops at block 2's check, and so does the build
+    monkeypatch.setattr(jb, "thread_count", lambda: 3)
+    solve, check = jb._solve, jb.check_eigenpairs
+
+    def failing_solve(block):
+        if block.alpha == 6:
+            raise NumericError("solve failed")
+        return solve(block)
+
+    def failing_check(block, eb):
+        if block.alpha == 2:
+            raise NumericError("check failed")
+        check(block, eb)
+
+    monkeypatch.setattr(jb, "_solve", failing_solve)
+    monkeypatch.setattr(jb, "check_eigenpairs", failing_check)
+    with pytest.raises(NumericError, match=r"^block k=2: check failed$"):
+        band_eigenblocks(10, 2)
 
 
 def test_without_blas_thread_control_blocks_are_solved_serially(monkeypatch):

@@ -178,6 +178,24 @@ def test_plan_cache_roundtrip(tmp_path, plan_cache, rng):
     assert np.array_equal(analyze(loaded, c).values, analyze(plan, c).values)
 
 
+def test_failed_plan_save_names_its_path_and_leaves_nothing(tmp_path, plan_cache):
+    # the write goes through a temporary file, but an error names the path
+    # asked for, as a direct write's would, and the temporary file is gone
+    plan = plan_cache(12, 4)
+    (tmp_path / "dir.bin").mkdir()
+    for path in (tmp_path / "missing" / "plan.bin", tmp_path / "dir.bin"):
+        with pytest.raises(OSError) as info:
+            save_plan(path, plan)
+        assert str(info.value).endswith(f": {str(path)!r}")
+    assert [p.name for p in tmp_path.iterdir()] == ["dir.bin"]
+    assert list((tmp_path / "dir.bin").iterdir()) == []
+    path = tmp_path / "plan.bin"
+    path.write_bytes(b"an older file")
+    save_plan(path, plan)
+    assert [p.name for p in sorted(tmp_path.iterdir())] == ["dir.bin", "plan.bin"]
+    assert load_plan(path).params == plan.params
+
+
 def test_plan_loader_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOT A PLAN")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import statistics
 import sys
 from pathlib import Path
@@ -32,12 +33,16 @@ SIDES = ("parent", "change")
 def parse_seeds(text: str) -> list[int]:
     """Seeds from "1,2,5-8" notation, in the order given.
 
-    A reversed range or a seed named twice exits with a message, since each
-    seed must count once in the values, medians and wins.
+    A part that is not N or N-M, a reversed range or a seed named twice
+    exits with a message, since each seed must count once in the values,
+    medians and wins.
     """
     seeds: list[int] = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
+        spec = re.fullmatch(r"(\d+)(?:-(\d+))?", part.strip())
+        if not spec:
+            raise SystemExit(f"bad seed {part!r} in {text!r}: expected N or N-M")
+        lo, hi = spec.groups()
         span = range(int(lo), int(hi or lo) + 1)
         if not span:
             raise SystemExit(f"reversed seed range {part}")
