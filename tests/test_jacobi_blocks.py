@@ -523,18 +523,21 @@ def test_a_build_checks_each_block_on_the_thread_that_solved_it(monkeypatch):
 
 
 def test_a_build_raises_the_lowest_block_error_of_solve_then_check(monkeypatch):
-    # block 2's check fails and block 6's solve fails: a serial "solve, then
+    # block 6's solve fails, and then block 2's check: a serial "solve, then
     # check" loop over k stops at block 2's check, and so does the build
     monkeypatch.setattr(jb, "thread_count", lambda: 3)
     solve, check = jb._solve, jb.check_eigenpairs
+    solve_failed = threading.Event()
 
     def failing_solve(block):
         if block.alpha == 6:
+            solve_failed.set()
             raise NumericError("solve failed")
         return solve(block)
 
     def failing_check(block, eb):
         if block.alpha == 2:
+            assert solve_failed.wait(timeout=30)
             raise NumericError("check failed")
         check(block, eb)
 
