@@ -108,11 +108,11 @@ def bench_dense_band(n: int, m: int) -> tuple[float, int]:
     """Seconds per dense analysis of the full band, on a built plan.
 
     The band's plan is built before timing starts, so its eigensolves are
-    excluded.  The timed call is :func:`analyze` itself: two real half-size
-    matrix products per |k| on the stacked real and imaginary parts of
-    blocks +k and -k.  The operation count is the closed form
-    sum_k (2 N_k - 1) N_k of a product with all of each V, a
-    dense-equivalent count: the kernel performs about half of it.
+    excluded.  The timed call is :func:`analyze` itself: one real product
+    with E per |k| on the stacked real and imaginary parts of blocks +k and
+    -k.  The operation count is the closed form sum_k (2 N_k - 1) N_k of a
+    product with all of each V, a dense-equivalent count: the kernel
+    performs about half of it.
     """
     plan = TransformPlan.build(n, m)
     c = HarmonicCoeffs.random_unit(plan.params, np.random.default_rng(0))

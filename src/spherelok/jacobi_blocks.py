@@ -11,10 +11,10 @@ from __future__ import annotations
 import importlib
 import os
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -139,21 +139,29 @@ def _mirror(values: np.ndarray, r: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EigenBlock:
-    """Eigendata of one Jacobi block, held as its nonnegative half.
+    """Eigendata of one Jacobi block, held as the even rows of its nonnegative half.
 
     A Jacobi block has a zero diagonal, so D J D = -J for D = diag((-1)^j):
     its eigenvalues come in pairs +-x, and if v is the unit eigenvector of
-    x, then D v is that of -x (the even/odd split of Golub and Kahan).  The
-    p_0 > 0 sign rule holds for both.  Of the N eigenpairs, sorted by
-    decreasing eigenvalue, the c = ceil(N / 2) largest are kept: ``values``
-    holds their eigenvalues, and ``half`` (N x c) their eigenvectors, the c
-    even rows over the floor(N / 2) odd rows, as a plan record stores them.
-    ``even`` and ``odd`` are read-only views of those two parts of ``half``.
-    The rest is their exact mirror, x_{N-1-i} = -x_i and v_{N-1-i} = D v_i
-    for i < N - c; the middle pair of an odd N is kept once.  Blocks k and
-    -k are the same matrix, so one object serves both orders.
+    x, then D v is that of -x.  In even/odd order the block is
+    [[0, B], [B^T, 0]] for a c x r lower bidiagonal B, c = ceil(N / 2) and
+    r = floor(N / 2) (Golub and Kahan 1965), so the c largest eigenvalues are
+    the singular values s of B, with an exact 0 for odd N, and the odd rows
+    of their eigenvectors follow from the even rows E: O' = B^T E S^-1, with
+    0 in the column where s = 0 (:func:`_odd_rows`).
 
-    ValueError is raised unless the two shapes are those of one block.  A
+    The block holds three read-only arrays and nothing more: ``values``,
+    the c kept eigenvalues in decreasing order; ``even``, E, the c x c even
+    rows of their eigenvectors, as a plan record stores them; and
+    ``offdiag``, the block's off-diagonal b_0 .. b_{N-2}, which gives N and
+    B.  In a built or loaded plan ``offdiag`` is a view of the band's table
+    of recurrence coefficients (:func:`_band_blocks`), not a copy.  ``odd``
+    is O', computed on each access and not kept.  The other N - c eigenpairs
+    are the kept ones' exact mirrors, x_{N-1-i} = -x_i and v_{N-1-i} = D v_i
+    for i < r; the middle pair of an odd N is kept once.  Blocks k and -k
+    are the same matrix, so one object serves both orders.
+
+    ValueError is raised unless the three shapes are those of one block.  A
     writable array is copied into a read-only one; a read-only float64
     array is kept as given; an unpickled block goes through the same
     constructor.  ``eigenvalues`` and ``vectors`` give the full pair as
@@ -167,67 +175,98 @@ class EigenBlock:
     p(x_i) / |p(x_i)| for the block's shifted recurrence p.  Its first entry
     p_0(x_i) / |p(x_i)| may underflow to zero at large |k|; its last entry
     has the sign (-1)^i, since the zeros of p_{N-1} interlace the
-    eigenvalues, and that is where the sign is read (:func:`_sign_reading`).
+    eigenvalues, and E's last row has the same sign (:func:`_sign_reading`).
     """
 
     values: np.ndarray
-    half: np.ndarray
+    even: np.ndarray
+    offdiag: np.ndarray
 
     def __post_init__(self):
-        for name in ("values", "half"):
+        for name in ("values", "even", "offdiag"):
             a = np.asarray(getattr(self, name), dtype=float)
             if a.flags.writeable:
                 a = a.copy()
                 a.setflags(write=False)
             object.__setattr__(self, name, a)
         c = len(self.values) if self.values.ndim == 1 else -1
-        if self.half.shape not in ((2 * c - 1, c), (2 * c, c)):
+        if (
+            self.even.shape != (c, c)
+            or self.offdiag.ndim != 1
+            or len(self.offdiag) not in (2 * c - 2, 2 * c - 1)
+        ):
             raise ValueError(
-                f"shapes {self.values.shape} and {self.half.shape} "
-                "are not (c,) and (2c - 1 or 2c, c)"
+                f"shapes {self.values.shape}, {self.even.shape} and {self.offdiag.shape} "
+                "are not (c,), (c, c) and (2c - 2 or 2c - 1,)"
             )
-        object.__setattr__(self, "even", self.half[:c])
-        object.__setattr__(self, "odd", self.half[c:])
 
     def __reduce__(self):
         # through the constructor: numpy unpickles arrays writable, and the
-        # derived full pair is rebuilt from the half, not taken on trust
-        return type(self), (self.values, self.half)
+        # derived full pair is rebuilt from the even rows, not taken on trust
+        return type(self), (self.values, self.even, self.offdiag)
 
     @property
     def size(self) -> int:
-        return len(self.half)
+        return len(self.offdiag) + 1
+
+    @property
+    def odd(self) -> np.ndarray:
+        """O' = B^T E S^-1, the r x c odd rows of the kept columns (:func:`_odd_rows`)."""
+        return _odd_rows(self.values, self.even, self.offdiag)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        vals = _mirror(self.values, len(self.odd))  # N - c mirrored pairs
+        vals = _mirror(self.values, self.size // 2)  # N - c mirrored pairs
         vals.setflags(write=False)
         return vals
 
     @cached_property
     def vectors(self) -> np.ndarray:
-        c, r = len(self.even), len(self.odd)
+        c, r = len(self.values), self.size // 2
+        odd = self.odd
         vecs = np.empty((c + r, c + r))
         vecs[0::2, :c] = self.even
-        vecs[1::2, :c] = self.odd
+        vecs[1::2, :c] = odd
         vecs[0::2, c:] = self.even[:, :r][:, ::-1]
-        vecs[1::2, c:] = -self.odd[:, :r][:, ::-1]
+        vecs[1::2, c:] = -odd[:, :r][:, ::-1]
         vecs.setflags(write=False)
         return vecs
 
 
-def _sign_reading(half: np.ndarray) -> np.ndarray:
-    """Each kept column's last entry, block row N - 1, times (-1)^i for column i.
+def _inverse_values(values: np.ndarray, r: int) -> np.ndarray:
+    """S^-1 of a block's kept columns: 1 / s for the r paired ones, 0 for an odd N's s = 0."""
+    inv = np.zeros(len(values))
+    inv[:r] = 1.0 / values[:r]
+    return inv
+
+
+def _odd_rows(values: np.ndarray, even: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+    """O' = B^T E S^-1, the one definition of a block's odd rows.
+
+    B^T u_i = s_i w_i for the SVD of :func:`_solve`, so O' is the odd rows of
+    the r paired columns; the column of an odd N's s = 0 gets 0, its odd part.
+    Row j of B^T t is b_{2j} t_j + b_{2j+1} t_{j+1} (see :func:`_bidiagonal`).
+    """
+    c, r = len(values), (len(offdiag) + 1) // 2
+    t = even * _inverse_values(values, r)
+    odd = t[:r] * offdiag[0::2, None]
+    odd[: c - 1] += offdiag[1::2, None] * t[1:]
+    return odd
+
+
+def _sign_reading(even: np.ndarray) -> np.ndarray:
+    """Each kept column's entry in E's last row, times (-1)^i for column i.
 
     The zeros of p_{N-1} strictly interlace the block's N eigenvalues
     (Szego, Orthogonal Polynomials, Thm 3.3.2; Golub and Welsch 1969), so
-    p_{N-1}(x_i) has the sign (-1)^i, and the reading is positive for every
-    column that keeps the sign rule p_0 > 0.  Block row N - 1 is even row
-    c - 1 of ``half`` for odd N, and its last row, odd row c - 1, for even N.
+    p_{N-1}(x_i), block row N - 1, has the sign (-1)^i, and the reading is
+    positive for every column that keeps the sign rule p_0 > 0.  Block row
+    N - 1 is E's last row, even row c - 1, for odd N.  For even N it is the
+    last odd row, b_{N-2} E[c - 1] / s, of the sign of E[c - 1] since b > 0
+    and s > 0.  So the reading needs no odd rows.
     """
-    c = half.shape[1]
-    last = half[c - 1] if len(half) % 2 else half[-1]
-    return np.where(np.arange(c) % 2, -last, last)
+    last = even[-1]
+    return np.where(np.arange(len(last)) % 2, -last, last)
 
 
 def _block_shape(params: BandParams, k: int) -> tuple[int, int]:
@@ -244,13 +283,16 @@ def build_block(n: int, m: int, k: int) -> JacobiBlock:
     return JacobiBlock(alpha=alpha, size=size, offdiag=offdiag, truncation_offset=offset)
 
 
-def _band_blocks(n: int, m: int) -> list[JacobiBlock]:
+@lru_cache(maxsize=4)
+def _band_blocks(n: int, m: int) -> tuple[JacobiBlock, ...]:
     """Jacobi blocks for the orders 0..n of the band pair (n, m), index alpha.
 
     One band-wide table of recurrence coefficients feeds every block: row
     alpha holds b_0 .. b_n of the alpha-family, which covers block alpha's
     last off-diagonal b_{n - alpha}.  Each ``offdiag`` is a read-only view
-    of the table, bit for bit equal to :func:`build_block`'s copy.
+    of the table, bit for bit equal to :func:`build_block`'s copy.  The
+    blocks of the last few bands are kept, so a build, a load and the check
+    of either share one table, which the plan's blocks then hold.
     """
     params = BandParams(n, m)
     b = _coefficients(np.arange(n + 1)[:, None], np.arange(n + 1))
@@ -260,7 +302,7 @@ def _band_blocks(n: int, m: int) -> list[JacobiBlock]:
         offset, size = _block_shape(params, alpha)
         offdiag = b[alpha, offset + 1 : offset + size]
         blocks.append(JacobiBlock(alpha, size, offdiag, offset))
-    return blocks
+    return tuple(blocks)
 
 
 def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
@@ -268,10 +310,10 @@ def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
 
     This is the one definition of valid eigendata, whether it was solved,
     loaded from a plan cache or passed in, and it has no tolerance to set.
-    It checks the matrix the transforms apply, the kept half and its exact
-    mirror (see :class:`EigenBlock`), against six conditions, in this
-    order.  The residual and the Rayleigh quotients are taken on ``half``,
-    the orthogonality on its even and odd parts:
+    ``eb`` must hold the block's own off-diagonal.  The check runs on the
+    kept columns [E; O'], the stored even rows and the odd rows derived from
+    them (:func:`_odd_rows`), and on their exact mirror (see
+    :class:`EigenBlock`), against six conditions, in this order:
 
     - the eigenvalues are strictly decreasing, with every gap above 1e-13;
     - they lie inside (-1, 1);
@@ -282,15 +324,23 @@ def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
       far more tightly than the residual does;
     - the orthogonality residual max |V^T V - I| is at most 1e-12;
     - the sign rule p_0 > 0 holds: each kept column i ends in an entry of
-      sign (-1)^i, read by :func:`_sign_reading` as in :func:`_solve`.  A
-      mirror column D v follows from its partner, so it needs no reading of
-      its own.
+      sign (-1)^i, read at E's last row by :func:`_sign_reading` as in
+      :func:`_solve`.  A mirror column D v follows from its partner, so it
+      needs no reading of its own.
+
+    On the r paired columns the odd rows' residual B^T e - s o' is zero up
+    to rounding, since o' = B^T e / s, so only the even rows' B o' - x e is
+    taken there.  The column of an odd N's s = 0 has o' = 0, and its odd
+    residual B^T e is checked: it is zero only for that column.
 
     The comparisons are written so that NaN fails them.
     """
     if eb.size != block.size:
         raise NumericError(f"{eb.size} eigenpairs for a block of size {block.size}")
-    x, e, o = eb.values, eb.even, eb.odd
+    if not np.array_equal(eb.offdiag, block.offdiag):
+        raise NumericError("eigendata holds an off-diagonal that is not the block's")
+    x, e = eb.values, eb.even
+    c, r = len(x), block.size // 2
     if block.size > 1:
         xs = eb.eigenvalues
         gap = (xs[:-1] - xs[1:]).min()
@@ -301,43 +351,45 @@ def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
             )
     if not np.abs(x).max() < 1.0:
         raise NumericError("eigenvalues escaped the open interval (-1, 1)")
-    # J v - x v on the kept columns, in one array split as ``half`` is: J
-    # couples row 2j with rows 2j +- 1 only.  b_{2j} joins rows 2j and
-    # 2j + 1, and b_{2j+1} rows 2j + 1 and 2j + 2.  A mirror's residual is
-    # exactly the negated D-image of its partner's, so it has the same
-    # maximum, and its v^T r is its partner's, negated
-    res = eb.half * -x
+    o = eb.odd
+    # B o' - x e on the even rows: J couples row 2j with rows 2j +- 1 only.
+    # b_{2j} joins rows 2j and 2j + 1, and b_{2j+1} rows 2j + 1 and 2j + 2.
+    # A mirror's residual is exactly the negated D-image of its partner's,
+    # so it has the same maximum, and its v^T r is its partner's, negated
+    res = e * -x
+    worst = 0.0
     if block.size > 1:
-        res_e, res_o = res[: len(e)], res[len(e) :]
         b_even, b_odd = block.offdiag[0::2, None], block.offdiag[1::2, None]
-        res_e[: len(o)] += b_even * o
-        res_e[1:] += b_odd * o[: len(e) - 1]
-        res_o[: len(e) - 1] += b_odd * e[1:]
-        res_o += b_even * e[: len(o)]
-    worst = np.abs(res).max()
+        res[:r] += b_even * o
+        res[1:] += b_odd * o[: c - 1]
+        if block.size % 2:  # B^T e of the s = 0 column
+            mid = e[:, -1:]
+            worst = np.abs(b_even * mid[:r] + b_odd * mid[1:]).max()
+    worst = np.maximum(np.abs(res).max(), worst)
     if not worst <= 1e-12 * block.size:
         raise NumericError(f"eigenpair residual {worst:.3e} too large")
-    worst = np.abs(np.einsum("ij,ij->j", eb.half, res)).max()
+    worst = np.abs(np.einsum("ij,ij->j", e, res)).max()
     if not worst <= 1e-13:
         raise NumericError(f"Rayleigh quotient off its eigenvalue by {worst:.3e}, above 1e-13")
-    # from two half-size Grams: with G_e = E^T E and G_o = O^T O, the kept
+    # from two half-size Grams: with G_e = E^T E and G_o = O'^T O', the kept
     # columns have Gram matrix G_e + G_o, each mirror pair the same, and kept
     # column i against mirror D v_j has (G_e - G_o)[i, j]; so max |V^T V - I|
     # is the larger of max |G_e + G_o - I| and max |(G_e - G_o)[:, :N-c]|
     g_even = np.dot(e.T, e)
     g_odd = np.dot(o.T, o)
-    cross = (g_even - g_odd)[:, : len(o)]
+    cross = (g_even - g_odd)[:, :r]
     g_even += g_odd
-    g_even.flat[:: len(e) + 1] -= 1.0
+    g_even.flat[:: c + 1] -= 1.0
     worst = np.maximum(np.abs(g_even).max(initial=0.0), np.abs(cross).max(initial=0.0))
     if not worst <= 1e-12:
         raise NumericError(f"orthogonality residual {worst:.3e} exceeds 1e-12")
-    sign = _sign_reading(eb.half)
+    sign = _sign_reading(e)
     if not sign.min() > 0:
         i = (sign > 0).argmin()
+        last = sign[i] if block.size % 2 else sign[i] * block.offdiag[-1] / x[i]
         raise NumericError(
             f"kept column {i} breaks the sign rule p_0 > 0: "
-            f"its last entry times (-1)^{i} is {sign[i]:.3e}"
+            f"its last entry times (-1)^{i} is {last:.3e}"
         )
 
 
@@ -370,27 +422,25 @@ def _solve(block: JacobiBlock) -> EigenBlock:
     It is the SVD B = U diag(s) W^T of the half-size bidiagonal (LAPACK's
     ``gesdd``): B w_i = s_i u_i and B^T u_i = s_i w_i, so x_i = s_i is an
     eigenvalue with unit eigenvector u_i / sqrt(2) in the even rows and
-    w_i / sqrt(2) in the odd rows, and the singular values are the c largest
-    eigenvalues.  An odd N adds x = 0, whose eigenvector is U's last column
-    (B^T u = 0) in the even rows and zero in the odd ones.  U and W^T /
-    sqrt(2) are written straight into the block's ``half``, whose columns
-    are then signed by :func:`_sign_reading`.
+    w_i / sqrt(2) = B^T u_i / (sqrt(2) s_i) in the odd rows, and the singular
+    values are the c largest eigenvalues.  An odd N adds x = 0, whose
+    eigenvector is U's last column (B^T u = 0) in the even rows and zero in
+    the odd ones.  Only E, U with its r paired columns scaled by 1 / sqrt(2),
+    is stored; W is dropped, since the odd rows follow from E
+    (:func:`_odd_rows`).  E's columns are then signed by :func:`_sign_reading`.
     """
-    c, r = (block.size + 1) // 2, block.size // 2
-    u, s, wt = np.linalg.svd(_bidiagonal(block))
-    vals = np.zeros(c)
+    r = block.size // 2
+    even, s, _ = np.linalg.svd(_bidiagonal(block))
+    vals = np.zeros(len(even))
     vals[:r] = s
-    half = np.zeros((block.size, c))
-    half[:c] = u
-    half[c:, :r] = wt.T
-    half[:, :r] /= np.sqrt(2.0)
+    even[:, :r] /= np.sqrt(2.0)
     # sign rule p_0 > 0: column i is p(x_i) / |p(x_i)| for the block's
     # shifted recurrence p.  At large |k| the leading entries underflow, so
-    # the sign is read at the last entry, p_{N-1}(x_i) of sign (-1)^i
-    half *= np.where(_sign_reading(half) < 0, -1.0, 1.0)
-    for a in (vals, half):
+    # the sign is read at E's last row, of the sign of p_{N-1}(x_i), (-1)^i
+    even *= np.where(_sign_reading(even) < 0, -1.0, 1.0)
+    for a in (vals, even):
         a.setflags(write=False)
-    return EigenBlock(vals, half)
+    return EigenBlock(vals, even, block.offdiag)
 
 
 def eigendecompose(block: JacobiBlock) -> EigenBlock:
@@ -417,7 +467,7 @@ def spectrum(block: JacobiBlock) -> np.ndarray:
     return _mirror(np.append(s, np.zeros(block.size % 2)), len(s))
 
 
-def _each_block(fn: Callable[[int, JacobiBlock], object], jacobi: list[JacobiBlock]) -> list:
+def _each_block(fn: Callable[[int, JacobiBlock], object], jacobi: Sequence[JacobiBlock]) -> list:
     """``[fn(k, block) for k, block in enumerate(jacobi)]`` on :func:`thread_count` threads.
 
     The one band loop: a build solves and checks each block here, a load

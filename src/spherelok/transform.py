@@ -1,9 +1,11 @@
 """Transforms between harmonic and localized coefficients.
 
 Each block is multiplied by its orthogonal eigenvector matrix V, through
-the half of V that a plan holds (:class:`~spherelok.jacobi_blocks.EigenBlock`):
-its even and odd rows of the ceil(N / 2) leading columns, whose mirrors
-are the other columns.  One kernel, two real half-size products per |k|
+the quarter of V that a plan holds (:class:`~spherelok.jacobi_blocks.EigenBlock`):
+E, the even rows of its ceil(N / 2) leading columns.  Their odd rows are
+B^T E S^-1 for the block's half-size bidiagonal B and singular values S,
+and V's other columns are their mirrors.  One kernel, one real product
+with E per |k| and a few band-wide elementwise steps for B and S^-1
 (:func:`_apply_blocks`), serves analysis, synthesis, filtering and the
 tail bounds.  The filter and the bounds of one field share one analysis
 per thread (:func:`_shared_analysis`).
@@ -22,7 +24,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, NumericError
-from .jacobi_blocks import EigenBlock, _band_blocks, _check_block, _each_block, band_eigenblocks
+from .jacobi_blocks import (
+    EigenBlock,
+    _band_blocks,
+    _check_block,
+    _each_block,
+    _inverse_values,
+    band_eigenblocks,
+)
 from .sphere_basis import (
     BandParams,
     HarmonicCoeffs,
@@ -42,8 +51,9 @@ __all__ = [
     "load_plan",
 ]
 
-_PLAN_MAGIC = b"SPHERELOK-PLAN v3\n"
-_OLD_PLAN_MAGICS = (b"SPHERELOK-PLAN v1\n", b"SPHERELOK-PLAN v2\n")
+_PLAN_MAGIC = b"SPHERELOK-PLAN v4\n"
+_OLD_PLAN_MAGICS = tuple(b"SPHERELOK-PLAN v%d\n" % v for v in (1, 2, 3))
+_REBUILD = "; delete the file and rebuild it with `spherelok plan`"
 
 
 @dataclass
@@ -52,8 +62,9 @@ class OpCounter:
 
     The count is that of a product with the full N x N matrix, (2N - 1) N
     per block: the dense-equivalent count, which :func:`dense_op_count`
-    gives in closed form.  The kernel, which multiplies by half of V (see
-    :func:`_apply_blocks`), performs about half of it.
+    gives in closed form.  The kernel, which multiplies by E, a quarter of
+    V, on twice the columns (see :func:`_apply_blocks`), performs about
+    half of it.
     """
 
     ops: int = 0
@@ -79,8 +90,10 @@ class TransformPlan:
 
     Only ``blocks[k]`` for k = 0..n is read: block -k is block +k, the same
     object, since the Jacobi blocks of k and -k are the same matrix.  Each
-    block holds the kept half of its eigendata
-    (:class:`~spherelok.jacobi_blocks.EigenBlock`).  Unless ``validate`` is
+    block holds its kept eigenvalues and the even rows E of their
+    eigenvectors (:class:`~spherelok.jacobi_blocks.EigenBlock`); the plan
+    lays out B and S^-1 of every block once, for all its kernels
+    (:meth:`_coefficients`).  Unless ``validate`` is
     False, every block k = 0..n must pass
     :func:`~spherelok.jacobi_blocks.check_eigenpairs`; an unpickled plan
     always goes through that check.
@@ -103,6 +116,7 @@ class TransformPlan:
             self.blocks[k] = self.blocks[-k] = blocks[k]
         self.mode = mode
         self._eigs: np.ndarray | None = None
+        self._coeffs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._local = threading.local()
         if validate:
             jacobi = _band_blocks(params.n, params.m)
@@ -126,6 +140,29 @@ class TransformPlan:
             kernel = self._local.kernel = _Kernel(self)
         return kernel
 
+    def _coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """B's diagonal and subdiagonal and S^-1, laid out once for every kernel.
+
+        Each is read-only, complex, with two slots (the two signs) per row
+        of :class:`_Layout` and 0 on pad rows.  Row i of order alpha holds
+        b_{2i} (B[i, i], i < r), b_{2i-1} (B[i, i - 1], i >= 1) and 1 / s_i
+        (0 where s = 0), as :func:`~spherelok.jacobi_blocks._odd_rows` takes
+        them; complex, so that each step is one ufunc loop.
+        """
+        if self._coeffs is None:
+            layout = _paired_layout(self.params)
+            coeffs = np.zeros((3, len(layout.analysis) // 4))
+            for alpha, rows in enumerate(layout.rows):
+                eb = self.blocks[alpha]
+                r = eb.size // 2
+                coeffs[0, rows][:r] = eb.offdiag[0::2]
+                coeffs[1, rows][1:] = eb.offdiag[1::2]
+                coeffs[2, rows] = _inverse_values(eb.values, r)
+            wide = np.repeat(coeffs, 2, axis=1).astype(complex)
+            wide.setflags(write=False)
+            self._coeffs = tuple(wide)
+        return self._coeffs
+
     def eigenvalue_vector(self) -> np.ndarray:
         """All eigenvalues in the canonical localized-coefficient order."""
         if self._eigs is None:
@@ -137,9 +174,9 @@ class TransformPlan:
     def fast_eligible(self, k: int) -> bool:
         """Whether block k takes a factored fast pipeline: never.
 
-        The Chebyshev cascade plus windowed NDCT of ``_fastcheb`` loses to
-        the kernel's two paired half-size products at every block size a
-        plan can hold: at |k| = 1, both +-k, best of 7 on a 2-vCPU x86
+        The Chebyshev cascade plus windowed NDCT of ``_fastcheb`` lost to
+        the kernel's two paired half-size products of plan format v3 at
+        every block size a plan can hold: at |k| = 1, both +-k, best of 7 on a 2-vCPU x86
         host (least of 5 fresh processes), 0.57 ms against 0.006 ms at
         N = 256 and 2.6 ms against 1.6 ms at N = 2048.  It still loses at
         N = 3072 (5.1 ms against 3.5 ms) and wins at N = 4096 (5.7 ms
@@ -158,46 +195,37 @@ def _check_match(plan: TransformPlan, coeffs, kind: type) -> None:
 
 
 class _Layout(NamedTuple):
-    """The +-k-paired, even/odd-split layout of a band, the kernel's working order.
+    """The kernel's working order of a band: rows pair blocks +alpha and -alpha.
 
-    Every row pairs an entry of block +alpha with the same entry of block
-    -alpha: it holds their two positions in the canonical layout (the same
-    position twice for alpha = 0).  With c_alpha = ceil(N_alpha / 2):
+    Order alpha = 0..n takes a slab of 1 + c_alpha rows, c_alpha =
+    ceil(N_alpha / 2): a pad row, then row i for i < c_alpha, which is row i
+    of E; one more pad row ends the band.  Each row holds four complex
+    entries, (sign, column) for sign 0 (+alpha) and 1 (-alpha) and two
+    columns, so slot 4 rho + 2 sign + column of a row-major
+    (rows, 2, 2) buffer.  Both gathers list, in that shape, positions of the
+    canonical layout (the same position twice for alpha = 0):
 
-    - ``split`` lists the harmonic side, the rows of V: the even entries of
-      every order alpha = 0..n, c_alpha rows each, then their odd entries;
-    - ``half`` lists the localized side, the columns of V: the first
-      c_alpha entries of every order, then, row for row, their mirrors
-      N_alpha - 1 - i.  The mirror of an odd block's middle entry is the
-      entry itself; those rows are ``middle``.
+    - ``analysis``, for V^T: column 0 of row i holds even entry 2i, column 1
+      odd entry 2i + 1;
+    - ``synthesis``, for V: column 0 of row i holds entry i, column 1 its
+      mirror N - 1 - i; the mirror of an odd block's middle entry is the
+      entry itself, at the slots ``middle``.
 
-    Each ``*_inverse`` maps a canonical position p to a slot 2 r + s with
-    row r of that array holding p in column s (the top row, not the mirror,
-    for a middle entry).  ``top[alpha]`` are the rows of order alpha in the
-    first part of either array, ``bottom[alpha]`` those in the second part
-    of ``half`` and ``low[alpha]`` those in the second part of ``split``.
+    A slot that holds no entry, pad rows included, gathers entry 0 of its
+    own block, so no non-finite value leaves its block.  The results come
+    back from a buffer of 6 rows complex slots: the (rows, 2, 2) products,
+    then a (rows, 2) array T.  Each ``*_inverse`` maps a canonical position
+    to its slot there: V^T puts entry i < c in T and its mirror in column 1;
+    V puts even entry 2i in column 0 and odd entry 2i + 1 in T, both at
+    row i.  ``rows[alpha]`` are the c_alpha rows of order alpha.
     """
 
-    split: np.ndarray
-    split_inverse: np.ndarray
-    half: np.ndarray
-    half_inverse: np.ndarray
+    analysis: np.ndarray
+    analysis_inverse: np.ndarray
+    synthesis: np.ndarray
+    synthesis_inverse: np.ndarray
     middle: np.ndarray
-    top: tuple[slice, ...]
-    low: tuple[slice, ...]
-    bottom: tuple[slice, ...]
-
-
-def _set_slots(inverse: np.ndarray, index: np.ndarray, first: int) -> None:
-    """Map the positions in ``index``, its rows numbered from ``first``, to their slots."""
-    rows = 2 * np.arange(first, first + len(index))
-    inverse[index[:, 0]] = rows
-    inverse[index[:, 1]] = rows + 1  # block 0 keeps slot 1
-
-
-def _bounds(counts: np.ndarray, base: int = 0) -> tuple[slice, ...]:
-    ends = (base + np.concatenate([[0], np.cumsum(counts)])).tolist()
-    return tuple(map(slice, ends[:-1], ends[1:]))
+    rows: tuple[slice, ...]
 
 
 @lru_cache(maxsize=8)
@@ -211,72 +239,103 @@ def _paired_layout(params: BandParams) -> _Layout:
     j = minus - starts[params.n + alphas]
     pairs = np.stack([j + starts[params.n - alphas], minus], axis=1)
     sizes = np.bincount(alphas, minlength=params.n + 1)
-    n_row = sizes[alphas]
-    even = j % 2 == 0
-    # rows stay sorted by alpha, then j, under every mask below
-    split = np.concatenate([pairs[even], pairs[~even]])
-    kept = np.flatnonzero(2 * j < n_row)  # j < c
-    mirror = kept + n_row[kept] - 1 - 2 * j[kept]
-    half = np.concatenate([pairs[kept], pairs[mirror]])
-    n_top = len(kept)
+    c = (sizes + 1) // 2
+    first = np.concatenate([[0], np.cumsum(c + 1)])  # each slab's pad row, then the last
+    n_rows = first[-1] + 1
+    row0 = first[alphas] + 1  # row 0 of each entry's order
+    size = sizes[alphas]
+    kept = 2 * j < size  # j < c; the others are mirrors of entry size - 1 - j
+    i = np.where(kept, j, size - 1 - j)
+    middle = 2 * j == size - 1
+    # every slot starts with entry 0 of its order's blocks; the last pad, n's
+    slab = np.minimum(np.repeat(np.arange(params.n + 2), np.append(c + 1, 1)), params.n)
+    filler = pairs[j == 0][slab][:, :, None]
+
+    def gather(rows, columns):
+        index = np.empty((n_rows, 2, 2), dtype=np.intp)
+        index[...] = filler
+        index[rows, :, columns] = pairs
+        return index
+
+    def inverse(rows, in_t, column):
+        # the slot of sign 0 in T or in a column of the products; block 0's
+        # two signs share a position, and sign 1 wins
+        inv = np.empty(params.dimension, dtype=np.intp)
+        for sign in (0, 1):
+            in_p = 4 * rows + 2 * sign + column
+            inv[pairs[:, sign]] = np.where(in_t, 4 * n_rows + 2 * rows + sign, in_p)
+        return inv
+
+    analysis = gather(row0 + j // 2, j % 2)
+    synthesis = gather(row0 + i, np.where(kept, 0, 1))
+    synthesis[(row0 + i)[middle], :, 1] = pairs[middle]  # its own mirror
     # index arrays stay writable: np.take copies a read-only index array
-    split_inverse = np.empty(params.dimension, dtype=np.intp)
-    _set_slots(split_inverse, split, 0)
-    half_inverse = np.empty(params.dimension, dtype=np.intp)
-    _set_slots(half_inverse, pairs[mirror], n_top)
-    _set_slots(half_inverse, pairs[kept], 0)  # a middle entry reads its top row
     return _Layout(
-        split=split,
-        split_inverse=split_inverse,
-        half=half,
-        half_inverse=half_inverse,
-        middle=n_top + np.flatnonzero(mirror == kept),
-        top=_bounds((sizes + 1) // 2),
-        low=_bounds(sizes // 2, n_top),
-        bottom=_bounds((sizes + 1) // 2, n_top),
+        analysis=analysis.ravel(),
+        analysis_inverse=inverse(row0 + i, kept, 1),
+        synthesis=synthesis.ravel(),
+        synthesis_inverse=inverse(row0 + j // 2, j % 2 == 1, 0),
+        middle=(4 * (row0 + i)[middle][:, None] + [1, 3]).ravel(),
+        rows=tuple(map(slice, (first[:-1] + 1).tolist(), (first[:-1] + 1 + c).tolist())),
     )
 
 
-def _plus_minus(x: tuple[np.ndarray, np.ndarray], out: tuple[np.ndarray, np.ndarray]) -> None:
-    """out = (a + b, a - b) for x = (a, b)."""
-    np.add(*x, out=out[0])
-    np.subtract(*x, out=out[1])
-
-
 class _Kernel:
-    """One thread's work buffers for a plan, every product bound.
+    """One thread's work buffers for a plan, every product and ufunc bound.
 
-    One buffer holds a vector in the paired layout and one the operands of
-    the other side.  Each product of :func:`_apply_blocks` is a bound
-    ``ndarray.dot`` with its input and output slices taken here once, so a
-    pass runs nothing per block but the two products.  The smallest blocks
-    cost little more than that call overhead.
+    ``gathered`` is a (rows, 2, 2) complex buffer in the order of
+    :class:`_Layout`, and ``slots`` the products, (rows, 2, 2), followed
+    by T, (rows, 2).  Read through their float64 views, row i of order
+    alpha is 8 real columns, so one bound ``ndarray.dot`` with its E per
+    |k| covers both columns of both signs.  Each column of either buffer
+    is a 1-D view of stride 2 and T is contiguous, so each band-wide step
+    is one ufunc over two such views and a coefficient array of the same
+    shape (:meth:`TransformPlan._coefficients`), with ``out=``; a shift by
+    one row is a shift by 2.  Pad rows of the products are zero and stay
+    so, which ends B^T at each order's last row.  A pass runs nothing per
+    block but its product; the smallest blocks cost little more than that
+    call overhead.
     """
 
     def __init__(self, plan: TransformPlan):
         layout = _paired_layout(plan.params)
         self.layout = layout
-        rows = len(layout.half)  # the longer layout: 2 c_alpha >= N_alpha rows per order
-        work = np.empty((rows, 2), dtype=complex)
-        w = work.view(float)  # rows x 4: real and imaginary parts of +alpha, -alpha
-        p = np.empty_like(w)
-        self.work = work
-        self.work_split = work[: len(layout.split)]
-        self.slots = work.ravel()
-        # the two halves [a; b] of each buffer, for the band-wide a + b, a - b
-        self.w = (w[: rows // 2], w[rows // 2 :])
-        self.prod = (p[: rows // 2], p[rows // 2 :])
-        blocks = [plan.blocks[alpha] for alpha in range(plan.params.n + 1)]
-        slices = list(zip(blocks, layout.top, layout.low, layout.bottom))
-        # analysis: a = E^T y_even into the top rows, b = O^T y_odd below
-        self.analysis = [
-            (eb.even.T.dot, w[top], p[top], eb.odd.T.dot, w[low], p[bottom])
-            for eb, top, low, bottom in slices
+        n_rows = len(layout.analysis) // 4
+        gathered = np.zeros(4 * n_rows, dtype=complex)
+        slots = np.zeros(6 * n_rows, dtype=complex)
+        self.gathered, self.slots = gathered, slots
+        g0, g1 = gathered[0::2], gathered[1::2]
+        p0, p1 = slots[0 : 4 * n_rows : 2], slots[1 : 4 * n_rows : 2]
+        t = slots[4 * n_rows :]
+        diag, sub, inv = plan._coefficients()
+        g = gathered.view(float).reshape(n_rows, 8)
+        p = slots[: 4 * n_rows].view(float).reshape(n_rows, 8)
+        evens = [plan.blocks[alpha].even for alpha in range(plan.params.n + 1)]
+        # analysis: z = B y_odd into column 1, then [a | q] = E^T [y_even | z];
+        # entry i is a_i + b_i and its mirror a_i - b_i, b = S^-1 q
+        self.analysis_in = [
+            (np.multiply, g1[:-2], sub[2:], t[2:]),
+            (np.multiply, g1, diag, g1),
+            (np.add, g1[2:], t[2:], g1[2:]),
         ]
-        # synthesis: y_even = E s and y_odd = O d, from s above d
-        self.synthesis = [
-            (eb.even.dot, p[top], w[top], eb.odd.dot, p[bottom], w[low])
-            for eb, top, low, bottom in slices
+        self.analysis = [(e.T.dot, g[rows], p[rows]) for e, rows in zip(evens, layout.rows)]
+        self.analysis_out = [
+            (np.multiply, p1, inv, p1),
+            (np.add, p0, p1, t),
+            (np.subtract, p0, p1, p1),
+        ]
+        # synthesis: [s | S^-1 d] from entry and mirror, then [y_even | t] =
+        # E [s | S^-1 d], and y_odd = B^T t into T
+        self.synthesis_in = [
+            (np.subtract, g0, g1, t),
+            (np.add, g0, g1, g0),
+            (np.multiply, t, inv, g1),
+        ]
+        self.synthesis = [(e.dot, g[rows], p[rows]) for e, rows in zip(evens, layout.rows)]
+        self.synthesis_out = [
+            (np.multiply, p1[2:], sub[2:], t[:-2]),
+            (np.multiply, p1, diag, p1),
+            (np.add, p1[:-2], t[:-2], t[:-2]),
         ]
 
 
@@ -289,24 +348,27 @@ def _apply_blocks(
     """Multiply every block of one vector by V^T (``transpose``) or V.
 
     ``x`` is a complex ``(dimension,)`` vector in the canonical layout.  V
-    is applied through its kept half, E (even rows) and O (odd rows) of its
-    c = ceil(N / 2) leading columns, since its other columns are their
-    mirrors D v_i (see :class:`EigenBlock`):
+    is applied through E alone, the even rows of its c = ceil(N / 2)
+    leading columns: their odd rows are O' = B^T E S^-1 (see
+    :class:`~spherelok.jacobi_blocks.EigenBlock`) and its other columns are
+    their mirrors D v_i.  So, one bound product with E per |k|:
 
-    - V^T y: a = E^T y_even, b = O^T y_odd; entry i is a_i + b_i and its
-      mirror N - 1 - i is a_i - b_i;
+    - V^T y: a = E^T y_even and b = S^-1 E^T (B y_odd), from one product
+      with [y_even | B y_odd]; entry i is a_i + b_i and its mirror
+      N - 1 - i is a_i - b_i;
     - V z: with s = z_top + z_mirror and d = z_top - z_mirror (the middle
-      entry of an odd block has no mirror), y_even = E s and y_odd = O d.
+      entry of an odd block has no mirror), [y_even | t] = E [s | S^-1 d]
+      from one product, and y_odd = B^T t.
 
     One gather into the paired layout (:func:`_paired_layout`) puts blocks
-    +k and -k, which share V, side by side and splits the input into the
-    two halves its products read; each is read through its float64 view,
-    so each |k| costs two real half-size products on 4 columns (real and
-    imaginary parts of both blocks), with no complex copy of V.  That is
-    half the multiply-adds, and half the bytes of V, of one product with
-    the full V.  The sums and differences run once over the whole band.
-    One gather through the inverse permutation writes the result to ``out``
-    (a new array if None; it may be ``x`` itself).
+    +k and -k, which share V, side by side, and each product reads its
+    operand through the float64 view: 8 real columns, the real and
+    imaginary parts of both blocks and both halves, with no complex copy
+    of V.  That is half the multiply-adds of one product with the full V,
+    and a quarter of its bytes.  B, S^-1 and the sums and differences run
+    over the whole band (:class:`_Kernel`).  One gather through the inverse
+    permutation writes the result to ``out`` (a new array if None; it may
+    be ``x`` itself).
     """
     x = np.asarray(x, dtype=complex)
     kernel = plan._kernel()
@@ -314,20 +376,21 @@ def _apply_blocks(
     # every take uses mode="clip": it skips the bounds check that would
     # buffer ``out``, and the layout's indices are in range
     if transpose:
-        np.take(x, layout.split, out=kernel.work_split, mode="clip")
-        for dot_e, y_e, a, dot_o, y_o, b in kernel.analysis:
-            dot_e(y_e, a)
-            dot_o(y_o, b)
-        _plus_minus(kernel.prod, kernel.w)
-        inverse = layout.half_inverse
+        np.take(x, layout.analysis, out=kernel.gathered, mode="clip")
+        steps = (kernel.analysis_in, kernel.analysis, kernel.analysis_out)
+        inverse = layout.analysis_inverse
     else:
-        np.take(x, layout.half, out=kernel.work, mode="clip")
-        kernel.work[layout.middle] = 0.0
-        _plus_minus(kernel.w, kernel.prod)
-        for dot_e, s, y_e, dot_o, d, y_o in kernel.synthesis:
-            dot_e(s, y_e)
-            dot_o(d, y_o)
-        inverse = layout.split_inverse
+        np.take(x, layout.synthesis, out=kernel.gathered, mode="clip")
+        kernel.gathered[layout.middle] = 0.0
+        steps = (kernel.synthesis_in, kernel.synthesis, kernel.synthesis_out)
+        inverse = layout.synthesis_inverse
+    before, products, after = steps
+    for ufunc, a, b, result in before:
+        ufunc(a, b, out=result)
+    for dot, operand, result in products:
+        dot(operand, result)
+    for ufunc, a, b, result in after:
+        ufunc(a, b, out=result)
     return np.take(kernel.slots, inverse, out=out, mode="clip")
 
 
@@ -403,15 +466,16 @@ def analyze_fast(plan: TransformPlan, coeffs: HarmonicCoeffs) -> LocalizedCoeffs
 
 
 def save_plan(path, plan: TransformPlan) -> None:
-    """Serialize eigendata to a v3 cache file of little-endian 8-byte words.
+    """Serialize eigendata to a v4 cache file of little-endian 8-byte words.
 
     After the 18-byte magic line come ``n m``, n flag words written as 0,
     then one record per block in the order k = n .. 0: ``k, N_k``, the
-    c = ceil(N_k / 2) kept eigenvalues and the N_k x c kept eigenvectors,
-    row-major: the block's ``values`` and ``half`` (see
-    :class:`~spherelok.jacobi_blocks.EigenBlock`).  Block -k is block +k's
+    c = ceil(N_k / 2) kept eigenvalues and E, the c x c even rows of their
+    eigenvectors, row-major: the block's ``values`` and ``even`` (see
+    :class:`~spherelok.jacobi_blocks.EigenBlock`).  The odd rows follow from
+    E, the values and the block's off-diagonal, block -k is block +k's
     eigendata and the other N_k - c eigenpairs are the kept ones' mirrors,
-    so each |k| is stored once, as half of V, and the file ends in
+    so each |k| is stored once, as a quarter of V, and the file ends in
     eigenvector bytes.  A temporary file beside ``path`` replaces it once
     complete, and is removed on any error: no partial cache is left.
     """
@@ -425,7 +489,7 @@ def save_plan(path, plan: TransformPlan) -> None:
             for k in range(params.n, -1, -1):
                 eb = plan.blocks[k]
                 np.array([k, eb.size], dtype="<i8").tofile(fh)
-                for a in (eb.values, eb.half):
+                for a in (eb.values, eb.even):
                     a.astype("<f8").tofile(fh)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -436,21 +500,23 @@ def save_plan(path, plan: TransformPlan) -> None:
 
 
 def load_plan(path) -> TransformPlan:
-    """Load a v3 plan cache, verifying layout and every record's eigendata.
+    """Load a v4 plan cache, verifying layout and every record's eigendata.
 
     The file is read once into one 8-byte-aligned buffer; each block's
-    ``values`` and ``half`` are read-only views of its record, and block
-    -k is block +k.  v1 and v2 caches are rejected: v1 may hold eigenvector
-    signs from before the p_0 > 0 rule, and both store all of V.  So is a
-    nonzero flag word, which would announce a separate record for some -k.
+    ``values`` and ``even`` are read-only views of its record, its
+    ``offdiag`` a view of the band's table of recurrence coefficients, and
+    block -k is block +k.  v1, v2 and v3 caches are rejected: v1 may hold
+    eigenvector signs from before the p_0 > 0 rule, v2 stores all of V and
+    v3 half of it.  So is a nonzero flag word, which would announce a
+    separate record for some -k.  Every layout error ends in the remedy:
+    delete the file and rebuild it.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(_PLAN_MAGIC))
         if magic in _OLD_PLAN_MAGICS:
             raise FormatError(
-                f"{path}: plan cache format {magic[-3:-1].decode()} is no longer read; "
-                "delete the file and rebuild it with `spherelok plan`"
+                f"{path}: plan cache format {magic[-3:-1].decode()} is no longer read" + _REBUILD
             )
         if magic != _PLAN_MAGIC:
             raise FormatError(f"{path}: not a plan cache (bad magic)")
@@ -459,43 +525,43 @@ def load_plan(path) -> TransformPlan:
         nbytes = os.fstat(fh.fileno()).st_size - len(magic)
         words = np.empty(nbytes // 8, dtype="<i8")
         if fh.readinto(words) != words.nbytes:
-            raise FormatError(f"{path}: file shrank while being read")
+            raise FormatError(f"{path}: file shrank while being read" + _REBUILD)
         trailing = nbytes % 8 or fh.read(1)
     words.setflags(write=False)
     data = words.view("<f8").astype(float, copy=False)  # a copy on big-endian hosts only
     data.setflags(write=False)
     if len(words) < 2:
-        raise FormatError(f"{path}: truncated header")
+        raise FormatError(f"{path}: truncated header" + _REBUILD)
     n, m = int(words[0]), int(words[1])
     if not 0 <= m <= n:
         raise FormatError(f"{path}: invalid band parameters n={n} m={m}")
     if len(words) < 2 + n:
-        raise FormatError(f"{path}: truncated header")
+        raise FormatError(f"{path}: truncated header" + _REBUILD)
     if np.any(words[2 : 2 + n]):
         raise FormatError(
-            f"{path}: plan cache holds separate -k records, which are no longer "
-            "read; delete the file and rebuild it with `spherelok plan`"
+            f"{path}: plan cache holds separate -k records, which are no longer read" + _REBUILD
         )
     params = BandParams(n=n, m=m)
+    jacobi = _band_blocks(n, m)
     blocks: dict[int, EigenBlock] = {}
     pos = 2 + n
     for k in range(n, -1, -1):
         size = params.block_size(k)
         c = (size + 1) // 2
-        end = pos + 2 + c + size * c
+        end = pos + 2 + c + c * c
         if end > len(words):
-            raise FormatError(f"{path}: truncated at block k={k}")
+            raise FormatError(f"{path}: truncated at block k={k}" + _REBUILD)
         k_read, size_read = int(words[pos]), int(words[pos + 1])
         if (k_read, size_read) != (k, size):
             raise FormatError(
                 f"{path}: block record ({k_read}, {size_read}) out of order; "
-                f"expected ({k}, {size})"
+                f"expected ({k}, {size})" + _REBUILD
             )
-        half = data[pos + 2 + c : end].reshape(size, c)
-        blocks[k] = EigenBlock(data[pos + 2 : pos + 2 + c], half)
+        even = data[pos + 2 + c : end].reshape(c, c)
+        blocks[k] = EigenBlock(data[pos + 2 : pos + 2 + c], even, jacobi[k].offdiag)
         pos = end
     if pos != len(words) or trailing:
-        raise FormatError(f"{path}: trailing bytes after last block")
+        raise FormatError(f"{path}: trailing bytes after last block" + _REBUILD)
     try:
         return TransformPlan(params, blocks)
     except NumericError as exc:

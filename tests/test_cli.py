@@ -66,6 +66,29 @@ def test_failed_plan_write_leaves_no_file_and_a_rerun_writes_the_plan(tmp_path):
     assert sl.load_plan(path).params == sl.BandParams(64, 0)
 
 
+def test_plan_onto_a_truncated_cache_names_the_block_and_the_remedy(tmp_path, capsys):
+    # a cache cut short inside a record, as a killed writer or a full disk
+    # leaves it: `plan` refuses it (exit 3), names the record it stops in,
+    # and says to delete the file and rebuild it; the file is left as it is
+    path = tmp_path / "p.bin"
+    assert main(["plan", "--n", "16", "--m", "4", "--out", str(path)]) == 0
+    capsys.readouterr()
+    data = path.read_bytes()
+    params = sl.BandParams(16, 4)
+    pos = 18 + 8 * (2 + 16)  # the magic line, n m and the flag words
+    for k in range(16, 9, -1):
+        c = (params.block_size(k) + 1) // 2
+        pos += 8 * (2 + c + c * c)
+    path.write_bytes(data[: pos + 8 * 5])  # inside block 9's record
+    assert main(["plan", "--n", "16", "--m", "4", "--out", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "p.bin: truncated at block k=9; delete the file and rebuild it with `spherelok plan`" in err
+    assert path.read_bytes() == data[: pos + 8 * 5]
+    path.unlink()
+    assert main(["plan", "--n", "16", "--m", "4", "--out", str(path)]) == 0
+    assert path.read_bytes() == data
+
+
 def test_analyze_synthesize_roundtrip_files(tmp_path, plan_file, rng):
     params = sl.BandParams(12, 3)
     c = HarmonicCoeffs.random_unit(params, rng)

@@ -171,9 +171,9 @@ def test_edge_monotonicity_truncated_orders():
 
 def _scaled_column(eb, i, scale):
     """``eb`` with kept column i scaled, and with it its mirror column."""
-    half = eb.half.copy()
-    half[:, i] *= scale
-    return replace(eb, half=half)
+    even = eb.even.copy()
+    even[:, i] *= scale  # and so the column's odd rows, derived from it
+    return replace(eb, even=even)
 
 
 def test_check_eigenpairs_rejects_non_orthonormal_vectors():
@@ -189,16 +189,17 @@ def test_check_eigenpairs_rejects_non_orthonormal_vectors():
     check_eigenpairs(blk, _scaled_column(eb, 1, 1 + 1e-13))  # within the 1e-12 gate
 
 
-@pytest.mark.parametrize("part", ["even", "odd"])
+@pytest.mark.parametrize("part", ["even"])
 def test_check_eigenpairs_rejects_nan_vector_entry(part):
     # one NaN entry of a kept column makes its residual NaN, which the
-    # residual condition rejects before any later condition runs
+    # residual condition rejects before any later condition runs.  Only the
+    # even rows are stored; the odd rows derived from them share the NaN
     blk = build_block(12, 4, 8)
     eb = eigendecompose(blk)
-    half = eb.half.copy()
-    half[{"even": 1, "odd": len(eb.even) + 1}[part], 2] = np.nan
+    even = eb.even.copy()
+    even[1, 2] = np.nan
     with pytest.raises(NumericError, match="eigenpair residual"):
-        check_eigenpairs(blk, replace(eb, half=half))
+        check_eigenpairs(blk, replace(eb, even=even))
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,34 +243,36 @@ def test_band_eigenblocks_shares_mirror_orders():
 def test_eigenblock_takes_one_blocks_halves_and_copies_writable_input():
     eb = eigendecompose(build_block(12, 4, 5))  # N = 8: c = 4, r = 4
     c = len(eb.values)
-    for values, half in [
-        (eb.values, eb.half[:-2]),
-        (eb.values, np.vstack([eb.half, eb.half[:1]])),
-        (eb.values, eb.half[:c]),
-        (eb.values[:-1], eb.half),
-        (eb.values, eb.half[:, :-1]),
-        (eb.values, eb.half.T),
-        (eb.values[None], eb.half),
-        (eb.values, eb.half[None]),
+    assert eb.even.shape == (c, c) and eb.offdiag.shape == (7,)
+    for values, even, offdiag in [
+        (eb.values, eb.even[:-1], eb.offdiag),
+        (eb.values, eb.even[:, :-1], eb.offdiag),
+        (eb.values, np.vstack([eb.even, eb.even[:1]]), eb.offdiag),
+        (eb.values[:-1], eb.even, eb.offdiag),
+        (eb.values, eb.even, eb.offdiag[:-2]),
+        (eb.values, eb.even, np.append(eb.offdiag, 0.5)),
+        (eb.values[None], eb.even, eb.offdiag),
+        (eb.values, eb.even[None], eb.offdiag),
+        (eb.values, eb.even, eb.offdiag[None]),
     ]:
         with pytest.raises(ValueError, match=r"are not \(c,\)"):
-            EigenBlock(values, half)
-    odd_size = EigenBlock(eb.values, eb.half[:-1])
+            EigenBlock(values, even, offdiag)
+    odd_size = EigenBlock(eb.values, eb.even, eb.offdiag[:-1])
     assert odd_size.size == 2 * c - 1 and odd_size.odd.shape == (c - 1, c)
     # read-only input is kept as given; writable input is copied
-    same = EigenBlock(eb.values, eb.half)
-    assert same.values is eb.values and same.half is eb.half
-    mine = [eb.values.copy(), eb.half.copy()]
+    same = EigenBlock(eb.values, eb.even, eb.offdiag)
+    assert same.values is eb.values and same.even is eb.even and same.offdiag is eb.offdiag
+    mine = [eb.values.copy(), eb.even.copy(), eb.offdiag.copy()]
     held = EigenBlock(*mine)
     for a in mine:
         a[...] = np.nan
-    for attr in ("values", "half", "even", "odd"):
+    for attr in ("values", "even", "offdiag", "odd"):
         got = getattr(held, attr)
-        assert not got.flags.writeable
+        assert not got.flags.writeable or attr == "odd"
         assert got.tobytes() == getattr(eb, attr).tobytes()
-    # even and odd are the two parts of half, not copies
-    assert np.shares_memory(held.even, held.half) and np.shares_memory(held.odd, held.half)
-    assert np.array_equal(np.vstack([held.even, held.odd]), held.half)
+    # the odd rows are derived on each access, and kept by no one
+    assert held.odd is not held.odd and not np.shares_memory(held.odd, held.even)
+    assert set(vars(held)) == {"values", "even", "offdiag"}
     assert held.vectors.tobytes() == eb.vectors.tobytes()
 
 
@@ -570,15 +573,16 @@ def test_built_blocks_hold_half_of_an_exact_mirror(n, m):
     for eb in band_eigenblocks(n, m).values():
         size = eb.size
         c = (size + 1) // 2
-        assert eb.values.shape == (c,) and eb.half.shape == (size, c)
-        assert eb.even.shape == (c, c) and eb.odd.shape == (size // 2, c)
+        assert eb.values.shape == (c,) and eb.even.shape == (c, c)
+        assert eb.offdiag.shape == (size - 1,) and eb.odd.shape == (size // 2, c)
         vals, vecs = eb.eigenvalues, eb.vectors
         assert not vals.flags.writeable and not vecs.flags.writeable
         parity = np.where(np.arange(size) % 2, -1.0, 1.0)[:, None]
         assert np.array_equal(vals[::-1][: size // 2], -vals[: size // 2])
         assert np.array_equal(vecs[:, ::-1][:, : size // 2], parity * vecs[:, : size // 2])
-        again = EigenBlock(vals[:c], np.vstack([vecs[0::2, :c], vecs[1::2, :c]]))
-        for attr in ("values", "half", "even", "odd"):
+        again = EigenBlock(vals[:c], vecs[0::2, :c], eb.offdiag)
+        assert vecs[1::2, :c].tobytes() == eb.odd.tobytes()
+        for attr in ("values", "even", "odd"):
             assert getattr(again, attr).tobytes() == getattr(eb, attr).tobytes()
 
 
@@ -616,3 +620,53 @@ def test_bidiagonal_svd_matches_tridiagonal_solver(band):
         assert np.all(eb.vectors[0] > 0)
         assert np.abs(spectra[k] - eb.eigenvalues).max() <= 1e-14
         assert spectra[k].tobytes() == spectrum(build_block(n, m, k)).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(band=st.integers(0, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+@example(band=(0, 0))
+@example(band=(24, 0))
+@example(band=(24, 24))
+def test_vectors_from_the_even_rows_match_a_dense_eigensolve(band):
+    # the full V that a block rebuilds from E alone, its odd rows derived as
+    # B^T E S^-1, is the dense Jacobi matrix's eigenvector matrix, signed by
+    # p_0 > 0 (for n <= 24 no first entry is near underflow)
+    n, m = band
+    blocks = band_eigenblocks(n, m)
+    for k, block in enumerate(_band_blocks(n, m)):
+        eb = blocks[k]
+        jacobi = np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
+        vals, vecs = np.linalg.eigh(jacobi)
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        vecs = vecs * np.where(vecs[0] < 0, -1.0, 1.0)
+        assert np.abs(vecs[0]).min() > 1e-8
+        assert np.abs(eb.eigenvalues - vals).max() <= 1e-13
+        assert np.abs(eb.vectors - vecs).max() <= 1e-13
+
+
+def test_check_rejects_a_changed_middle_column_by_its_odd_residual():
+    # the s = 0 column of an odd block has no odd rows, O' sets them to 0,
+    # so its residual B^T e is the one odd residual the check still takes:
+    # E's middle column turned toward a paired column fails there, before
+    # the orthogonality condition, whatever the angle
+    blk = build_block(12, 4, 8)  # N = 5: c = 3, the middle column is 2
+    eb = eigendecompose(blk)
+    assert eb.values[2] == 0.0 and not eb.odd[:, 2].any()
+    for angle in (1e-6, 1e-3, 0.3):
+        even = eb.even.copy()
+        even[:, 2] = np.cos(angle) * eb.even[:, 2] + np.sin(angle) * np.sqrt(2.0) * eb.even[:, 1]
+        assert abs(np.linalg.norm(even[:, 2]) - 1.0) < 1e-15
+        with pytest.raises(NumericError, match="eigenpair residual"):
+            check_eigenpairs(blk, replace(eb, even=even))
+
+
+def test_check_rejects_eigendata_of_another_off_diagonal():
+    # a block's eigendata carries its off-diagonal, which gives the odd
+    # rows; one that is not the block's is refused before any condition
+    blk = build_block(12, 4, 8)
+    eb = eigendecompose(blk)
+    assert eb.offdiag is blk.offdiag
+    check_eigenpairs(blk, replace(eb, offdiag=blk.offdiag.copy()))
+    for offdiag in (blk.offdiag * (1 + 1e-15), build_block(12, 4, 7).offdiag[:4]):
+        with pytest.raises(NumericError, match="off-diagonal that is not the block's"):
+            check_eigenpairs(blk, replace(eb, offdiag=offdiag))

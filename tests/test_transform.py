@@ -216,7 +216,7 @@ def test_plan_loader_rejects_truncation(tmp_path, plan_cache):
 def test_plan_loader_rejects_nonorthogonal_vectors(tmp_path, plan_cache):
     plan = plan_cache(12, 4)
     path = tmp_path / "plan.bin"
-    scaled = {k: replace(eb, half=eb.half * 1.001) for k, eb in plan.blocks.items()}
+    scaled = {k: replace(eb, even=eb.even * 1.001) for k, eb in plan.blocks.items()}
     save_plan(path, TransformPlan(plan.params, scaled, validate=False))
     with pytest.raises(NumericError):
         load_plan(path)
@@ -250,12 +250,11 @@ def test_plan_loader_rejects_a_negated_kept_column(plan_cache, tmp_path_factory,
     words = np.frombuffer(raw[18:], dtype="<f8").copy()
     pos = 2 + n  # block records run k = n .. 0 after n m and n flag words
     for kk in range(n, k, -1):
-        size = plan.params.block_size(kk)
-        pos += 2 + (size + 1) // 2 * (size + 1)
-    size = plan.params.block_size(k)
-    c = (size + 1) // 2
-    start = pos + 2 + c  # the block's half, N x c row-major
-    words[start + j : start + size * c : c] *= -1
+        c = (plan.params.block_size(kk) + 1) // 2
+        pos += 2 + c + c * c
+    c = (plan.params.block_size(k) + 1) // 2
+    start = pos + 2 + c  # the block's E, c x c row-major
+    words[start + j : start + c * c : c] *= -1
     path.write_bytes(raw[:18] + words.tobytes())
     with pytest.raises(NumericError, match=rf"block k={k}: kept column {j} breaks the sign rule"):
         load_plan(path)
@@ -272,13 +271,15 @@ def test_loaded_blocks_are_views_of_one_file_buffer(tmp_path, plan_cache):
             a = a.base
         return a
 
-    buffer = owner(loaded.blocks[0].half)
+    buffer = owner(loaded.blocks[0].even)
     assert buffer.nbytes == path.stat().st_size - 18  # every word after the magic line
     for k in range(13):
         eb = loaded.blocks[k]
-        assert not eb.half.flags.owndata and np.shares_memory(eb.half, buffer)
-        for a in (eb.values, eb.half, eb.even, eb.odd):
+        assert not eb.even.flags.owndata and np.shares_memory(eb.even, buffer)
+        for a in (eb.values, eb.even):
             assert owner(a) is buffer
+        # the off-diagonal is the band table's, not a copy or the file's
+        assert eb.offdiag is _band_blocks(12, 4)[k].offdiag and not eb.offdiag.flags.owndata
 
 
 def test_loaded_plan_meets_the_same_orthogonality_gate(tmp_path, plan_cache, rng, capsys):
@@ -287,9 +288,9 @@ def test_loaded_plan_meets_the_same_orthogonality_gate(tmp_path, plan_cache, rng
     # built, loaded or passed-in block must meet
     plan = plan_cache(12, 4)
     blocks = dict(plan.blocks)
-    half = blocks[8].half.copy()
-    half[:, 1] *= 1 + 5e-12
-    blocks[8] = replace(blocks[8], half=half)
+    even = blocks[8].even.copy()
+    even[:, 1] *= 1 + 5e-12
+    blocks[8] = replace(blocks[8], even=even)
     path = tmp_path / "plan.bin"
     save_plan(path, TransformPlan(plan.params, blocks, validate=False))
     with pytest.raises(NumericError, match="k=8: orthogonality"):
@@ -305,7 +306,7 @@ def test_loaded_plan_meets_the_same_orthogonality_gate(tmp_path, plan_cache, rng
 
 def test_plan_build_validates_orthogonality(plan_cache):
     plan = plan_cache(6, 2)
-    scaled = {k: replace(eb, half=eb.half * 1.001) for k, eb in plan.blocks.items()}
+    scaled = {k: replace(eb, even=eb.even * 1.001) for k, eb in plan.blocks.items()}
     with pytest.raises(NumericError):
         TransformPlan(plan.params, scaled)
 
@@ -524,35 +525,51 @@ def test_apply_blocks_matches_per_block_reference(plan_cache, band, transpose, s
 @given(band=_bands(top=24))
 def test_paired_layout_and_layout_offdiag_follow_the_label_columns(band):
     params = BandParams(*band)
-    orders, indices = _label_columns(params, "localized")
+    orders, indices = _label_columns(params, "localized")  # indices i from 1
     layout = _paired_layout(params)
-    n_top = layout.bottom[0].start
-    assert len(layout.half) == 2 * n_top
-    for index, inverse in ((layout.split, layout.split_inverse), (layout.half, layout.half_inverse)):
-        plus, minus = index.T
-        # row r holds one label (alpha, i) in block +alpha and in block -alpha
-        assert np.array_equal(orders[plus], -orders[minus])
-        assert np.array_equal(indices[plus], indices[minus])
-        assert np.array_equal(index.ravel()[inverse], np.arange(params.dimension))
-    for parts in ((layout.top, layout.low), (layout.top, layout.bottom)):
-        covered = np.concatenate([np.arange(r.start, r.stop) for part in parts for r in part])
-        assert np.array_equal(np.sort(covered), np.arange(len(covered)))
-    assert layout.low[-1].stop == len(layout.split)
-    plus_split, plus_half = layout.split[:, 0], layout.half[:, 0]
-    for alpha, (top, low, bottom) in enumerate(zip(layout.top, layout.low, layout.bottom)):
+    n_rows = len(layout.analysis) // 4
+    assert layout.rows[0].start == 1 and layout.rows[-1].stop == n_rows - 1
+    # what each slot of the two gathers reads, and what each result slot
+    # holds, as (order, index) labels; index 0 for a slot that holds no entry
+    read = {name: np.zeros((n_rows, 2, 2, 2), dtype=int) for name in ("analysis", "synthesis")}
+    held = {name: np.zeros((6 * n_rows, 2), dtype=int) for name in ("analysis", "synthesis")}
+    pad = np.ones(n_rows, dtype=bool)
+    for alpha, rows in enumerate(layout.rows):
         size = params.block_size(alpha)
-        c = (size + 1) // 2
-        i = np.arange(1, size + 1)  # 1-based, so the even entries have odd i
-        assert (orders[plus_split[top]] == alpha).all() and (orders[plus_split[low]] == alpha).all()
-        assert np.array_equal(indices[plus_split[top]], i[0::2])
-        assert np.array_equal(indices[plus_split[low]], i[1::2])
-        assert (orders[plus_half[top]] == alpha).all() and (orders[plus_half[bottom]] == alpha).all()
-        assert np.array_equal(indices[plus_half[top]], i[:c])
-        assert np.array_equal(indices[plus_half[bottom]], size + 1 - i[:c])
-    # a middle entry is its own mirror, and its slot is the top row's
-    middle = np.flatnonzero((layout.half[n_top:] == layout.half[:n_top]).all(axis=1)) + n_top
-    assert np.array_equal(layout.middle, middle)
-    assert (layout.half_inverse[layout.half[middle, 0]] // 2 < n_top).all()
+        c, r = (size + 1) // 2, size // 2
+        assert rows.stop - rows.start == c and rows.start == (layout.rows[alpha - 1].stop + 1 if alpha else 1)
+        pad[rows] = False
+        i = np.arange(c)
+        for sign, k in enumerate((alpha, -alpha)):
+            at = np.arange(rows.start, rows.stop)
+            read["analysis"][at, sign, 0] = np.stack([np.full(c, k), 2 * i + 1], axis=1)
+            read["analysis"][at[:r], sign, 1] = np.stack([np.full(r, k), 2 * i[:r] + 2], axis=1)
+            read["synthesis"][at, sign, 0] = np.stack([np.full(c, k), i + 1], axis=1)
+            read["synthesis"][at, sign, 1] = np.stack([np.full(c, k), size - i], axis=1)
+            t_slot = 4 * n_rows + 2 * at + sign
+            held["analysis"][t_slot] = np.stack([np.full(c, k), i + 1], axis=1)
+            held["analysis"][4 * at[:r] + 2 * sign + 1] = np.stack([np.full(r, k), size - i[:r]], axis=1)
+            held["synthesis"][4 * at + 2 * sign] = np.stack([np.full(c, k), 2 * i + 1], axis=1)
+            held["synthesis"][t_slot[:r]] = np.stack([np.full(r, k), 2 * i[:r] + 2], axis=1)
+    for name in ("analysis", "synthesis"):
+        gathered = getattr(layout, name).reshape(n_rows, 2, 2)
+        got = np.stack([orders[gathered], indices[gathered]], axis=-1)
+        want = read[name]
+        # every slot that holds no entry reads entry 0 of a block of its own
+        # order and sign: pad rows that of the next order, the last pad n's
+        empty = want[..., 1] == 0
+        assert np.array_equal(got[~empty], want[~empty])
+        assert (got[..., 1][empty] == 1).all()
+        order_of_row = np.minimum(np.cumsum(pad) - 1, params.n)
+        expect = np.where(np.arange(2)[None, :, None] == 0, 1, -1) * order_of_row[:, None, None]
+        assert np.array_equal(got[..., 0][empty], np.broadcast_to(expect, got[..., 0].shape)[empty])
+        # the inverse maps each position to the slot that holds its result
+        inverse = getattr(layout, name + "_inverse")
+        assert np.array_equal(held[name][inverse], np.stack([orders, indices], axis=1))
+    # a middle entry is its own mirror, and only its mirror slot is zeroed
+    syn = layout.synthesis.reshape(n_rows, 2, 2)
+    middle = np.flatnonzero((syn[:, :, 0] == syn[:, :, 1]) & ~pad[:, None])
+    assert np.array_equal(np.sort(layout.middle), np.sort(2 * middle + 1))
     # reference: each block's own off-diagonals, laid out with block_slice
     ref = np.zeros(params.dimension - 1)
     for alpha, block in enumerate(_band_blocks(*band)):
@@ -572,6 +589,78 @@ def test_apply_blocks_keeps_non_finite_inside_its_block(plan_cache):
     outside = np.ones(plan.params.dimension, dtype=bool)
     outside[plan.params.block_slice(36)] = False
     assert not np.any(out[outside])
+
+
+@pytest.mark.parametrize("transpose", [True, False])
+@pytest.mark.parametrize("entry", [0, 1, 2, -2, -1])
+def test_apply_blocks_keeps_non_finite_inside_its_block_either_way(plan_cache, transpose, entry):
+    # an infinite entry, even or odd, first or last, of block 36 (N = 5)
+    # or 35 (N = 6), next to blocks of the other parity, stays inside its
+    # block through B, S^-1 and the shifts by one row in both directions
+    plan = plan_cache(40, 0)
+    for k in (36, 35, -35):
+        x = np.zeros(plan.params.dimension, dtype=complex)
+        x[np.arange(plan.params.dimension)[plan.params.block_slice(k)][entry]] = np.inf
+        with np.errstate(invalid="ignore"):
+            for _ in range(2):  # and leaves nothing behind for the next pass
+                out = _apply_blocks(plan, x, transpose)
+        outside = np.ones(plan.params.dimension, dtype=bool)
+        outside[plan.params.block_slice(k)] = False
+        assert not np.any(out[outside])
+    y = np.ones(plan.params.dimension, dtype=complex)
+    assert np.isfinite(_apply_blocks(plan, y, transpose)).all()
+
+
+def _owners(obj, seen=None):
+    """The arrays that own the memory of every array reachable from obj."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        while obj.base is not None:
+            obj = obj.base
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _owners(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _owners(item, seen)
+    elif hasattr(obj, "__self__"):  # a bound method: ``E.T.dot``
+        yield from _owners(obj.__self__, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _owners(vars(obj), seen)
+
+
+def test_a_used_plan_holds_values_even_rows_band_table_and_work_buffers(rng):
+    # after every kind of pass, what the plan and this thread's kernel hold
+    # is the eigenvalues, E, the band's coefficient table and the kernel's
+    # buffers, coefficients and layout: no array of odd rows
+    plan = TransformPlan.build(64, 0)
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    synthesize(plan, analyze(plan, c))
+    sl.filter_coeffs(plan, c, sl.EigenvalueWindow.from_string("[0.5,1]"))
+    kernel = plan._kernel()
+    blocks = [plan.blocks[k] for k in range(65)]
+    expected = [
+        _band_blocks(64, 0)[0].offdiag.base,
+        plan.eigenvalue_vector(),
+        kernel.gathered,
+        kernel.slots,
+        *(next(_owners(a)) for a in plan._coefficients()),
+        *(next(_owners(a)) for a in kernel.layout if isinstance(a, np.ndarray)),
+        *(next(_owners(a)) for eb in blocks for a in (eb.values, eb.even, eb.eigenvalues)),
+    ]
+    held = {id(a): a for a in _owners(plan)}
+    assert set(held) == {id(a) for a in expected}
+    assert all("vectors" not in vars(eb) for eb in blocks)
+    # the float arrays of more than one dimension are the blocks' E and the
+    # table; every other float array is a vector
+    table = expected[0]
+    assert table.shape == (65, 65)
+    wide = {i for i, a in held.items() if a.ndim > 1 and a.dtype == float}
+    assert wide == {id(next(_owners(eb.even))) for eb in blocks} | {id(table)}
 
 
 def test_analyze_matches_complex_block_multiply(plan_cache, rng):
@@ -606,7 +695,7 @@ def test_plan_reads_only_nonnegative_orders(plan_cache):
     blocks = dict(plan.blocks)
     eb = blocks[-5]
     signs = np.where(np.arange(len(eb.values)) % 2, -1.0, 1.0)
-    blocks[-5] = replace(eb, half=eb.half * signs)
+    blocks[-5] = replace(eb, even=eb.even * signs)
     built = TransformPlan(plan.params, blocks)
     assert built.blocks[-5] is built.blocks[5] is plan.blocks[5]
 
@@ -658,11 +747,11 @@ def test_plan_validation_rejects_bad_eigenvalues(plan_cache, k, i, value, messag
         TransformPlan(plan.params, _with_eigenvalue(plan, k, i, value))
 
 
-_PLAN_MAGIC_LEN = len(b"SPHERELOK-PLAN v3\n")
+_PLAN_MAGIC_LEN = len(b"SPHERELOK-PLAN v4\n")
 
 
 def _truncations(params, nbytes):
-    """Sampled lengths that cut a v3 plan file short, with load_plan's error.
+    """Sampled lengths that cut a v4 plan file short, with load_plan's error.
 
     Every length inside the magic line; the bytes around each header and
     flag-word boundary and around the start and end of each record's label,
@@ -678,7 +767,7 @@ def _truncations(params, nbytes):
     for k in range(params.n, -1, -1):
         size = params.block_size(k)
         c = (size + 1) // 2
-        for length in (16, 8 * c, 8 * size * c):  # label, values, vectors
+        for length in (16, 8 * c, 8 * c * c):  # label, values, E
             edges.append(pos)
             pos += length
     assert pos == nbytes
@@ -691,21 +780,21 @@ def _truncations(params, nbytes):
         elif cut < header:
             yield cut, "truncated header"
         else:
-            yield cut, "truncated at block k="
+            yield cut, "truncated at block k=.*; delete the file and rebuild it"
 
 
 @settings(max_examples=12, deadline=None)
 @given(band=_bands(top=12))
-def test_plan_cache_v3_roundtrip_sharing_and_truncation(tmp_path_factory, plan_cache, band):
+def test_plan_cache_v4_roundtrip_sharing_and_truncation(tmp_path_factory, plan_cache, band):
     plan = plan_cache(*band)
-    path = tmp_path_factory.mktemp("v3") / "plan.bin"
+    path = tmp_path_factory.mktemp("v4") / "plan.bin"
     save_plan(path, plan)
     loaded = load_plan(path)
     for k in plan.params.orders():
         got, want = loaded.blocks[k], plan.blocks[k]
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert got.vectors.tobytes() == want.vectors.tobytes()
-        for attr in ("values", "even", "odd"):
+        for attr in ("values", "even", "offdiag"):
             a = getattr(got, attr)
             assert a.tobytes() == getattr(want, attr).tobytes()
             assert not a.flags.writeable and a.ctypes.data % 8 == 0
@@ -717,7 +806,7 @@ def test_plan_cache_v3_roundtrip_sharing_and_truncation(tmp_path_factory, plan_c
         with pytest.raises(FormatError, match=message):
             load_plan(path)
     path.write_bytes(data + b"\0")
-    with pytest.raises(FormatError, match="trailing bytes"):
+    with pytest.raises(FormatError, match="trailing bytes.*; delete the file and rebuild it"):
         load_plan(path)
 
 
@@ -725,10 +814,10 @@ def test_plan_cache_stores_each_shared_order_once(tmp_path, plan_cache):
     plan = plan_cache(12, 4)
     path = tmp_path / "plan.bin"
     save_plan(path, plan)
-    # each record holds c = ceil(N / 2) eigenvalues and N c eigenvector words
-    sizes = [plan.params.block_size(k) for k in range(13)]
-    words = 2 + 12 + sum(2 + (s + 1) // 2 * (s + 1) for s in sizes)
-    assert path.stat().st_size == len(b"SPHERELOK-PLAN v3\n") + 8 * words
+    # each record holds c = ceil(N / 2) eigenvalues and the c x c words of E
+    cs = [(plan.params.block_size(k) + 1) // 2 for k in range(13)]
+    words = 2 + 12 + sum(2 + c + c * c for c in cs)
+    assert path.stat().st_size == len(b"SPHERELOK-PLAN v4\n") + 8 * words
 
 
 def _write_v1_plan(path, plan):
@@ -784,12 +873,46 @@ def test_v2_plan_cache_exits_3_with_rebuild_hint(tmp_path, plan_cache, rng, caps
     assert path.read_bytes() == v2
 
 
+def _write_v3_plan(path, plan):
+    """The v3 layout: magic, n m, n zero flag words, then per |k| the kept
+    values and the N x c kept eigenvectors, their even rows over their odd."""
+    with open(path, "wb") as fh:
+        fh.write(b"SPHERELOK-PLAN v3\n")
+        np.array([plan.params.n, plan.params.m, *[0] * plan.params.n], dtype="<i8").tofile(fh)
+        for k in range(plan.params.n, -1, -1):
+            eb = plan.blocks[k]
+            np.array([k, eb.size], dtype="<i8").tofile(fh)
+            for a in (eb.values, eb.even, eb.odd):
+                a.astype("<f8").tofile(fh)
+
+
+def test_v3_plan_cache_exits_3_with_rebuild_hint(tmp_path, plan_cache, rng, capsys):
+    # a v3 file holds half of each V, twice what v4 stores; it is refused as
+    # v1 and v2 are, and `plan` leaves it as it is
+    plan = plan_cache(12, 4)
+    path = tmp_path / "plan.bin"
+    _write_v3_plan(path, plan)
+    v3 = path.read_bytes()
+    sizes = [plan.params.block_size(k) for k in range(13)]
+    assert len(v3) == 18 + 8 * (2 + 12 + sum(2 + (s + 1) // 2 * (s + 1) for s in sizes))
+    hint = "delete the file and rebuild it with `spherelok plan`"
+    with pytest.raises(FormatError, match="format v3 is no longer read; " + hint):
+        load_plan(path)
+    cpath = tmp_path / "c.coeff"
+    save_coeffs(cpath, HarmonicCoeffs.random_unit(plan.params, rng))
+    rc = main(["analyze", "--plan", str(path), "--in", str(cpath), "--out", str(tmp_path / "o.coeff")])
+    assert rc == 3
+    assert main(["plan", "--n", "12", "--m", "4", "--out", str(path)]) == 3
+    assert capsys.readouterr().err.count(hint) == 2
+    assert path.read_bytes() == v3
+
+
 def test_plan_cache_with_a_mirror_flag_is_rejected_with_rebuild_hint(tmp_path, plan_cache, capsys):
     # flag word 5 (|k| = 5) set: a separate -5 record, which no release reads
     path = tmp_path / "plan.bin"
     save_plan(path, plan_cache(12, 4))
     data = bytearray(path.read_bytes())
-    flag = len(b"SPHERELOK-PLAN v3\n") + 8 * (2 + 4)
+    flag = len(b"SPHERELOK-PLAN v4\n") + 8 * (2 + 4)
     data[flag : flag + 8] = np.array([1], dtype="<i8").tobytes()
     path.write_bytes(bytes(data))
     hint = "delete the file and rebuild it with `spherelok plan`"
@@ -898,7 +1021,7 @@ def test_unpickled_plan_holds_read_only_blocks(rng):
     plan = TransformPlan.build(4, 1)
     copy = pickle.loads(pickle.dumps(plan))
     for k in copy.params.orders():
-        for attr in ("values", "half", "even", "odd"):
+        for attr in ("values", "even", "offdiag"):
             assert not getattr(copy.blocks[k], attr).flags.writeable
             with pytest.raises(ValueError):
                 getattr(copy.blocks[k], attr)[0] = 0.99

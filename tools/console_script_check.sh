@@ -5,10 +5,15 @@
 #
 #     python -m pip install . && bash -eo pipefail tools/console_script_check.sh
 #
-# It writes p.bin, bad.bin, c.coeff, l.coeff, lf.coeff, h.coeff, kept.coeff,
-# removed.coeff, f.txt and g.csv in the current directory.  To run it on a
-# source tree without installing, put on PATH a `spherelok` script that runs
-# `python -m spherelok.cli "$@"`, and export PYTHONPATH=src.
+# It writes p.bin, bad.bin, v3.bin, err.txt, c.coeff, l.coeff, lf.coeff,
+# h.coeff, kept.coeff, removed.coeff, f.txt and g.csv in the current
+# directory.  To run it on a source tree without installing, put on PATH a
+# `spherelok` script that runs `python -m spherelok.cli "$@"`, and export
+# PYTHONPATH=src, for example from the root of the tree:
+#
+#     mkdir -p /tmp/bin && printf '#!/bin/sh\nexec python -m spherelok.cli "$@"\n' > /tmp/bin/spherelok
+#     chmod +x /tmp/bin/spherelok
+#     PATH=/tmp/bin:$PATH PYTHONPATH=$PWD/src bash -eo pipefail tools/console_script_check.sh
 #
 # A build's solve threads have all ended when it returns; the printed thread
 # count is 1 where numpy's OpenBLAS thread-count functions were not found
@@ -24,10 +29,15 @@
 # which is block +3, and builds its full eigenvector matrix.  Blocks of size
 # 1-3 go through numpy's svd.  `bench --blocks` times the fast pipeline,
 # whose Chebyshev transforms run on numpy's FFT, and `bench` refuses a band
-# with m > n (exit 2) before it times the others.  A copy of the plan with
-# block 3's kept column 1 negated, in the file's words, breaks only the
-# p_0 > 0 sign rule, and `spectrum` must refuse it (exit 4).  `selftest`
-# also runs under python -O, which strips assert statements.
+# with m > n (exit 2) before it times the others.  The plan file is format
+# v4: after the magic line come n m and n flag words, then per k = n .. 0
+# a record of 2 + c + c^2 words, k and N_k, the c = ceil(N_k / 2) kept
+# eigenvalues and the c x c even rows E, row-major.  A copy of the plan
+# with block 3's kept column 1 of E negated, and so its odd rows, breaks
+# only the p_0 > 0 sign rule, and `spectrum` must refuse it (exit 4).  A
+# copy whose magic line reads v3, the format that stored the odd rows too,
+# is refused with the remedy, delete the file and rebuild it (exit 3).
+# `selftest` also runs under python -O, which strips assert statements.
 
 python -c "import threading, spherelok as s; [s.TransformPlan.build(n, m) for n, m in ((0, 0), (1, 0), (2, 2), (16, 4))]; assert threading.active_count() == 1, threading.enumerate(); print('solve threads:', s.jacobi_blocks.thread_count())"
 spherelok selftest
@@ -48,6 +58,8 @@ spherelok grid --plan p.bin --psi -3 2 --out g.csv
 python -c "import numpy as np, spherelok as s; p = s.load_plan('p.bin'); f = s.evaluate_basis_on_grid(p.params, p.blocks, -3, 2, s.SphereGrid.for_degree(16)); g = np.loadtxt('g.csv', delimiter=',', skiprows=1); assert g.shape == (f.size, 4) and np.abs(g[:, 2] + 1j * g[:, 3] - f.ravel()).max() <= 1e-12"
 spherelok bench --blocks 64,128 --json
 rc=0; spherelok bench --n-list 16,4 --m 6 || rc=$?; test "$rc" -eq 2
-python -c "import numpy as np, spherelok as s; p = s.BandParams(16, 4); raw = open('p.bin', 'rb').read(); w = np.frombuffer(raw[18:], '<f8').copy(); rec = lambda k: 2 + (p.block_size(k) + 1) // 2 * (p.block_size(k) + 1); size = p.block_size(3); c = (size + 1) // 2; at = 2 + 16 + sum(rec(k) for k in range(16, 3, -1)) + 2 + c; w[at + 1 : at + size * c : c] *= -1; open('bad.bin', 'wb').write(raw[:18] + w.tobytes())"
+python -c "import numpy as np, spherelok as s; p = s.BandParams(16, 4); raw = open('p.bin', 'rb').read(); w = np.frombuffer(raw[18:], '<f8').copy(); cs = lambda k: (p.block_size(k) + 1) // 2; c = cs(3); at = 2 + 16 + sum(2 + cs(k) + cs(k) ** 2 for k in range(16, 3, -1)) + 2 + c; w[at + 1 : at + c * c : c] *= -1; open('bad.bin', 'wb').write(raw[:18] + w.tobytes())"
 rc=0; spherelok spectrum --plan bad.bin || rc=$?; test "$rc" -eq 4
+python -c "raw = open('p.bin', 'rb').read(); assert raw[:18] == b'SPHERELOK-PLAN v4\n'; open('v3.bin', 'wb').write(b'SPHERELOK-PLAN v3\n' + raw[18:])"
+rc=0; spherelok spectrum --plan v3.bin 2> err.txt || rc=$?; test "$rc" -eq 3; grep -q 'plan cache format v3 is no longer read; delete the file and rebuild it with `spherelok plan`' err.txt
 python -O -m spherelok.cli selftest
