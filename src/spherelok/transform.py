@@ -147,7 +147,8 @@ class TransformPlan:
         of :class:`_Layout` and 0 on pad rows.  Row i of order alpha holds
         b_{2i} (B[i, i], i < r), b_{2i-1} (B[i, i - 1], i >= 1) and 1 / s_i
         (0 where s = 0), as :func:`~spherelok.jacobi_blocks._odd_rows` takes
-        them; complex, so that each step is one ufunc loop.
+        them; complex, so that each step is one ufunc loop.  Threads that
+        lay them out at once build equal arrays, and either serves.
         """
         if self._coeffs is None:
             layout = _paired_layout(self.params)
@@ -199,11 +200,12 @@ class _Layout(NamedTuple):
 
     Order alpha = 0..n takes a slab of 1 + c_alpha rows, c_alpha =
     ceil(N_alpha / 2): a pad row, then row i for i < c_alpha, which is row i
-    of E; one more pad row ends the band.  Each row holds four complex
-    entries, (sign, column) for sign 0 (+alpha) and 1 (-alpha) and two
-    columns, so slot 4 rho + 2 sign + column of a row-major
-    (rows, 2, 2) buffer.  Both gathers list, in that shape, positions of the
-    canonical layout (the same position twice for alpha = 0):
+    of E; one more pad row ends the band.  The pad rows end B's shift at
+    each order's first row and B^T's at its last.  Each row holds four
+    complex entries, (sign, column) for sign 0 (+alpha) and 1 (-alpha) and
+    two columns: slot 4 row + 2 sign + column of a row-major (rows, 2, 2)
+    buffer.  Both gathers list, in that shape, positions of the canonical
+    layout (the same position twice for alpha = 0):
 
     - ``analysis``, for V^T: column 0 of row i holds even entry 2i, column 1
       odd entry 2i + 1;
@@ -213,7 +215,7 @@ class _Layout(NamedTuple):
 
     A slot that holds no entry, pad rows included, gathers entry 0 of its
     own block, so no non-finite value leaves its block.  The results come
-    back from a buffer of 6 rows complex slots: the (rows, 2, 2) products,
+    back from a buffer of 6 x rows complex slots: the (rows, 2, 2) products,
     then a (rows, 2) array T.  Each ``*_inverse`` maps a canonical position
     to its slot there: V^T puts entry i < c in T and its mirror in column 1;
     V puts even entry 2i in column 0 and odd entry 2i + 1 in T, both at
