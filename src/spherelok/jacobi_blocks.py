@@ -287,22 +287,25 @@ def build_block(n: int, m: int, k: int) -> JacobiBlock:
 def _band_blocks(n: int, m: int) -> tuple[JacobiBlock, ...]:
     """Jacobi blocks for the orders 0..n of the band pair (n, m), index alpha.
 
-    One band-wide table of recurrence coefficients feeds every block: row
-    alpha holds b_0 .. b_n of the alpha-family, which covers block alpha's
-    last off-diagonal b_{n - alpha}.  Each ``offdiag`` is a read-only view
-    of the table, bit for bit equal to :func:`build_block`'s copy.  The
-    blocks of the last few bands are kept, so a build, a load and the check
-    of either share one table, which the plan's blocks then hold.
+    One band-wide table of recurrence coefficients feeds every block: the
+    off-diagonals of blocks 0..n one after another, each computed once.
+    Each ``offdiag`` is a read-only view of the table, bit for bit equal to
+    :func:`build_block`'s copy.  The blocks of the last few bands are kept,
+    so a build, a load and the check of either share one table, which the
+    plan's blocks then hold.
     """
     params = BandParams(n, m)
-    b = _coefficients(np.arange(n + 1)[:, None], np.arange(n + 1))
+    offsets, sizes = np.array([_block_shape(params, alpha) for alpha in range(n + 1)]).T
+    ends = np.cumsum(sizes - 1)
+    starts = ends - (sizes - 1)
+    # entry t of block alpha's off-diagonal is b_{offset + 1 + t} of its family
+    alphas = np.repeat(np.arange(n + 1), sizes - 1)
+    b = _coefficients(alphas, np.arange(len(alphas)) - starts[alphas] + offsets[alphas] + 1)
     b.setflags(write=False)
-    blocks = []
-    for alpha in range(n + 1):
-        offset, size = _block_shape(params, alpha)
-        offdiag = b[alpha, offset + 1 : offset + size]
-        blocks.append(JacobiBlock(alpha, size, offdiag, offset))
-    return tuple(blocks)
+    return tuple(
+        JacobiBlock(alpha, int(sizes[alpha]), b[starts[alpha] : ends[alpha]], int(offsets[alpha]))
+        for alpha in range(n + 1)
+    )
 
 
 def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:

@@ -655,12 +655,11 @@ def test_a_used_plan_holds_values_even_rows_band_table_and_work_buffers(rng):
     held = {id(a): a for a in _owners(plan)}
     assert set(held) == {id(a) for a in expected}
     assert all("vectors" not in vars(eb) for eb in blocks)
-    # the float arrays of more than one dimension are the blocks' E and the
-    # table; every other float array is a vector
-    table = expected[0]
-    assert table.shape == (65, 65)
+    # the float arrays of more than one dimension are the blocks' E; the
+    # table holds each block's off-diagonal once
+    assert expected[0].shape == (sum(eb.size - 1 for eb in blocks),)
     wide = {i for i, a in held.items() if a.ndim > 1 and a.dtype == float}
-    assert wide == {id(next(_owners(eb.even))) for eb in blocks} | {id(table)}
+    assert wide == {id(next(_owners(eb.even))) for eb in blocks}
 
 
 def test_analyze_matches_complex_block_multiply(plan_cache, rng):
