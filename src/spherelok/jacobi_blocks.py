@@ -150,11 +150,10 @@ class EigenBlock:
     of their eigenvectors follow from the even rows E: O' = B^T E S^-1, with
     0 in the column where s = 0 (:func:`_odd_rows`).
 
-    The block holds three read-only arrays and nothing more: ``values``,
-    the c kept eigenvalues in decreasing order; ``even``, E, the c x c even
-    rows of their eigenvectors, as a plan record stores them; and
-    ``offdiag``, the block's off-diagonal b_0 .. b_{N-2}, which gives N and
-    B.  In a built or loaded plan ``offdiag`` is a view of the band's table
+    The block stores three read-only arrays: ``values``, the c kept
+    eigenvalues in decreasing order; ``even``, E, the c x c even rows of
+    their eigenvectors, as a plan record stores them; and ``offdiag``, the
+    block's off-diagonal b_0 .. b_{N-2}, which gives N and B.  In a built or loaded plan ``offdiag`` is a view of the band's table
     of recurrence coefficients (:func:`_band_blocks`), not a copy.  ``odd``
     is O', computed on each access and not kept.  The other N - c eigenpairs
     are the kept ones' exact mirrors, x_{N-1-i} = -x_i and v_{N-1-i} = D v_i
