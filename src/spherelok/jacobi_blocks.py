@@ -14,7 +14,7 @@ import threading
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -153,8 +153,9 @@ class EigenBlock:
     The block stores three read-only arrays: ``values``, the c kept
     eigenvalues in decreasing order; ``even``, E, the c x c even rows of
     their eigenvectors, as a plan record stores them; and ``offdiag``, the
-    block's off-diagonal b_0 .. b_{N-2}, which gives N and B.  In a built or loaded plan ``offdiag`` is a view of the band's table
-    of recurrence coefficients (:func:`_band_blocks`), not a copy.  ``odd``
+    block's off-diagonal b_0 .. b_{N-2}, which gives N and B.  In a built or
+    loaded plan ``offdiag`` is a view of the band's table of recurrence
+    coefficients (:func:`_band_blocks`), not a copy.  ``odd``
     is O', computed on each access and not kept.  The other N - c eigenpairs
     are the kept ones' exact mirrors, x_{N-1-i} = -x_i and v_{N-1-i} = D v_i
     for i < r; the middle pair of an odd N is kept once.  Blocks k and -k
@@ -164,11 +165,12 @@ class EigenBlock:
     writable array is copied into a read-only one; a read-only float64
     array is kept as given; an unpickled block goes through the same
     constructor.  ``eigenvalues`` and ``vectors`` give the full pair as
-    read-only arrays, built on first access and kept.
-    ``eigenvalues`` and :func:`spectrum` both come from :func:`_mirror`;
-    the eigenvalue check and the plan's eigenvalue vector read
-    ``eigenvalues``, and no transform, filter, bound or plan-cache path
-    reads ``vectors``.
+    read-only arrays, derived on each access and not kept, so a block holds
+    its three arrays and nothing more.  ``eigenvalues`` and :func:`spectrum`
+    both come from :func:`_mirror`; the eigenvalue check reads
+    ``eigenvalues`` once per block and the plan's eigenvalue vector once per
+    plan, and no transform, filter, bound or plan-cache path reads
+    ``vectors``.
     Eigenvalues are strictly decreasing; column i of ``vectors`` is the unit
     eigenvector for ``eigenvalues[i]``, signed so that p_0 > 0: it is
     p(x_i) / |p(x_i)| for the block's shifted recurrence p.  Its first entry
@@ -200,8 +202,7 @@ class EigenBlock:
             )
 
     def __reduce__(self):
-        # through the constructor: numpy unpickles arrays writable, and the
-        # derived full pair is rebuilt from the even rows, not taken on trust
+        # through the constructor: numpy unpickles arrays writable
         return type(self), (self.values, self.even, self.offdiag)
 
     @property
@@ -213,13 +214,13 @@ class EigenBlock:
         """O' = B^T E S^-1, the r x c odd rows of the kept columns (:func:`_odd_rows`)."""
         return _odd_rows(self.values, self.even, self.offdiag)
 
-    @cached_property
+    @property
     def eigenvalues(self) -> np.ndarray:
         vals = _mirror(self.values, self.size // 2)  # N - c mirrored pairs
         vals.setflags(write=False)
         return vals
 
-    @cached_property
+    @property
     def vectors(self) -> np.ndarray:
         c, r = len(self.values), self.size // 2
         odd = self.odd

@@ -7,15 +7,14 @@ B^T E S^-1 for the block's half-size bidiagonal B and singular values S,
 and V's other columns are their mirrors.  One kernel, one real product
 with E per |k| and a few band-wide elementwise steps for B and S^-1
 (:func:`_apply_blocks`), serves analysis, synthesis, filtering and the
-tail bounds.  The filter and the bounds of one field share one analysis
-per thread (:func:`_shared_analysis`).
+tail bounds.  The filter and the bounds of one field share one analysis,
+kept in the plan's work buffers of each thread (:func:`_shared_analysis`).
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -98,7 +97,8 @@ class TransformPlan:
     :func:`~spherelok.jacobi_blocks.check_eigenpairs`; an unpickled plan
     always goes through that check.
     Immutable once built; safe to share across concurrent transforms: each
-    thread gets its own work buffers (:class:`_Kernel`).
+    thread gets its own work buffers and last shared analysis
+    (:class:`_Kernel`), freed with the plan.
     """
 
     def __init__(
@@ -296,12 +296,14 @@ class _Kernel:
     one row is a shift by 2.  Pad rows of the products are zero and stay
     so, which ends B^T at each order's last row.  A pass runs nothing per
     block but its product; the smallest blocks cost little more than that
-    call overhead.
+    call overhead.  ``key`` and ``result``, None until the first miss, are
+    this thread's last shared analysis (:func:`_shared_analysis`).
     """
 
     def __init__(self, plan: TransformPlan):
         layout = _paired_layout(plan.params)
         self.layout = layout
+        self.key = self.result = None
         n_rows = len(layout.analysis) // 4
         gathered = np.zeros(4 * n_rows, dtype=complex)
         slots = np.zeros(6 * n_rows, dtype=complex)
@@ -396,41 +398,34 @@ def _apply_blocks(
     return np.take(kernel.slots, inverse, out=out, mode="clip")
 
 
-_last = threading.local()  # this thread's last shared analysis
-
-
 def _shared_analysis(plan: TransformPlan, coeffs: HarmonicCoeffs) -> np.ndarray:
-    """The values of ``analyze(plan, coeffs)``, one pass per field and thread.
+    """The values of ``analyze(plan, coeffs)``, one pass per field, plan and thread.
 
     The filter and the tail bounds each need the analysis of their input,
-    and callers run several of them on one field in a row.  Each thread
-    keeps its last: a weak reference to the plan, a copy of the input's
-    bits and the result.  A call with the same plan object and bitwise-equal
-    input reuses it, so -0.0 against 0.0, an input array edited since, or
-    another plan with the same band all run the kernel.  The result is the
-    bytes of a fresh pass; each call returns a new read-only view of it,
+    and callers run several of them on one field in a row.  This thread's
+    kernel of the plan (:class:`_Kernel`) keeps the last: a copy of the
+    input's bits and the result, freed with the plan.  A call with
+    bitwise-equal input reuses it, so -0.0 against 0.0, an input array
+    edited since, or another plan object all run the kernel.  The result is
+    the bytes of a fresh pass; each call returns a new read-only view of it,
     which numpy will not make writable.  A miss runs :func:`analyze`, which
-    itself keeps nothing, and reuses the key buffer of an entry for the same
-    plan.
+    itself keeps nothing, after the input is copied into the key buffer.
     """
     _check_match(plan, coeffs, HarmonicCoeffs)
     bits = np.ascontiguousarray(coeffs.values).view(np.int64)
-    entry = getattr(_last, "entry", None)
-    key = None
-    if entry is not None and entry[0]() is plan:
-        key = entry[1]
-        # the leading word settles most misses before the whole compare
-        if key[0] == bits[0] and np.array_equal(key, bits):
-            return entry[2].view()
-    # no entry while the pass runs: a failed pass leaves none, and the old
+    kernel = plan._kernel()
+    key = kernel.key
+    # the leading word settles most misses before the whole compare
+    if kernel.result is not None and key[0] == bits[0] and np.array_equal(key, bits):
+        return kernel.result.view()
+    # no result while the pass runs: a failed pass leaves none, and the old
     # result is freed before the new one is allocated
-    _last.entry = entry = None
-    result = analyze(plan, coeffs).values
+    kernel.result = None
     if key is None:
-        key = np.empty_like(bits)
+        key = kernel.key = np.empty_like(bits)
     np.copyto(key, bits)
-    _last.entry = (weakref.ref(plan), key, result)
-    return result.view()
+    kernel.result = analyze(plan, coeffs).values
+    return kernel.result.view()
 
 
 def analyze(
@@ -544,8 +539,7 @@ def load_plan(path) -> TransformPlan:
             f"{path}: plan cache holds separate -k records, which are no longer read" + _REBUILD
         )
     params = BandParams(n=n, m=m)
-    jacobi = _band_blocks(n, m)
-    blocks: dict[int, EigenBlock] = {}
+    records = []  # (k, values, E), views of the file's words
     pos = 2 + n
     for k in range(n, -1, -1):
         size = params.block_size(k)
@@ -559,11 +553,14 @@ def load_plan(path) -> TransformPlan:
                 f"{path}: block record ({k_read}, {size_read}) out of order; "
                 f"expected ({k}, {size})" + _REBUILD
             )
-        even = data[pos + 2 + c : end].reshape(c, c)
-        blocks[k] = EigenBlock(data[pos + 2 : pos + 2 + c], even, jacobi[k].offdiag)
+        records.append((k, data[pos + 2 : pos + 2 + c], data[pos + 2 + c : end].reshape(c, c)))
         pos = end
     if pos != len(words) or trailing:
         raise FormatError(f"{path}: trailing bytes after last block" + _REBUILD)
+    # the band table, which grows as n^2, is built only once the file holds
+    # every record: the work stays bounded by the file's size, not its header
+    jacobi = _band_blocks(n, m)
+    blocks = {k: EigenBlock(values, even, jacobi[k].offdiag) for k, values, even in records}
     try:
         return TransformPlan(params, blocks)
     except NumericError as exc:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spherelok as sl
-from spherelok import jacobi_blocks, transform
+from spherelok import jacobi_blocks
 
 # hypothesis imports this module (and with it libcst) on a test's first
 # failure.  Under the DeprecationWarning error filter, libcst's import-time
@@ -29,6 +29,7 @@ def plan_cache():
             cache[key] = sl.TransformPlan.build(n, m, mode=mode)
         return cache[key]
 
+    get.plans = cache.values()
     return get
 
 
@@ -38,14 +39,16 @@ def rng():
 
 
 @pytest.fixture(autouse=True)
-def _no_shared_analysis():
+def _no_shared_analysis(plan_cache):
     """Each test starts without this thread's last shared analysis.
 
     Session-scoped plans and the fixed ``rng`` seed would otherwise let a
     test reuse the analysis an earlier test left, so that its pass counts
-    depended on the order the tests ran in.
+    depended on the order the tests ran in.  Each session plan drops this
+    thread's work buffers, which hold its last shared analysis.
     """
-    vars(transform._last).clear()
+    for plan in plan_cache.plans:
+        vars(plan._local).clear()
 
 
 @pytest.fixture

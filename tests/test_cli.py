@@ -89,6 +89,15 @@ def test_plan_onto_a_truncated_cache_names_the_block_and_the_remedy(tmp_path, ca
     assert path.read_bytes() == data
 
 
+def test_spectrum_refuses_a_header_only_plan_of_a_large_band(tmp_path, capsys):
+    # n = 4000 in the header, and no record after the flag words
+    path = tmp_path / "big.bin"
+    path.write_bytes(b"SPHERELOK-PLAN v4\n" + np.array([4000, 0, *[0] * 4000], "<i8").tobytes())
+    assert main(["spectrum", "--plan", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "big.bin: truncated at block k=4000; delete the file and rebuild it with `spherelok plan`" in err
+
+
 def test_analyze_synthesize_roundtrip_files(tmp_path, plan_file, rng):
     params = sl.BandParams(12, 3)
     c = HarmonicCoeffs.random_unit(params, rng)

@@ -237,7 +237,7 @@ def test_band_eigenblocks_shares_mirror_orders():
     assert set(blocks) == set(range(-8, 9))
     for k in range(1, 9):
         assert blocks[-k] is blocks[k]
-    assert blocks[3].vectors is blocks[-3].vectors
+    assert np.array_equal(blocks[3].vectors, blocks[-3].vectors)
 
 
 def test_eigenblock_takes_one_blocks_halves_and_copies_writable_input():

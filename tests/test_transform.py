@@ -213,6 +213,21 @@ def test_plan_loader_rejects_truncation(tmp_path, plan_cache):
         load_plan(path)
 
 
+def test_plan_loader_checks_every_record_before_building_the_band_table(tmp_path, monkeypatch):
+    # a header that claims n = 4000 and no record: the band's table would
+    # take hundreds of MB, and the 32 KB file is refused without it
+    path = tmp_path / "big.bin"
+    path.write_bytes(b"SPHERELOK-PLAN v4\n" + np.array([4000, 0, *[0] * 4000], "<i8").tobytes())
+    assert path.stat().st_size == 32_034
+
+    def refuse(n, m):
+        raise AssertionError(f"band table of ({n}, {m}) built")
+
+    monkeypatch.setattr(transform, "_band_blocks", refuse)
+    with pytest.raises(FormatError, match=r"big\.bin: truncated at block k=4000; delete the file"):
+        load_plan(path)
+
+
 def test_plan_loader_rejects_nonorthogonal_vectors(tmp_path, plan_cache):
     plan = plan_cache(12, 4)
     path = tmp_path / "plan.bin"
@@ -425,13 +440,18 @@ def test_negative_zero_field_is_not_the_zero_field(plan_cache, shared):
 
 
 def test_plans_with_the_same_band_do_not_share_an_analysis(plan_cache, rng, shared):
+    # each plan keeps its own last analysis: the twin runs its own pass, and
+    # the plan still holds the analysis it ran before
     plan = plan_cache(24, 3)
     twin = _twin(plan)
     assert twin.params == plan.params
     c = HarmonicCoeffs.random_unit(plan.params, rng)
-    assert shared.ran(plan, c)[1]
+    first, ran = shared.ran(plan, c)
+    assert ran
     assert shared.ran(twin, c)[1]
-    assert shared.ran(plan, c)[1]
+    again, ran = shared.ran(plan, c)
+    assert not ran
+    assert again.tobytes() == first.tobytes()
 
 
 def test_each_thread_keeps_its_own_shared_analysis(plan_cache, rng, shared):
@@ -483,7 +503,7 @@ def test_filter_and_bounds_of_one_field_run_one_analysis(plan_cache, rng, shared
     assert shared.passes == 1
     # each the same as a call with no earlier analysis to reuse
     for call, got in zip(calls, results):
-        vars(transform._last).clear()
+        vars(plan._local).clear()
         want = call()
         if isinstance(want, tuple) and isinstance(want[0], HarmonicCoeffs):
             assert [w.values.tobytes() for w in want] == [g.values.tobytes() for g in got]
@@ -634,13 +654,25 @@ def _owners(obj, seen=None):
 
 
 def test_a_used_plan_holds_values_even_rows_band_table_and_work_buffers(rng):
-    # after every kind of pass, what the plan and this thread's kernel hold
-    # is the eigenvalues, E, the band's coefficient table and the kernel's
-    # buffers, coefficients and layout: no array of odd rows
+    # after every kind of pass, every reader of the full eigenpairs and a
+    # pickle round trip, what the plan and this thread's kernel hold is the
+    # eigenvalues, E, the band's coefficient table and the kernel's buffers,
+    # coefficients, layout and last shared analysis: no array of odd rows,
+    # and each block holds its three arrays alone
     plan = TransformPlan.build(64, 0)
     c = HarmonicCoeffs.random_unit(plan.params, rng)
     synthesize(plan, analyze(plan, c))
     sl.filter_coeffs(plan, c, sl.EigenvalueWindow.from_string("[0.5,1]"))
+    sl.markov_bound(plan, c, 0.4, "lower")
+    sl.markov_bound(plan, c, 0.4, "upper")
+    sl.chebyshev_bound(plan, c, 0.3)
+    sl.coefficient_variance(plan, c)
+    sl.SpectralSummary.from_plan(plan)
+    grid = sl.SphereGrid.for_degree(8)
+    for k, i in ((0, 1), (-3, 2), (3, 62), (40, 25), (-64, 1)):
+        sl.eval_basis_function(plan.params, plan.blocks, k, i, 0.3, 1.2)
+        sl.evaluate_basis_on_grid(plan.params, plan.blocks, k, i, grid)
+    copy = pickle.loads(pickle.dumps(plan))
     kernel = plan._kernel()
     blocks = [plan.blocks[k] for k in range(65)]
     expected = [
@@ -648,18 +680,32 @@ def test_a_used_plan_holds_values_even_rows_band_table_and_work_buffers(rng):
         plan.eigenvalue_vector(),
         kernel.gathered,
         kernel.slots,
+        kernel.key,
+        next(_owners(kernel.result)),
         *(next(_owners(a)) for a in plan._coefficients()),
         *(next(_owners(a)) for a in kernel.layout if isinstance(a, np.ndarray)),
-        *(next(_owners(a)) for eb in blocks for a in (eb.values, eb.even, eb.eigenvalues)),
+        *(next(_owners(a)) for eb in blocks for a in (eb.values, eb.even)),
     ]
     held = {id(a): a for a in _owners(plan)}
     assert set(held) == {id(a) for a in expected}
-    assert all("vectors" not in vars(eb) for eb in blocks)
+    for eb in (*blocks, *copy.blocks.values()):
+        assert set(vars(eb)) == {"values", "even", "offdiag"}
     # the float arrays of more than one dimension are the blocks' E; the
     # table holds each block's off-diagonal once
     assert expected[0].shape == (sum(eb.size - 1 for eb in blocks),)
     wide = {i for i, a in held.items() if a.ndim > 1 and a.dtype == float}
     assert wide == {id(next(_owners(eb.even))) for eb in blocks}
+
+
+def test_a_freed_plan_leaves_no_shared_analysis_behind(plan_cache, rng):
+    plan = _twin(plan_cache(24, 3))
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    result = weakref.ref(next(_owners(_shared_analysis(plan, c))))
+    sl.markov_bound(plan, c, 0.4, "upper")
+    assert result() is not None  # the bound reused it
+    del plan
+    gc.collect()
+    assert result() is None
 
 
 def test_analyze_matches_complex_block_multiply(plan_cache, rng):
@@ -684,7 +730,7 @@ def test_loaded_plan_shares_identical_mirror_blocks(tmp_path, plan_cache):
     loaded = load_plan(path)
     for k in range(1, 13):
         assert loaded.blocks[-k] is loaded.blocks[k]
-    assert loaded.blocks[-5].vectors is loaded.blocks[5].vectors
+    assert np.array_equal(loaded.blocks[-5].vectors, loaded.blocks[5].vectors)
 
 
 def test_plan_reads_only_nonnegative_orders(plan_cache):

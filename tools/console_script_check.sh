@@ -5,9 +5,9 @@
 #
 #     python -m pip install . && bash -eo pipefail tools/console_script_check.sh
 #
-# It writes p.bin, bad.bin, v3.bin, err.txt, c.coeff, l.coeff, lf.coeff,
-# h.coeff, kept.coeff, removed.coeff, f.txt and g.csv in the current
-# directory.  To run it on a source tree without installing, put on PATH a
+# It writes p.bin, bad.bin, v3.bin, big.bin, err.txt, c.coeff, l.coeff,
+# lf.coeff, h.coeff, kept.coeff, removed.coeff, f.txt and g.csv in the
+# current directory.  To run it on a source tree without installing, put on PATH a
 # `spherelok` script that runs `python -m spherelok.cli "$@"`, and export
 # PYTHONPATH=src, for example from the root of the tree:
 #
@@ -36,7 +36,9 @@
 # with block 3's kept column 1 of E negated, and so its odd rows, breaks
 # only the p_0 > 0 sign rule, and `spectrum` must refuse it (exit 4).  A
 # copy whose magic line reads v3, the format that stored the odd rows too,
-# is refused with the remedy, delete the file and rebuild it (exit 3).
+# is refused with the remedy, delete the file and rebuild it (exit 3).  So
+# is a file that stops after a header claiming n = 4000: the loader checks
+# every record before it builds the band's table of coefficients.
 # `selftest` also runs under python -O, which strips assert statements.
 
 python -c "import threading, spherelok as s; [s.TransformPlan.build(n, m) for n, m in ((0, 0), (1, 0), (2, 2), (16, 4))]; assert threading.active_count() == 1, threading.enumerate(); print('solve threads:', s.jacobi_blocks.thread_count())"
@@ -62,4 +64,6 @@ python -c "import numpy as np, spherelok as s; p = s.BandParams(16, 4); raw = op
 rc=0; spherelok spectrum --plan bad.bin || rc=$?; test "$rc" -eq 4
 python -c "raw = open('p.bin', 'rb').read(); assert raw[:18] == b'SPHERELOK-PLAN v4\n'; open('v3.bin', 'wb').write(b'SPHERELOK-PLAN v3\n' + raw[18:])"
 rc=0; spherelok spectrum --plan v3.bin 2> err.txt || rc=$?; test "$rc" -eq 3; grep -q 'plan cache format v3 is no longer read; delete the file and rebuild it with `spherelok plan`' err.txt
+python -c "import numpy as np; open('big.bin', 'wb').write(b'SPHERELOK-PLAN v4\\n' + np.array([4000, 0, *[0] * 4000], '<i8').tobytes())"
+rc=0; spherelok spectrum --plan big.bin 2> err.txt || rc=$?; test "$rc" -eq 3; grep -q 'truncated at block k=4000; delete the file and rebuild it' err.txt
 python -O -m spherelok.cli selftest
