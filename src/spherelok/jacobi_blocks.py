@@ -14,7 +14,7 @@ import threading
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -164,13 +164,10 @@ class EigenBlock:
     ValueError is raised unless the three shapes are those of one block.  A
     writable array is copied into a read-only one; a read-only float64
     array is kept as given; an unpickled block goes through the same
-    constructor.  ``eigenvalues`` and ``vectors`` give the full pair as
-    read-only arrays, derived on each access and not kept, so a block holds
-    its three arrays and nothing more.  ``eigenvalues`` and :func:`spectrum`
-    both come from :func:`_mirror`; the eigenvalue check reads
-    ``eigenvalues`` once per block and the plan's eigenvalue vector once per
-    plan, and no transform, filter, bound or plan-cache path reads
-    ``vectors``.
+    constructor.  ``eigenvalues`` and ``vectors``, the full pair as
+    read-only arrays, are built on first access and kept, but no library
+    path reads them: the check and the plan's eigenvalue vector use
+    :func:`_mirror`, and a basis function builds one column (:meth:`_columns`).
     Eigenvalues are strictly decreasing; column i of ``vectors`` is the unit
     eigenvector for ``eigenvalues[i]``, signed so that p_0 > 0: it is
     p(x_i) / |p(x_i)| for the block's shifted recurrence p.  Its first entry
@@ -202,7 +199,8 @@ class EigenBlock:
             )
 
     def __reduce__(self):
-        # through the constructor: numpy unpickles arrays writable
+        # through the constructor: numpy unpickles arrays writable, and the
+        # derived full pair is rebuilt from the even rows, not taken on trust
         return type(self), (self.values, self.even, self.offdiag)
 
     @property
@@ -214,21 +212,24 @@ class EigenBlock:
         """O' = B^T E S^-1, the r x c odd rows of the kept columns (:func:`_odd_rows`)."""
         return _odd_rows(self.values, self.even, self.offdiag)
 
-    @property
+    def _columns(self, cols: Sequence[int]) -> np.ndarray:
+        """Columns ``cols`` of ``vectors``, built alone: column N-1-j is D times column j."""
+        kept = np.minimum(cols, self.size - 1 - np.asarray(cols))  # a mirror's kept partner
+        vecs = np.empty((self.size, len(cols)))
+        vecs[0::2] = self.even[:, kept]
+        odd = _odd_rows(self.values, self.even, self.offdiag, kept)
+        vecs[1::2] = np.where(kept == cols, odd, -odd)
+        return vecs
+
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
         vals = _mirror(self.values, self.size // 2)  # N - c mirrored pairs
         vals.setflags(write=False)
         return vals
 
-    @property
+    @cached_property
     def vectors(self) -> np.ndarray:
-        c, r = len(self.values), self.size // 2
-        odd = self.odd
-        vecs = np.empty((c + r, c + r))
-        vecs[0::2, :c] = self.even
-        vecs[1::2, :c] = odd
-        vecs[0::2, c:] = self.even[:, :r][:, ::-1]
-        vecs[1::2, c:] = -odd[:, :r][:, ::-1]
+        vecs = self._columns(range(self.size))
         vecs.setflags(write=False)
         return vecs
 
@@ -240,15 +241,15 @@ def _inverse_values(values: np.ndarray, r: int) -> np.ndarray:
     return inv
 
 
-def _odd_rows(values: np.ndarray, even: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
-    """O' = B^T E S^-1, the one definition of a block's odd rows.
+def _odd_rows(values: np.ndarray, even: np.ndarray, offdiag: np.ndarray, cols=slice(None)):
+    """O' = B^T E S^-1, the one definition of a block's odd rows, at kept columns ``cols``.
 
     B^T u_i = s_i w_i for the SVD of :func:`_solve`, so O' is the odd rows of
     the r paired columns; the column of an odd N's s = 0 gets 0, its odd part.
     Row j of B^T t is b_{2j} t_j + b_{2j+1} t_{j+1} (see :func:`_bidiagonal`).
     """
     c, r = len(values), (len(offdiag) + 1) // 2
-    t = even * _inverse_values(values, r)
+    t = even[:, cols] * _inverse_values(values, r)[cols]
     odd = t[:r] * offdiag[0::2, None]
     odd[: c - 1] += offdiag[1::2, None] * t[1:]
     return odd
@@ -345,7 +346,7 @@ def check_eigenpairs(block: JacobiBlock, eb: EigenBlock) -> None:
     x, e = eb.values, eb.even
     c, r = len(x), block.size // 2
     if block.size > 1:
-        xs = eb.eigenvalues
+        xs = _mirror(x, r)
         gap = (xs[:-1] - xs[1:]).min()
         if not gap > _MIN_EIGENVALUE_GAP:
             raise NumericError(

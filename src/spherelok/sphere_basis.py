@@ -290,7 +290,7 @@ def eval_basis_function(
         raise IndexError(f"index {i} outside 1..{eb.size}")
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    radial = radial_table(params, k, theta.ravel()) @ eb.vectors[:, i - 1]
+    radial = radial_table(params, k, theta.ravel()) @ eb._columns([i - 1])[:, 0]
     out = radial.reshape(theta.shape) * np.exp(1j * k * phi)
     return complex(out) if out.ndim == 0 else out
 

@@ -237,7 +237,7 @@ def test_band_eigenblocks_shares_mirror_orders():
     assert set(blocks) == set(range(-8, 9))
     for k in range(1, 9):
         assert blocks[-k] is blocks[k]
-    assert np.array_equal(blocks[3].vectors, blocks[-3].vectors)
+    assert blocks[3].vectors is blocks[-3].vectors
 
 
 def test_eigenblock_takes_one_blocks_halves_and_copies_writable_input():
@@ -584,6 +584,16 @@ def test_built_blocks_hold_half_of_an_exact_mirror(n, m):
         assert vecs[1::2, :c].tobytes() == eb.odd.tobytes()
         for attr in ("values", "even", "odd"):
             assert getattr(again, attr).tobytes() == getattr(eb, attr).tobytes()
+
+
+@pytest.mark.parametrize("n,m", [(12, 4), (9, 0), (3, 3)])
+def test_a_column_built_alone_is_that_column_of_the_full_pair(n, m):
+    # a basis function builds its one column of V; the block keeps nothing
+    for eb in set(band_eigenblocks(n, m).values()):  # k and -k share a block
+        single = [eb._columns([i])[:, 0] for i in range(eb.size)]
+        assert set(vars(eb)) == {"values", "even", "offdiag"}
+        for i, column in enumerate(single):
+            assert column.tobytes() == np.ascontiguousarray(eb.vectors[:, i]).tobytes()
 
 
 def _tridiagonal_reference(block):

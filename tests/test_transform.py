@@ -730,7 +730,7 @@ def test_loaded_plan_shares_identical_mirror_blocks(tmp_path, plan_cache):
     loaded = load_plan(path)
     for k in range(1, 13):
         assert loaded.blocks[-k] is loaded.blocks[k]
-    assert np.array_equal(loaded.blocks[-5].vectors, loaded.blocks[5].vectors)
+    assert loaded.blocks[-5].vectors is loaded.blocks[5].vectors
 
 
 def test_plan_reads_only_nonnegative_orders(plan_cache):
