@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi_blocks import band_spectra
-from .sphere_basis import BandParams, HarmonicCoeffs, _label_columns, mean_value
-from .transform import TransformPlan, _apply_blocks, _shared_analysis
+from .sphere_basis import BandParams, HarmonicCoeffs, LocalizedCoeffs, _label_columns, mean_value
+from .transform import TransformPlan, _shared_analysis, synthesize
 
 __all__ = [
     "Interval",
@@ -156,22 +156,16 @@ def filter_coeffs(
 ) -> tuple[HarmonicCoeffs, HarmonicCoeffs]:
     """Split into (kept, removed): kept spans eigenvalues inside the window.
 
-    The two parts reconstruct the input and partition its energy exactly up
-    to round-off.
+    Each part is the synthesis of the field's analysis zeroed outside or
+    inside the window.  The two parts reconstruct the input and partition
+    its energy exactly up to round-off.
     """
     d = _shared_analysis(plan, coeffs)
     inside = window.mask(plan.eigenvalue_vector())
-    parts = []
-    # one synthesis per part, each in place: a two-column pass frees a gather
-    # buffer twice the size of a coefficient vector on every call, which
-    # raises glibc's mmap threshold and lets the heap of a long-running
-    # process fragment by several MB
-    for where in (inside, ~inside):
-        part = np.zeros(plan.params.dimension, dtype=complex)
-        np.copyto(part, d, where=where)
-        _apply_blocks(plan, part, transpose=False, out=part)
-        parts.append(HarmonicCoeffs._adopt(plan.params, part))
-    kept, removed = parts
+    kept, removed = (
+        synthesize(plan, LocalizedCoeffs._adopt(plan.params, np.where(where, d, 0)))
+        for where in (inside, ~inside)
+    )
     return kept, removed
 
 

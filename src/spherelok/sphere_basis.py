@@ -310,14 +310,18 @@ def _layout_offdiag(params: BandParams) -> np.ndarray:
     return off
 
 
+def _require_harmonic(coeffs: HarmonicCoeffs) -> None:
+    if not isinstance(coeffs, HarmonicCoeffs):
+        raise ValueError(f"expected harmonic coefficients, got {coeffs.kind}")
+
+
 def mean_value(coeffs: HarmonicCoeffs) -> float:
     """Localization score in (-1, 1): +1 means north-pole concentration.
 
     The tridiagonal quadratic form 2 Re sum conj(c_j) b_j c_{j+1} over the
     whole layout, O(dimension); the off-diagonals are cached per (n, m).
     """
-    if not isinstance(coeffs, HarmonicCoeffs):
-        raise ValueError(f"expected harmonic coefficients, got {coeffs.kind}")
+    _require_harmonic(coeffs)
     c = coeffs.values
     off = _layout_offdiag(coeffs.params)
     return 2.0 * float(np.real(np.vdot(c[:-1], off * c[1:])))
@@ -347,6 +351,7 @@ def evaluate_on_grid(coeffs: HarmonicCoeffs, grid: SphereGrid) -> np.ndarray:
     Profiles are added, not assigned: with Q < 2n + 1 several orders alias
     onto one column.
     """
+    _require_harmonic(coeffs)
     p = coeffs.params
     orders, degrees = _label_columns(p, "harmonic")
     alphas = np.abs(orders)

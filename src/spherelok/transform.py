@@ -6,9 +6,10 @@ E, the even rows of its ceil(N / 2) leading columns.  Their odd rows are
 B^T E S^-1 for the block's half-size bidiagonal B and singular values S,
 and V's other columns are their mirrors.  One kernel, one real product
 with E per |k| and a few band-wide elementwise steps for B and S^-1
-(:func:`_apply_blocks`), serves analysis, synthesis, filtering and the
-tail bounds.  The filter and the bounds of one field share one analysis,
-kept in the plan's work buffers of each thread (:func:`_shared_analysis`).
+(:func:`_apply_blocks`), serves :func:`analyze` and :func:`synthesize`,
+its only callers.  The filter and the tail bounds of one field share one
+analysis, kept in the plan's work buffers of each thread
+(:func:`_shared_analysis`), and the filter's two parts are syntheses.
 """
 
 from __future__ import annotations
@@ -345,12 +346,7 @@ class _Kernel:
         ]
 
 
-def _apply_blocks(
-    plan: TransformPlan,
-    x: np.ndarray,
-    transpose: bool,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def _apply_blocks(plan: TransformPlan, x: np.ndarray, transpose: bool) -> np.ndarray:
     """Multiply every block of one vector by V^T (``transpose``) or V.
 
     ``x`` is a complex ``(dimension,)`` vector in the canonical layout.  V
@@ -373,14 +369,14 @@ def _apply_blocks(
     of V.  That is half the multiply-adds of one product with the full V,
     and a quarter of its bytes.  B, S^-1 and the sums and differences run
     over the whole band (:class:`_Kernel`).  One gather through the inverse
-    permutation writes the result to ``out`` (a new array if None; it may
-    be ``x`` itself).
+    permutation returns the result as a new array.  :func:`analyze` is the
+    one caller of the V^T pass and :func:`synthesize` of the V pass.
     """
     x = np.asarray(x, dtype=complex)
     kernel = plan._kernel()
     layout = kernel.layout
-    # every take uses mode="clip": it skips the bounds check that would
-    # buffer ``out``, and the layout's indices are in range
+    # every take uses mode="clip": the layout's indices are in range, and it
+    # skips the bounds check, which with ``out=`` also buffers the output
     if transpose:
         np.take(x, layout.analysis, out=kernel.gathered, mode="clip")
         steps = (kernel.analysis_in, kernel.analysis, kernel.analysis_out)
@@ -397,7 +393,7 @@ def _apply_blocks(
         dot(operand, result)
     for ufunc, a, b, result in after:
         ufunc(a, b, out=result)
-    return np.take(kernel.slots, inverse, out=out, mode="clip")
+    return np.take(kernel.slots, inverse, mode="clip")
 
 
 def _shared_analysis(plan: TransformPlan, coeffs: HarmonicCoeffs) -> np.ndarray:
@@ -499,14 +495,14 @@ def save_plan(path, plan: TransformPlan) -> None:
 def load_plan(path) -> TransformPlan:
     """Load a v4 plan cache, verifying layout and every record's eigendata.
 
-    The file is read once into one 8-byte-aligned buffer; each block's
-    ``values`` and ``even`` are read-only views of its record, its
-    ``offdiag`` a view of the band's table of recurrence coefficients, and
-    block -k is block +k.  v1, v2 and v3 caches are rejected: v1 may hold
-    eigenvector signs from before the p_0 > 0 rule, v2 stores all of V and
-    v3 half of it.  So is a nonzero flag word, which would announce a
-    separate record for some -k.  Every layout error ends in the remedy:
-    delete the file and rebuild it.
+    The file, which may be a pipe, is read once into one 8-byte-aligned
+    buffer; each block's ``values`` and ``even`` are read-only views of its
+    record, its ``offdiag`` a view of the band's table of recurrence
+    coefficients, and block -k is block +k.  v1, v2 and v3 caches are
+    rejected: v1 may hold eigenvector signs from before the p_0 > 0 rule, v2
+    stores all of V and v3 half of it.  So is a nonzero flag word, which
+    would announce a separate record for some -k.  Every layout error ends
+    in the remedy: delete the file and rebuild it.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -517,14 +513,17 @@ def load_plan(path) -> TransformPlan:
             )
         if magic != _PLAN_MAGIC:
             raise FormatError(f"{path}: not a plan cache (bad magic)")
-        # the words after the magic line land in an aligned array: views of
-        # an unaligned buffer would slow every later product
-        nbytes = os.fstat(fh.fileno()).st_size - len(magic)
-        words = np.empty(nbytes // 8, dtype="<i8")
-        if fh.readinto(words) != words.nbytes:
-            raise FormatError(f"{path}: file shrank while being read" + _REBUILD)
-        trailing = nbytes % 8 or fh.read(1)
-    words.setflags(write=False)
+        # one aligned array owns the rest (unaligned views slow every product):
+        # fstat's size, 0 for a pipe, and one byte over, doubled while reads fill it
+        raw = np.empty(os.fstat(fh.fileno()).st_size + 1, dtype=np.uint8)
+        size = fh.readinto(raw)
+        while size == len(raw):
+            raw.resize(2 * size, refcheck=False)
+            size += fh.readinto(raw[size:])
+    raw.resize(size, refcheck=False)
+    raw.setflags(write=False)
+    trailing = size % 8
+    words = raw[: size - trailing].view("<i8")
     data = words.view("<f8").astype(float, copy=False)  # a copy on big-endian hosts only
     data.setflags(write=False)
     if len(words) < 2:

@@ -1,3 +1,6 @@
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -62,3 +65,39 @@ def blas_at_two():
     set_(2)
     yield get
     set_(before)
+
+
+@pytest.fixture
+def piped():
+    """A function that returns a /dev/fd path to a pipe a thread fills with bytes.
+
+    The thread writes the first 20 bytes 5 at a time, with pauses, so that a
+    reader's first reads come back short, then the rest, and closes the pipe.
+    """
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    ends, threads = [], []
+
+    def pipe(data: bytes) -> str:
+        r, w = os.pipe()
+        ends.append(r)
+
+        def write():
+            try:
+                with open(w, "wb") as fh:
+                    for chunk in (*(data[i : i + 5] for i in range(0, 20, 5)), data[20:]):
+                        fh.write(chunk)
+                        fh.flush()
+                        time.sleep(0.005)
+            except BrokenPipeError:  # the reader stopped early
+                pass
+
+        threads.append(threading.Thread(target=write))
+        threads[-1].start()
+        return f"/dev/fd/{r}"
+
+    yield pipe
+    for r in ends:
+        os.close(r)
+    for thread in threads:
+        thread.join()

@@ -1,4 +1,6 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ from spherelok.approximation import (
     markov_bound,
     moment_deviation_bound,
 )
-from spherelok.sphere_basis import HarmonicCoeffs, embed_block
-from spherelok.transform import analyze
+from spherelok import transform
+from spherelok.sphere_basis import HarmonicCoeffs, LocalizedCoeffs, embed_block
+from spherelok.transform import analyze, synthesize
 
 
 def test_interval_endpoint_semantics():
@@ -153,6 +156,34 @@ def test_filter_reconstruction_and_energy(plan_cache, rng):
         assert kept.norm() ** 2 + removed.norm() ** 2 == pytest.approx(
             c.norm() ** 2, abs=1e-12
         )
+
+
+def test_filter_parts_are_syntheses_of_the_masked_analysis(plan_cache, rng, monkeypatch):
+    # one analysis of the field and one synthesis per part, counted where
+    # each spherelok module binds the public name, as a tracer wraps them
+    plan = plan_cache(16, 3)
+    c = HarmonicCoeffs.random_unit(plan.params, rng)
+    window = EigenvalueWindow.from_string("[-0.3,0.41)u(0.7,1]")
+    calls = Counter()
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "spherelok"]
+    for fn in (analyze, synthesize):
+
+        def counted(*args, fn=fn):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        for mod in modules:
+            for name, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, name, counted)
+    kept, removed = filter_coeffs(plan, c, window)
+    assert calls == {"analyze": 1, "synthesize": 2}
+    monkeypatch.undo()
+    d = transform._shared_analysis(plan, c)
+    inside = window.mask(plan.eigenvalue_vector())
+    for part, where in ((kept, inside), (removed, ~inside)):
+        want = synthesize(plan, LocalizedCoeffs(plan.params, np.where(where, d, 0)))
+        assert part.values.tobytes() == want.values.tobytes()
 
 
 def test_filter_keeps_pure_eigenfunction(plan_cache):

@@ -266,6 +266,13 @@ def test_spectrum_command(tmp_path, plan_file, capsys):
     assert sum(payload["histogram_counts"]) == payload["count"]
 
 
+def test_spectrum_reads_a_plan_from_a_pipe(plan_file, piped, capsys):
+    assert main(["spectrum", "--plan", str(plan_file)]) == 0
+    want = capsys.readouterr().out
+    assert main(["spectrum", "--plan", piped(plan_file.read_bytes())]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_spectrum_text_lines_are_the_json_scalars(plan_file, capsys):
     assert main(["spectrum", "--plan", str(plan_file), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

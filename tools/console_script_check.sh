@@ -20,19 +20,21 @@
 # (numpy 1.24 names them openblas_*, numpy 2.x scipy_openblas_*).  A plan
 # load checks at one BLAS thread, its check threads have all ended when it
 # returns, and it restores the count.  `spectrum` prints as text lines the
-# scalar fields of its JSON payload.  The package writes and reads a plan
-# cache and takes coefficients through analyze and synthesize and back, with
+# scalar fields of its JSON payload, and prints the same for a plan read
+# from a pipe as for the file.  The package writes and reads a plan cache
+# and takes coefficients through analyze and synthesize and back, with
 # analyze --mode fast writing the same bytes as analyze, through two window
 # filters, and onto a grid.  The upper-tail filter also runs markov_bound,
 # which reuses the filter's analysis of the same field; its printed residual
 # must not exceed its bound.  Basis function (k, i) = (-3, 2) reads block -3,
-# which is block +3, and builds its full eigenvector matrix.  Blocks of size
-# 1-3 go through numpy's svd.  `bench --blocks` times the fast pipeline,
-# whose Chebyshev transforms run on numpy's FFT, and `bench` refuses a band
-# with m > n (exit 2) before it times the others.  The plan file is format
-# v4: after the magic line come n m and n flag words, then per k = n .. 0
-# a record of 2 + c + c^2 words, k and N_k, the c = ceil(N_k / 2) kept
-# eigenvalues and the c x c even rows E, row-major.  A copy of the plan
+# which is block +3, and builds that one column of its eigenvector matrix.
+# Blocks of size 1-3 go through numpy's svd.  `bench --blocks` times the
+# fast pipeline, whose Chebyshev transforms run on numpy's FFT, and `bench`
+# refuses a band with m > n (exit 2) before it times the others.  The plan
+# file is format v4: after the magic line come n m and n flag words, then
+# per k = n .. 0 a record of 2 + c + c^2 words, k and N_k, the
+# c = ceil(N_k / 2) kept eigenvalues and the c x c even rows E, row-major.
+# A copy of the plan
 # with block 3's kept column 1 of E negated, and so its odd rows, breaks
 # only the p_0 > 0 sign rule, and `spectrum` must refuse it (exit 4).  A
 # copy whose magic line reads v3, the format that stored the odd rows too,
@@ -46,6 +48,7 @@ spherelok selftest
 spherelok plan --n 16 --m 4 --out p.bin
 python -c "import threading, spherelok as s; get = (s.jacobi_blocks._blas_threads() or (lambda: None,))[0]; before = get(); s.load_plan('p.bin'); assert threading.active_count() == 1, threading.enumerate(); assert get() == before, (before, get())"
 python -c "import json, subprocess as sp; run = lambda *a: sp.run(['spherelok', 'spectrum', '--plan', 'p.bin', *a], check=True, capture_output=True, text=True).stdout; p = json.loads(run('--json')); keys = ('n', 'm', 'dimension', 'count', 'sum_x', 'mean_x2', 'min', 'max', 'fraction_in_0_0.5'); assert run().splitlines() == [f'{k} = {p[k]}' for k in keys]"
+diff <(spherelok spectrum --plan p.bin) <(spherelok spectrum --plan <(cat p.bin))
 python -c "import numpy as np, spherelok as s; s.save_coeffs('c.coeff', s.HarmonicCoeffs.random_unit(s.BandParams(16, 4), np.random.default_rng(0)))"
 spherelok analyze --plan p.bin --in c.coeff --out l.coeff
 spherelok analyze --mode fast --plan p.bin --in c.coeff --out lf.coeff
